@@ -40,12 +40,10 @@ from .sobolev import (
 from .dynamics import (
     FlowCheck,
     NewtonTrace,
-    VectorGridFunction,
     distributional_shadow,
     exponential_flow,
     invertibility_check,
     newton_net,
-    section_pairing,
 )
 from .expr import EvalError, ParseError, evaluate, parse, to_source
 
@@ -88,12 +86,10 @@ __all__ = [
     "boundary_vanish_check",
     "NewtonTrace",
     "FlowCheck",
-    "VectorGridFunction",
     "newton_net",
     "invertibility_check",
     "exponential_flow",
     "distributional_shadow",
-    "section_pairing",
     "parse",
     "evaluate",
     "to_source",

@@ -21,7 +21,7 @@ from .grid import Box, GridFunction, make_grid
 from .mollifier import scale, standard_bump, verify_unit
 from .sobolev import DerivativeFamily, sobolev_norm
 from .weakdiff import (
-    bump_test_function,
+    TestFunction,
     commutation_residual,
     test_function_catalog,
     verify_weak_derivative,
@@ -63,7 +63,7 @@ def _kink(res: int) -> GridFunction:
 
 def _smooth_bump(res: int) -> GridFunction:
     # wide enough that the largest ladder eps is already in the rate-4 regime
-    return _sample(res, lambda x: bump_test_function((0.5,), 0.45).value(x.reshape(-1, 1)))
+    return _sample(res, lambda x: TestFunction((0.5,), 0.45).value(x.reshape(-1, 1)))
 
 
 def _sign(res: int) -> GridFunction:
@@ -243,12 +243,12 @@ def criterion_shadow() -> CriterionResult:
 
     res = 2000
     net = orbit(_sign(res), EPS_LADDER)
-    v = bump_test_function((0.5,), 0.2)
+    v = TestFunction((0.5,), 0.2)
     report = distributional_shadow(net, v)
     gap = abs(report.extrapolated - report.direct)
     # off-center witness so the limit is away from zero; wide enough that the
     # order-1 extrapolation residual (~ eps1*eps2*|v''|) stays inside tolerance
-    w = bump_test_function((0.55,), 0.22)
+    w = TestFunction((0.55,), 0.22)
     report_w = distributional_shadow(net, w)
     gap_w = abs(report_w.extrapolated - report_w.direct)
     ok = gap <= 1e-3 and gap_w <= 1e-3

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import acceptance
-from .convolution import compose, convergence_study, mollify, orbit, write_convergence_csv
+from .acceptance import DEFAULT_SEED
+from .convolution import compose, convergence_study, mollify, write_convergence_csv
 from .dynamics import exponential_flow, newton_net, write_flow_csv, write_newton_csv
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, parse
 from .grid import Box, GridFunction, format_float, make_grid, write_grid_function_csv
@@ -38,7 +39,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 SEED_ENV_VAR = "SOBOLEVKIT_SEED"
-DEFAULT_SEED = 20250825
 
 
 class CliError(Exception):

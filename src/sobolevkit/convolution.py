@@ -1,12 +1,15 @@
 """Convolution of grid functions against scaled kernels.
 
 The smoothed function ``f_eps(x) = integral of phi_eps(x - y) f(y) dy``
-is computed by direct summation: kernel samples on the offset lattice
-times trapezoid-weighted function values.  Because the kernel vanishes
-outside the ball of radius ``eps``, the value at a node whose distance
-to the box boundary exceeds ``eps`` uses only in-box data, so results
-are reported on that interior region; nodes outside it carry a zero
-placeholder and are flagged absent by the accompanying mask.
+is the lattice sum of kernel samples on the offset lattice times the
+function values, scaled by the cell volume.  The sum is evaluated as one
+full linear convolution by FFT; every node whose window holds no nonzero
+pair of samples is set to exactly ``0.0``, as the direct sum would give,
+so supports and the boundary collar carry no round-off.  Because the
+kernel vanishes outside the ball of radius ``eps``, the value at a node
+whose distance to the box boundary exceeds ``eps`` uses only in-box
+data, so results are reported on that interior region; nodes outside it
+carry a zero placeholder and are flagged absent by the accompanying mask.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
-from scipy.signal import convolve as _direct_convolve
 
 from .grid import Box, Grid, GridFunction, Region, format_float, interior_region, lp_norm, make_grid, quadrature
 from .mollifier import Mollifier, MollifierProfile, scale, standard_bump
@@ -57,10 +58,19 @@ def _lattice_kernel(grid: Grid, m: Mollifier, deriv: tuple[int, ...] | None) -> 
     return vals.reshape(shape) * grid.cell_volume
 
 
-def _windowed_sum(values: NDArray[np.float64], kernel: NDArray[np.float64]) -> NDArray[np.float64]:
-    # correlate with the flipped kernel: out[i] = sum_d kernel[d] * values[i - d]
-    win = sliding_window_view(values, kernel.shape)
-    return np.tensordot(win, np.flip(kernel), axes=kernel.ndim)
+def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets."""
+    shape = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
+    axes = tuple(range(a.ndim))
+
+    def fft_convolve(x: np.ndarray, y: np.ndarray) -> NDArray[np.float64]:
+        spectrum = np.fft.rfftn(x, shape, axes) * np.fft.rfftn(y, shape, axes)
+        return np.fft.irfftn(spectrum, shape, axes)
+
+    out = fft_convolve(a, b)
+    # the masks' convolution counts nonzero pairs per node: integers up to round-off
+    out[fft_convolve(a != 0, b != 0) < 0.5] = 0.0
+    return out
 
 
 def convolve(
@@ -69,7 +79,7 @@ def convolve(
     deriv: tuple[int, ...] | None = None,
     zero_extend: bool = False,
 ) -> tuple[GridFunction, Region]:
-    """Direct-sum convolution of ``f`` with ``phi_eps`` (or a derivative of it).
+    """Lattice convolution of ``f`` with ``phi_eps`` (or a derivative of it).
 
     With ``zero_extend=False`` values are produced on the interior region
     at distance ``eps`` from the boundary and zeroed elsewhere; the region
@@ -83,22 +93,19 @@ def convolve(
         raise ValueError(
             f"eps={m.eps} is too large for the box (needs eps < half the minimum width)"
         )
-    kernel = _lattice_kernel(grid, m, deriv)
     radii = _window_radii(grid, m.eps)
-
+    conv = _full_convolution(f.values, _lattice_kernel(grid, m, deriv))
+    # node i of the grid is entry i + k of the full convolution, zero-extending f
+    vals = conv[tuple(slice(k, k + n) for k, n in zip(radii, grid.node_shape))]
     if zero_extend:
-        padded = np.pad(f.values, [(k, k) for k in radii])
-        vals = _windowed_sum(padded, kernel)
         return GridFunction(grid, vals), Region.full(grid)
 
     region = interior_region(grid, m.eps)
     if region.is_empty:
         raise ValueError(f"interior region at eps={m.eps} contains no nodes")
-    inner = _windowed_sum(f.values, kernel)
-    full = np.zeros(grid.node_shape)
-    full[tuple(slice(k, n - k) for k, n in zip(radii, grid.node_shape))] = inner
-    full[~region.mask] = 0.0
-    return GridFunction(grid, full), region
+    # the eps-interior lies inside the valid window, where no zero extension enters
+    vals[~region.mask] = 0.0
+    return GridFunction(grid, vals), region
 
 
 def mollify(f: GridFunction, m: Mollifier) -> tuple[GridFunction, Region]:
@@ -225,10 +232,13 @@ class KernelReport:
 def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelReport:
     """Convolve the kernels of ``a`` and ``b`` on a shared symmetric grid.
 
-    The result is supported in the ball of radius ``eps_a + eps_b`` and
-    keeps unit mass, mirroring composition of smoothing steps.  The grid
-    covers ``[-(eps_a + eps_b), eps_a + eps_b]^n``; the resolution must
-    be even so the offset lattice is centered at the origin.
+    This is the lattice convolution of :func:`convolve`, read off on the
+    centred window of the full convolution, so nodes the two supports
+    cannot reach are exactly ``0.0``.  The result is supported in the
+    ball of radius ``eps_a + eps_b`` and keeps unit mass, mirroring
+    composition of smoothing steps.  The grid covers
+    ``[-(eps_a + eps_b), eps_a + eps_b]^n``; the resolution must be even
+    so the offset lattice is centered at the origin.
     """
     if a.dim != b.dim:
         raise ValueError(f"kernel dimensions differ: {a.dim} vs {b.dim}")
@@ -241,7 +251,10 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     pts = grid.points()
     av = a.value(pts).reshape(grid.node_shape)
     bv = b.value(pts).reshape(grid.node_shape)
-    cv = _direct_convolve(av, bv, mode="same", method="direct") * grid.cell_volume
+    # node i of the grid is entry i + resolution / 2 of the full convolution
+    half = grid_resolution // 2
+    window = tuple(slice(half, half + size) for size in grid.node_shape)
+    cv = _full_convolution(av, bv)[window] * grid.cell_volume
     kernel = GridFunction(grid, cv)
     support = np.sqrt(np.sum(pts * pts, axis=-1)).reshape(grid.node_shape)
     hit = np.abs(cv) > 0.0

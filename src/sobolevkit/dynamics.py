@@ -1,4 +1,4 @@
-"""Dynamical checks: chord iteration, invertibility, flows, shadows, pairings.
+"""Dynamical checks: chord iteration, invertibility, flows and shadows.
 
 The chord iteration ``x <- x + (y - f(x)) / df_a`` solves ``f(x) = y``
 with the derivative frozen at an anchor point; it contracts whenever the
@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .convolution import OrbitNet, mollify
-from .grid import Grid, GridFunction, Region, format_float, quadrature
+from .grid import GridFunction, format_float
 from .mollifier import MollifierProfile, scale, standard_bump
 from .weakdiff import TestFunction, mollified_derivative, pair
 
@@ -27,12 +26,10 @@ __all__ = [
     "InvertibilityReport",
     "FlowCheck",
     "ShadowReport",
-    "VectorGridFunction",
     "newton_net",
     "invertibility_check",
     "exponential_flow",
     "distributional_shadow",
-    "section_pairing",
     "write_newton_csv",
     "write_flow_csv",
 ]
@@ -233,7 +230,7 @@ class ShadowReport:
     epses: tuple[float, ...]
     pairings: tuple[float, ...]
     extrapolated: float
-    direct: float | None = None
+    direct: float
 
 
 def distributional_shadow(u_net: OrbitNet, v: TestFunction) -> ShadowReport:
@@ -264,46 +261,3 @@ def distributional_shadow(u_net: OrbitNet, v: TestFunction) -> ShadowReport:
         extrapolated = p2 + (p2 - p1) * e2 / (e1 - e2)
     direct = pair(u_net.base, v)
     return ShadowReport(epses, pairings, extrapolated, direct)
-
-
-@dataclass(frozen=True)
-class VectorGridFunction:
-    """Vector values at every grid node: shape ``node_shape + (m,)``."""
-
-    grid: Grid
-    values: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim == self.grid.dim:
-            vals = vals[..., np.newaxis]
-        expected = self.grid.node_shape
-        if vals.shape[:-1] != expected or vals.shape[-1] < 1:
-            raise ValueError(
-                f"expected values of shape {expected} + (m,), got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("vector grid function values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def components(self) -> int:
-        return self.values.shape[-1]
-
-
-def section_pairing(
-    f: VectorGridFunction,
-    g: VectorGridFunction,
-    region: Region | None = None,
-) -> float:
-    """Quadrature of the pointwise inner product ``<f(x), g(x)>`` over ``region``."""
-    if f.grid != g.grid:
-        raise ValueError("sections live on different grids")
-    if f.components != g.components:
-        raise ValueError(
-            f"component counts differ: {f.components} vs {g.components}"
-        )
-    dot = np.sum(f.values * g.values, axis=-1)
-    return quadrature(GridFunction(f.grid, dot), region)

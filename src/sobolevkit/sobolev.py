@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, TextIO
 import numpy as np
 
 from .convolution import convolve
-from .grid import GridFunction, Region, boundary_distances, format_float, lp_norm, quadrature
+from .grid import GridFunction, Region, boundary_distances, format_float, lp_norm
 from .mollifier import MollifierProfile, scale, standard_bump
 from .weakdiff import (
     MultiIndex,

@@ -30,7 +30,6 @@ __all__ = [
     "PairingResidual",
     "multi_index_order",
     "validate_multi_index",
-    "bump_test_function",
     "test_function_catalog",
     "pair",
     "verify_weak_derivative",
@@ -156,10 +155,6 @@ class TestFunction:
 
     def __repr__(self) -> str:
         return f"TestFunction({self.label})"
-
-
-def bump_test_function(center: Sequence[float], radius: float) -> TestFunction:
-    return TestFunction(center, radius)
 
 
 def test_function_catalog(box: Box, count: int = 8) -> list[TestFunction]:

@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sobolevkit
 
 from sobolevkit.cli import (
     DEFAULT_SEED,
@@ -385,3 +391,18 @@ class TestSuite:
         assert len(lines) == 13
         for line in lines[1:]:
             assert line.startswith("PASS,")
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-only dependency; the package runs on numpy alone
+    src = str(Path(sobolevkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, sobolevkit.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,29 @@ def unit_grid(res=400):
 
 def sample(grid, fn):
     return GridFunction(grid, fn(grid.points()[:, 0]))
+
+
+def direct_sum(f, m, deriv=None):
+    """Reference lattice convolution of ``f`` (zero-extended) by summing window offsets."""
+    grid = f.grid
+    radii = [int(math.floor(m.eps / h * (1.0 + 1e-12))) for h in grid.spacing]
+    offsets = [np.arange(-k, k + 1) for k in radii]
+    padded = np.pad(f.values, [(k, k) for k in radii])
+    out = np.zeros(grid.node_shape)
+    for d in itertools.product(*offsets):
+        x = np.array([[di * h for di, h in zip(d, grid.spacing)]])
+        w = (m.value(x) if deriv is None else m.derivative(deriv, x))[0] * grid.cell_volume
+        # out[i] += phi(d h) f[i - d]
+        window = tuple(slice(k - di, k - di + n) for di, k, n in zip(d, radii, grid.node_shape))
+        out += w * padded[window]
+    return out, radii
+
+
+def random_grid_function(rng, dim):
+    box = Box(tuple(rng.uniform(-1.0, 0.0, dim)), tuple(rng.uniform(1.0, 2.0, dim)))
+    res = tuple(int(r) for r in rng.integers(12, 30 if dim < 3 else 18, dim))
+    grid = make_grid(box, res)
+    return GridFunction(grid, rng.uniform(-3.0, 3.0, grid.node_shape))
 
 
 def attenuation(profile, eps, freq=2.0 * math.pi):
@@ -257,3 +281,58 @@ class TestCompose:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             compose(scale(standard_bump(1), 0.1), scale(standard_bump(2), 0.1))
+
+
+class TestAgainstDirectSum:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("zero_extend", [False, True])
+    def test_random_grids(self, dim, zero_extend):
+        rng = np.random.default_rng(100 + dim)
+        first = tuple(int(i == 0) for i in range(dim))
+        second = tuple(2 * int(i == dim - 1) for i in range(dim))
+        derivs = [None, first, second]
+        for trial in range(3):
+            f = random_grid_function(rng, dim)
+            eps = float(rng.uniform(0.15, 0.4)) * min(f.grid.box.widths)
+            m = scale(standard_bump(dim), eps)
+            for deriv in derivs:
+                got, region = convolve(f, m, deriv=deriv, zero_extend=zero_extend)
+                want, _ = direct_sum(f, m, deriv)
+                if not zero_extend:
+                    want[~region.mask] = 0.0
+                np.testing.assert_allclose(
+                    got.values, want, rtol=0.0, atol=1e-12 * np.max(np.abs(f.values))
+                )
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_compact_support_is_exactly_zero_outside_window(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        f = random_grid_function(rng, dim)
+        inside = tuple(slice(n // 3, n // 3 + 2) for n in f.grid.node_shape)
+        values = np.zeros(f.grid.node_shape)
+        values[inside] = rng.uniform(0.5, 1.0, values[inside].shape)
+        f = GridFunction(f.grid, values)
+        m = scale(standard_bump(dim), 0.2 * min(f.grid.box.widths))
+        got, _ = convolve(f, m, zero_extend=True)
+        want, radii = direct_sum(f, m)
+        reach = np.zeros(f.grid.node_shape, dtype=bool)
+        reach[tuple(slice(max(s.start - k, 0), s.stop + k) for s, k in zip(inside, radii))] = True
+        assert np.all(got.values[~reach] == 0.0)
+        # inside the window too, the zero set is the direct sum's, node for node
+        np.testing.assert_array_equal(got.values == 0.0, want == 0.0)
+
+    @pytest.mark.parametrize("dim,res", [(1, 40), (2, 16)])
+    def test_compose(self, dim, res):
+        a, b = scale(standard_bump(dim), 0.1), scale(standard_bump(dim), 0.25)
+        report = compose(a, b, res)
+        grid = report.kernel.grid
+        pts = grid.points()
+        av = a.value(pts).reshape(grid.node_shape)
+        bv = b.value(pts).reshape(grid.node_shape)
+        full = np.zeros(tuple(2 * n - 1 for n in grid.node_shape))
+        for j in np.ndindex(*grid.node_shape):
+            full[tuple(slice(i, i + n) for i, n in zip(j, grid.node_shape))] += bv[j] * av
+        want = full[tuple(slice(res // 2, res // 2 + n) for n in grid.node_shape)] * grid.cell_volume
+        got = report.kernel.values
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)

@@ -10,18 +10,16 @@ from sobolevkit.convolution import OrbitNet, orbit
 from sobolevkit.dynamics import (
     FlowCheck,
     NewtonTrace,
-    VectorGridFunction,
     distributional_shadow,
     exponential_flow,
     invertibility_check,
     newton_net,
-    section_pairing,
     write_flow_csv,
     write_newton_csv,
 )
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
-from sobolevkit.weakdiff import bump_test_function
+from sobolevkit.weakdiff import TestFunction
 
 SQRT2 = 1.4142135623730951
 
@@ -207,7 +205,7 @@ class TestDistributionalShadow:
         grid = unit_grid()
         f = sample(grid, lambda x: x)
         net = orbit(f, [0.25, 0.125])
-        v = bump_test_function((0.5,), 0.2)
+        v = TestFunction((0.5,), 0.2)
         report = distributional_shadow(net, v)
         assert report.direct is not None
         assert report.extrapolated == pytest.approx(report.direct, abs=1e-8)
@@ -219,7 +217,7 @@ class TestDistributionalShadow:
         grid = unit_grid()
         profile = standard_bump(1)
         f = sample(grid, lambda x: np.sin(2 * math.pi * x))
-        v = bump_test_function((0.6,), 0.15)
+        v = TestFunction((0.6,), 0.15)
 
         z = np.linspace(-1.0, 1.0, 4001)
         m2 = float(np.trapezoid(z * z * profile.value(z.reshape(-1, 1)), z))
@@ -236,7 +234,7 @@ class TestDistributionalShadow:
     def test_residual_shrinks_quadratically_down_the_ladder(self):
         grid = unit_grid()
         f = sample(grid, lambda x: np.sin(2 * math.pi * x))
-        v = bump_test_function((0.6,), 0.15)
+        v = TestFunction((0.6,), 0.15)
         coarse = distributional_shadow(orbit(f, [0.2, 0.1]), v)
         fine = distributional_shadow(orbit(f, [0.1, 0.05]), v)
         ratio = abs(coarse.extrapolated - coarse.direct) / abs(fine.extrapolated - fine.direct)
@@ -246,7 +244,7 @@ class TestDistributionalShadow:
         grid = unit_grid(200)
         f = sample(grid, lambda x: x)
         net = orbit(f, [0.1])
-        report = distributional_shadow(net, bump_test_function((0.5,), 0.2))
+        report = distributional_shadow(net, TestFunction((0.5,), 0.2))
         assert report.extrapolated == report.pairings[0]
 
     def test_witness_must_clear_absent_band(self):
@@ -254,65 +252,10 @@ class TestDistributionalShadow:
         f = sample(grid, lambda x: x)
         net = orbit(f, [0.2])
         with pytest.raises(ValueError, match="absent band"):
-            distributional_shadow(net, bump_test_function((0.5,), 0.45))
+            distributional_shadow(net, TestFunction((0.5,), 0.45))
 
     def test_empty_net(self):
         grid = unit_grid(100)
         f = sample(grid, lambda x: x)
         with pytest.raises(ValueError, match="empty"):
-            distributional_shadow(OrbitNet(f, ()), bump_test_function((0.5,), 0.2))
-
-
-class TestSectionPairing:
-    def test_known_inner_product(self):
-        # <(x, 2x), (1, 1)> integrates to 3/2 on [0, 1]
-        grid = unit_grid(100)
-        x = grid.points()[:, 0]
-        f = VectorGridFunction(grid, np.stack([x, 2.0 * x], axis=-1))
-        g = VectorGridFunction(grid, np.ones((101, 2)))
-        assert section_pairing(f, g) == pytest.approx(1.5, abs=1e-12)
-
-    def test_scalar_values_get_one_component(self):
-        grid = unit_grid(50)
-        x = grid.points()[:, 0]
-        f = VectorGridFunction(grid, x)
-        assert f.components == 1
-        g = VectorGridFunction(grid, np.ones(51))
-        assert section_pairing(f, g) == pytest.approx(0.5, abs=1e-12)
-
-    def test_symmetry(self):
-        grid = unit_grid(64)
-        rng = np.random.default_rng(12)
-        f = VectorGridFunction(grid, rng.uniform(-1, 1, (65, 3)))
-        g = VectorGridFunction(grid, rng.uniform(-1, 1, (65, 3)))
-        assert section_pairing(f, g) == section_pairing(g, f)
-
-    def test_restricted_region(self):
-        grid = unit_grid(10)
-        ones = VectorGridFunction(grid, np.ones(11))
-        region = interior_region(grid, 0.25)
-        # five interior nodes, each carrying its full cell weight 0.1
-        assert section_pairing(ones, ones, region) == pytest.approx(0.5, abs=1e-12)
-
-    def test_component_mismatch(self):
-        grid = unit_grid(10)
-        f = VectorGridFunction(grid, np.ones((11, 2)))
-        g = VectorGridFunction(grid, np.ones((11, 3)))
-        with pytest.raises(ValueError, match="component"):
-            section_pairing(f, g)
-
-    def test_grid_mismatch(self):
-        f = VectorGridFunction(unit_grid(10), np.ones(11))
-        g = VectorGridFunction(unit_grid(20), np.ones(21))
-        with pytest.raises(ValueError, match="different grids"):
-            section_pairing(f, g)
-
-    def test_vector_validation(self):
-        grid = unit_grid(10)
-        with pytest.raises(ValueError, match="finite"):
-            VectorGridFunction(grid, np.full((11, 2), np.nan))
-        with pytest.raises(ValueError, match="shape"):
-            VectorGridFunction(grid, np.ones((12, 2)))
-        vec = VectorGridFunction(grid, np.ones((11, 2)))
-        with pytest.raises(ValueError):
-            vec.values[0, 0] = 3.0
+            distributional_shadow(OrbitNet(f, ()), TestFunction((0.5,), 0.2))

@@ -41,7 +41,7 @@ class TestMultiIndex:
 
 class TestBumpTestFunctions:
     def test_peak_value_one(self):
-        phi = wd.bump_test_function((0.5,), 0.3)
+        phi = wd.TestFunction((0.5,), 0.3)
         assert phi.value(np.array([[0.5]]))[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_support_bounds(self):
@@ -128,7 +128,7 @@ class TestPair:
         # integral of e * bump((x-c)/r) is e * r * (raw bump mass)
         grid = unit_grid()
         ones = GridFunction(grid, np.ones(401))
-        phi = wd.bump_test_function((0.5,), 0.3)
+        phi = wd.TestFunction((0.5,), 0.3)
         expected = math.e * 0.3 * RAW_MASS_1D
         assert wd.pair(ones, phi) == pytest.approx(expected, abs=1e-10)
 
@@ -136,12 +136,12 @@ class TestPair:
         grid = unit_grid(100)
         f = GridFunction(grid, np.ones(101))
         with pytest.raises(ValueError, match="escapes"):
-            wd.pair(f, wd.bump_test_function((0.9,), 0.3))
+            wd.pair(f, wd.TestFunction((0.9,), 0.3))
 
     def test_dim_mismatch(self):
         f = GridFunction(unit_grid(50), np.ones(51))
         with pytest.raises(ValueError, match="dimension"):
-            wd.pair(f, wd.bump_test_function((0.5, 0.5), 0.2))
+            wd.pair(f, wd.TestFunction((0.5, 0.5), 0.2))
 
 
 class TestVerifyWeakDerivative:
