@@ -411,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def load_config(path: str) -> dict[str, str]:
+def load_config(path: str) -> list[tuple[str, str]]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from None
-    data: dict[str, str] = {}
+    items: list[tuple[str, str]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -424,39 +424,47 @@ def load_config(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        data[key.strip().replace("_", "-")] = value.strip()
-    return data
+        items.append((key.strip().replace("_", "-"), value.strip()))
+    return items
 
 
-def _apply_config(args: argparse.Namespace, overrides: dict[str, str], argv: Sequence[str]) -> None:
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0])
-    for key, value in overrides.items():
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file supplies defaults that explicit flags override."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    defaults: dict[str, str] = {}
+    derivs: list[str] = []
+    for key, value in load_config(args.config):
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("config", "command"):
             raise CliError(f"config key {key!r} is not a flag of the {args.command!r} command")
-        if key in explicit:
-            continue  # explicit flags win over the config file
-        current = getattr(args, dest)
         if dest == "deriv":
-            setattr(args, dest, (current or []) + [value])
+            derivs.append(value)
         else:
-            setattr(args, dest, value)
+            defaults[dest] = value
+    # re-parse with the file's values as the command's defaults, so argparse
+    # itself decides which flags were given (abbreviations and -o included)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers.choices[args.command].set_defaults(**defaults)
+    args = parser.parse_args(argv)
+    if derivs and args.deriv is None:
+        args.deriv = derivs
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code else EXIT_OK
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     try:
-        if args.config:
-            _apply_config(args, load_config(args.config), argv)
         text, code = HANDLERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -128,9 +128,12 @@ class OrbitNet:
     entries: tuple[OrbitEntry, ...]
 
     def __post_init__(self) -> None:
-        epses = [e.eps for e in self.entries]
-        if any(b >= a for a, b in zip(epses, epses[1:])):
-            raise ValueError(f"eps ladder must be strictly decreasing, got {epses}")
+        _check_decreasing([e.eps for e in self.entries])
+
+
+def _check_decreasing(epses: list[float]) -> None:
+    if any(b >= a for a, b in zip(epses, epses[1:])):
+        raise ValueError(f"eps ladder must be strictly decreasing, got {epses}")
 
 
 def _check_ladder(eps_list: Sequence[float]) -> list[float]:
@@ -139,8 +142,7 @@ def _check_ladder(eps_list: Sequence[float]) -> list[float]:
         raise ValueError("eps ladder is empty")
     if any(e <= 0 for e in epses):
         raise ValueError(f"eps values must be positive, got {epses}")
-    if any(b >= a for a, b in zip(epses, epses[1:])):
-        raise ValueError(f"eps ladder must be strictly decreasing, got {epses}")
+    _check_decreasing(epses)
     return epses
 
 

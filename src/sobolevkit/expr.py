@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .grid import format_float
 
@@ -188,23 +188,26 @@ class _Parser:
     def _leave(self) -> None:
         self.depth -= 1
 
+    def _chain(self, ops: str, operand: Callable[[], Ast]) -> Ast:
+        # each operator of a left-associative chain adds one level to the
+        # tree, so it counts toward MAX_DEPTH like a nesting level
+        entered = self.depth
+        node = operand()
+        while self.peek().kind == "op" and self.peek().lexeme in ops:
+            op = self.advance()
+            self._enter(op.offset)
+            node = BinOp(op.lexeme, node, operand(), op.offset)
+        self.depth = entered
+        return node
+
     def parse_expr(self) -> Ast:
         self._enter(self.peek().offset)
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().lexeme in "+-":
-            op = self.advance()
-            right = self.parse_term()
-            node = BinOp(op.lexeme, node, right, op.offset)
+        node = self._chain("+-", self.parse_term)
         self._leave()
         return node
 
     def parse_term(self) -> Ast:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().lexeme in "*/":
-            op = self.advance()
-            right = self.parse_unary()
-            node = BinOp(op.lexeme, node, right, op.offset)
-        return node
+        return self._chain("*/", self.parse_unary)
 
     def parse_unary(self) -> Ast:
         tok = self.peek()

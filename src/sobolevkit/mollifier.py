@@ -13,6 +13,7 @@ stays one, and the derivative sups grow like ``eps^(-n-|alpha|)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,13 +33,12 @@ __all__ = [
     "bump_raw_derivative",
 ]
 
-MIN_NORMALIZATION_RESOLUTION = 32
+# Gauss-Legendre nodes for the radial normalization integral over [0, 1].
+# The profile is flat to all orders at r = 1, so the rule converges faster
+# than any power of the node count; 128 nodes are at machine accuracy.
+_RADIAL_NODES = 128
 
-# Default cells per axis for the one-off normalization quadrature.  The
-# bump is flat to all orders at the support boundary, so the trapezoid
-# rule converges faster than any power of the spacing; these are already
-# at machine accuracy in 1-d and 2-d.
-_DEFAULT_NORMALIZATION_RESOLUTION = {1: 4096, 2: 1024, 3: 192}
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def _points_2d(points: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
@@ -50,70 +50,49 @@ def _points_2d(points: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
     return pts
 
 
+def _raw_closed_form(pts: NDArray[np.float64], axes: tuple[int, ...]) -> NDArray[np.float64]:
+    # derivative of exp(1/u), u = |x|^2 - 1, along ``axes`` (at most two),
+    # with an exact-zero branch outside |x| < 1
+    r2 = np.sum(pts * pts, axis=-1)
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    u = r2[inside] - 1.0
+    e = np.exp(1.0 / u)
+    if not axes:
+        out[inside] = e
+    elif len(axes) == 1:
+        # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u)
+        xi = pts[..., axes[0]][inside]
+        out[inside] = -2.0 * xi / (u * u) * e
+    else:
+        # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
+        i, j = axes
+        xi = pts[..., i][inside]
+        xj = pts[..., j][inside]
+        term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
+        if i == j:
+            term = term - 2.0 / (u * u)
+        out[inside] = e * term
+    return out
+
+
 def bump_raw(points: NDArray[np.float64]) -> NDArray[np.float64]:
     """Unnormalized bump ``exp(1/(|x|^2 - 1))`` with an exact-zero branch outside ``|x| < 1``."""
-    pts = np.asarray(points, dtype=np.float64)
-    r2 = np.sum(pts * pts, axis=-1)
-    out = np.zeros_like(r2)
-    inside = r2 < 1.0
-    u = r2[inside] - 1.0
-    out[inside] = np.exp(1.0 / u)
-    return out
-
-
-def _bump_raw_gradient(points: NDArray[np.float64], axis: int) -> NDArray[np.float64]:
-    # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u),  u = |x|^2 - 1
-    pts = np.asarray(points, dtype=np.float64)
-    r2 = np.sum(pts * pts, axis=-1)
-    out = np.zeros_like(r2)
-    inside = r2 < 1.0
-    u = r2[inside] - 1.0
-    xi = pts[..., axis][inside]
-    out[inside] = -2.0 * xi / (u * u) * np.exp(1.0 / u)
-    return out
-
-
-def _bump_raw_hessian(points: NDArray[np.float64], i: int, j: int) -> NDArray[np.float64]:
-    # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
-    pts = np.asarray(points, dtype=np.float64)
-    r2 = np.sum(pts * pts, axis=-1)
-    out = np.zeros_like(r2)
-    inside = r2 < 1.0
-    u = r2[inside] - 1.0
-    xi = pts[..., i][inside]
-    xj = pts[..., j][inside]
-    term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
-    if i == j:
-        term = term - 2.0 / (u * u)
-    out[inside] = np.exp(1.0 / u) * term
-    return out
+    return _raw_closed_form(np.asarray(points, dtype=np.float64), ())
 
 
 def bump_raw_derivative(alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Partial derivative ``d^alpha`` of the unnormalized bump.
+    """Partial derivative ``d^alpha`` of the unnormalized bump, in closed form.
 
-    Orders 0 to 2 use the closed forms above; higher orders fall back to
-    nested central differences of the analytic second derivatives.
+    Only orders 0 to 2 are supported; a higher order raises ``ValueError``.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
         raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-    order = sum(alpha)
-    pts = _points_2d(points, len(alpha))
-    if order == 0:
-        return bump_raw(pts)
-    if order == 1:
-        return _bump_raw_gradient(pts, alpha.index(1))
-    if order == 2:
-        axes = [i for i, a in enumerate(alpha) for _ in range(a)]
-        return _bump_raw_hessian(pts, axes[0], axes[1])
-    # peel one derivative off numerically and recurse on the rest
-    axis = next(i for i, a in enumerate(alpha) if a > 0)
-    rest = tuple(a - 1 if i == axis else a for i, a in enumerate(alpha))
-    h = 1e-5
-    shift = np.zeros(len(alpha))
-    shift[axis] = h
-    return (bump_raw_derivative(rest, pts + shift) - bump_raw_derivative(rest, pts - shift)) / (2.0 * h)
+    axes = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+    if len(axes) > 2:
+        raise ValueError(f"derivative order {len(axes)} of {alpha} is above 2")
+    return _raw_closed_form(_points_2d(points, len(alpha)), axes)
 
 
 @dataclass(frozen=True)
@@ -122,7 +101,6 @@ class MollifierProfile:
 
     dim: int
     normalization: float
-    normalization_resolution: int
 
     @property
     def support_radius(self) -> float:
@@ -138,32 +116,24 @@ class MollifierProfile:
 
 
 @functools.lru_cache(maxsize=None)
-def _normalization_constant(dim: int, resolution: int) -> float:
-    box = Box((-1.0,) * dim, (1.0,) * dim)
-    grid = make_grid(box, resolution)
-    samples = GridFunction(grid, bump_raw(grid.points()))
-    mass = quadrature(samples)
-    return 1.0 / mass
+def _normalization_constant(dim: int) -> float:
+    # the bump is radial: its mass is |S^(dim-1)| * int_0^1 r^(dim-1) exp(1/(r^2-1)) dr
+    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
+    r = 0.5 * (nodes + 1.0)
+    radial = 0.5 * np.sum(weights * r ** (dim - 1) * np.exp(1.0 / (r * r - 1.0)))
+    return float(1.0 / (_SPHERE_AREA[dim] * radial))
 
 
-def standard_bump(dim: int, normalization_resolution: int | None = None) -> MollifierProfile:
-    """The standard bump profile, normalized to unit mass by quadrature.
+def standard_bump(dim: int) -> MollifierProfile:
+    """The standard bump profile in dimension ``dim``, normalized to unit mass.
 
-    ``normalization_resolution`` is the cells-per-axis count of the grid
-    used once to compute the constant; it must be at least 32.
+    The constant comes from a radial Gauss-Legendre integral; derivatives
+    are available in closed form for orders 0 to 2.
     """
     dim = int(dim)
     if not 1 <= dim <= 3:
         raise ValueError(f"dimension must be between 1 and 3, got {dim}")
-    if normalization_resolution is None:
-        normalization_resolution = _DEFAULT_NORMALIZATION_RESOLUTION[dim]
-    normalization_resolution = int(normalization_resolution)
-    if normalization_resolution < MIN_NORMALIZATION_RESOLUTION:
-        raise ValueError(
-            f"normalization resolution {normalization_resolution} is too coarse; "
-            f"need at least {MIN_NORMALIZATION_RESOLUTION} cells per axis"
-        )
-    return MollifierProfile(dim, _normalization_constant(dim, normalization_resolution), normalization_resolution)
+    return MollifierProfile(dim, _normalization_constant(dim))
 
 
 @dataclass(frozen=True)
@@ -219,15 +189,7 @@ class UnitReport:
 
 
 def _multi_indices_of_order(dim: int, order: int) -> list[tuple[int, ...]]:
-    if order == 0:
-        return [(0,) * dim]
-    out = []
-    for prefix in _multi_indices_of_order(dim, order - 1):
-        for i in range(dim):
-            cand = tuple(a + 1 if j == i else a for j, a in enumerate(prefix))
-            if cand not in out:
-                out.append(cand)
-    return out
+    return [a for a in itertools.product(range(order + 1), repeat=dim) if sum(a) == order]
 
 
 def verify_unit(m: Mollifier, grid_resolution: int, tol: float = 1e-3) -> UnitReport:

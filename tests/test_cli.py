@@ -303,6 +303,41 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert "after 5 iterations" in err
 
+    def test_abbreviated_flag_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps=0.3\nres=20\n")
+        argv = ["mollify", "--f", "x1^2", "--config", str(cfg)]
+        _, abbreviated, _ = run(capsys, argv + ["--ep", "0.05"])
+        _, spelled_out, _ = run(capsys, argv + ["--eps", "0.05"])
+        _, from_file, _ = run(capsys, argv + ["--eps", "0.3"])
+        assert abbreviated == spelled_out
+        assert abbreviated != from_file
+
+    def test_short_output_flag_wins(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"output={tmp_path / 'from_file.csv'}\n")
+        explicit = tmp_path / "explicit.csv"
+        code, _, _ = run(
+            capsys,
+            ["mollify", "--f", "x1", "--eps", "0.2", "--res", "20", "-o", str(explicit), "--config", str(cfg)],
+        )
+        assert code == EXIT_OK
+        assert explicit.read_text().startswith("# grid lo=0 hi=1 res=20")
+        assert not (tmp_path / "from_file.csv").exists()
+
+    def test_repeated_deriv_lines_all_apply(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("deriv = 1,0=2*x1\nderiv = 0,1=0\nres=40\n")
+        argv = ["sobolev", "--f", "x1^2", "--lo", "0,0", "--hi", "1,1", "--config", str(cfg)]
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_OK, err
+        rows = {line.split(",")[0] for line in out.splitlines()[1:]}
+        assert {"0 0", "1 0", "0 1"} <= rows
+        # explicit --deriv flags replace the file's lines
+        code, _, err = run(capsys, argv + ["--deriv", "1,0=2*x1"])
+        assert code == EXIT_VALIDATION
+        assert "missing derivatives [(0, 1)]" in err
+
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
@@ -391,6 +426,23 @@ class TestSuite:
         assert len(lines) == 13
         for line in lines[1:]:
             assert line.startswith("PASS,")
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_long_operator_chain_exits_two(op):
+    src = str(Path(sobolevkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    expression = op.join(["x1"] * 3000)
+    result = subprocess.run(
+        [sys.executable, "-m", "sobolevkit.cli", "mollify", "--f", expression, "--eps", "0.1", "--res", "20"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == EXIT_VALIDATION
+    assert result.stderr.startswith("error:")
+    assert "deeply nested" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -118,6 +119,16 @@ class TestParseErrors:
         deep = "(" * 250 + "1" + ")" * 250
         with pytest.raises(ParseError, match="deeply nested"):
             parse(deep)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_long_chain_is_too_deep(self, op):
+        # each operator of a chain adds a tree level, so it counts as nesting
+        with pytest.raises(ParseError, match="deeply nested"):
+            parse(op.join(["x1"] * 3000))
+
+    def test_chain_within_depth_round_trips(self):
+        node = parse("+".join(["x1"] * 150))
+        assert evaluate(parse(to_source(node)), (1.0,)) == 150.0
 
     def test_dim_validation(self):
         with pytest.raises(ParseError, match="dimension"):
@@ -266,6 +277,45 @@ class TestFuzz:
         try:
             parse(source)
         except ParseError:
+            pass
+
+    # long inputs of at least 1000 bytes: operator chains of 501 to 3000
+    # short operands (a few cycled), chains of 24+ operands of 40+ bytes
+    # each (shallow enough to parse), and either kind wrapped in nested calls
+    _short = st.sampled_from(["x1", "2", "-x2", "(x3)", "sin(x1)", "-", "(", ")", "^"])
+    _long = st.sampled_from(
+        ["0." + "5" * 40, f"({' ' * 30}x1 - 0.25)", f"exp(-x2^2/{'1' * 33})", f"max(x1,{' ' * 32}x3)"]
+    )
+    _op = st.sampled_from(["+", "-", "*", "/", "^", ","])
+    _chain = st.one_of(
+        st.builds(
+            lambda op, cycle, n: op.join(itertools.islice(itertools.cycle(cycle), n)),
+            _op,
+            st.lists(_short, min_size=1, max_size=4),
+            st.integers(501, 3000),
+        ),
+        st.builds(str.join, _op, st.lists(_long, min_size=24, max_size=150)),
+    )
+    _nested = st.builds(
+        lambda fn, n, inner: fn * n + inner + ")" * n,
+        st.sampled_from(["(", "-(", "sin(", "max(1,"]),
+        st.integers(0, 120),
+        _chain,
+    )
+
+    @given(st.one_of(_chain, _nested))
+    @settings(max_examples=60, deadline=None)
+    def test_long_inputs_parse_or_raise(self, source):
+        # a parsed tree is shallow enough to evaluate and render without RecursionError
+        try:
+            node = parse(source)
+        except ParseError as err:
+            assert 0 <= err.offset <= len(source)
+            return
+        to_source(node)
+        try:
+            evaluate(node, (0.5, 0.25, 0.125))
+        except EvalError:
             pass
 
 
