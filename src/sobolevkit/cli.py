@@ -25,7 +25,7 @@ from . import acceptance
 from .acceptance import DEFAULT_SEED
 from .convolution import compose, convergence_study, mollify, write_convergence_csv
 from .dynamics import exponential_flow, newton_net, write_flow_csv, write_newton_csv
-from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, parse
+from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import scale, standard_bump
 from .sobolev import DerivativeFamily, membership_report, write_membership_csv
@@ -130,15 +130,20 @@ class RunConfig:
         return make_grid(self.box, self.resolution)
 
 
+def _expression_error(source: str, exc: ParseError | EvalError) -> CliError:
+    # quote only an excerpt around the offset: the source may be kilobytes long
+    shown = repr(excerpt(source, exc.offset))
+    if isinstance(exc, ParseError):
+        return CliError(f"in expression {shown}: {exc}")
+    return CliError(f"evaluating {shown}: {exc}", EXIT_NUMERICAL)
+
+
 def _sample_expression(source: str, grid) -> GridFunction:
     try:
         ast = parse(source, grid.dim)
-    except ParseError as exc:
-        raise CliError(f"in expression {source!r}: {exc}") from None
-    try:
         values = evaluate_many(ast, grid.points())
-    except EvalError as exc:
-        raise CliError(f"evaluating {source!r}: {exc}", EXIT_NUMERICAL) from None
+    except (ParseError, EvalError) as exc:
+        raise _expression_error(source, exc) from None
     return GridFunction(grid, np.array(values))
 
 
@@ -254,7 +259,7 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
     try:
         ast = parse(args.f, 1)
     except ParseError as exc:
-        raise CliError(f"in expression {args.f!r}: {exc}") from None
+        raise _expression_error(args.f, exc) from None
 
     def fn(x: float) -> float:
         return evaluate(ast, (x,))
@@ -265,7 +270,7 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
         df_a = (fn(a + h) - fn(a - h)) / (2.0 * h)
         trace = newton_net(fn, df_a, y, x0, max_iter=max_iter, tol=tol, anchor=a)
     except EvalError as exc:
-        raise CliError(f"evaluating {args.f!r}: {exc}", EXIT_NUMERICAL) from None
+        raise _expression_error(args.f, exc) from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
     out = io.StringIO()

@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 
+# Largest |lattice mass - 1| a value kernel may have.  Kernels with at
+# least 3 cells per radius stay within 0.02 in 1-3 dimensions; one cell
+# per radius is off by about 0.2, and a kernel narrower than a cell puts
+# all its mass on one node.
+MASS_TOL = 0.05
+
+
 def _window_radii(grid: Grid, eps: float) -> tuple[int, ...]:
     # number of lattice offsets per axis with |k * h| <= eps
     return tuple(int(math.floor(eps / h * (1.0 + 1e-12))) for h in grid.spacing)
@@ -85,6 +92,12 @@ def convolve(
     at distance ``eps`` from the boundary and zeroed elsewhere; the region
     mask flags which nodes carry data.  With ``zero_extend=True``, ``f``
     is extended by zero outside the box and every node gets a value.
+
+    A value kernel (``deriv=None``) must keep its unit mass on the
+    lattice: a lattice mass farther than ``MASS_TOL`` (0.05) from 1 means
+    the grid has too few cells per kernel radius, and raises
+    ``ValueError`` instead of returning a multiple of the smoothed
+    function.
     """
     grid = f.grid
     if m.dim != grid.dim:
@@ -94,7 +107,15 @@ def convolve(
             f"eps={m.eps} is too large for the box (needs eps < half the minimum width)"
         )
     radii = _window_radii(grid, m.eps)
-    conv = _full_convolution(f.values, _lattice_kernel(grid, m, deriv))
+    kernel = _lattice_kernel(grid, m, deriv)
+    if deriv is None:
+        mass = float(kernel.sum())
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ValueError(
+                f"kernel at eps={m.eps} has lattice mass {mass:.6g}, outside 1 +- {MASS_TOL}:"
+                f" the grid is too coarse for this eps"
+            )
+    conv = _full_convolution(f.values, kernel)
     # node i of the grid is entry i + k of the full convolution, zero-extending f
     vals = conv[tuple(slice(k, k + n) for k, n in zip(radii, grid.node_shape))]
     if zero_extend:

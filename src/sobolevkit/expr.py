@@ -12,7 +12,8 @@ Grammar, lowest precedence first::
 
 ``^`` binds tighter than unary minus, so ``-2^2 = -(2^2)`` while the
 exponent may carry its own sign: ``2^-3``.  Variables are ``x1``..``x3``
-up to the declared dimension.  Every parse or evaluation error carries
+up to the declared dimension.  A number literal must be a finite float64
+(``1e999`` is a syntax error).  Every parse or evaluation error carries
 the byte offset of the offending token or subexpression.
 """
 
@@ -76,6 +77,19 @@ class EvalError(ArithmeticError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+# Longest stretch of source an error message quotes.
+EXCERPT_WIDTH = 80
+
+
+def excerpt(text: str, offset: int = 0) -> str:
+    """At most ``EXCERPT_WIDTH`` characters of ``text`` around ``offset``, ``…`` marking each cut."""
+    if len(text) <= EXCERPT_WIDTH:
+        return text
+    start = min(max(offset - EXCERPT_WIDTH // 2, 0), len(text) - EXCERPT_WIDTH)
+    end = start + EXCERPT_WIDTH
+    return ("…" if start > 0 else "") + text[start:end] + ("…" if end < len(text) else "")
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.lexeme or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.offset)
+            raise ParseError(f"expected {what}, found {excerpt(shown)!r}", tok.offset)
         return self.advance()
 
     def _enter(self, offset: int) -> None:
@@ -234,10 +248,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            try:
-                value = float(tok.lexeme)
-            except ValueError:
-                raise ParseError(f"bad number literal {tok.lexeme!r}", tok.offset) from None
+            value = float(tok.lexeme)
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"number literal {excerpt(tok.lexeme)!r} is out of range", tok.offset
+                )
             return Num(value, tok.offset)
         if tok.kind == "lparen":
             self._enter(tok.offset)
@@ -274,9 +289,9 @@ class _Parser:
                         tok.offset,
                     )
                 return Call(name, tuple(args), tok.offset)
-            raise ParseError(f"unknown identifier {name!r}", tok.offset)
+            raise ParseError(f"unknown identifier {excerpt(name)!r}", tok.offset)
         shown = tok.lexeme or "end of input"
-        raise ParseError(f"expected a value, found {shown!r}", tok.offset)
+        raise ParseError(f"expected a value, found {excerpt(shown)!r}", tok.offset)
 
 
 def parse(source: str, dim: int = 3) -> Ast:
@@ -290,13 +305,20 @@ def parse(source: str, dim: int = 3) -> Ast:
     node = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "eof":
-        raise ParseError(f"unexpected trailing input {trailing.lexeme!r}", trailing.offset)
+        raise ParseError(
+            f"unexpected trailing input {excerpt(trailing.lexeme)!r}", trailing.offset
+        )
     return node
+
+
+def _shown(node: Ast) -> str:
+    # error messages quote the failing subexpression, bounded in length
+    return repr(excerpt(to_source(node)))
 
 
 def _check_finite(value: float, node: Ast) -> float:
     if not math.isfinite(value):
-        raise EvalError(f"non-finite result in {to_source(node)!r}", node.offset)
+        raise EvalError(f"non-finite result in {_shown(node)}", node.offset)
     return value
 
 
@@ -323,13 +345,13 @@ def evaluate(node: Ast, point: Sequence[float]) -> float:
             return _check_finite(left * right, node)
         if node.op == "/":
             if right == 0.0:
-                raise EvalError(f"division by zero in {to_source(node)!r}", node.offset)
+                raise EvalError(f"division by zero in {_shown(node)}", node.offset)
             return _check_finite(left / right, node)
         if node.op == "^":
             try:
                 return _check_finite(math.pow(left, right), node)
             except (ValueError, OverflowError):
-                raise EvalError(f"invalid power in {to_source(node)!r}", node.offset) from None
+                raise EvalError(f"invalid power in {_shown(node)}", node.offset) from None
         raise EvalError(f"unknown operator {node.op!r}", node.offset)
     if isinstance(node, Call):
         args = [evaluate(a, point) for a in node.args]
@@ -345,13 +367,13 @@ def evaluate(node: Ast, point: Sequence[float]) -> float:
             if node.name == "log":
                 if args[0] <= 0.0:
                     raise EvalError(
-                        f"log of non-positive value in {to_source(node)!r}", node.offset
+                        f"log of non-positive value in {_shown(node)}", node.offset
                     )
                 return math.log(args[0])
             if node.name == "sqrt":
                 if args[0] < 0.0:
                     raise EvalError(
-                        f"sqrt of negative value in {to_source(node)!r}", node.offset
+                        f"sqrt of negative value in {_shown(node)}", node.offset
                     )
                 return math.sqrt(args[0])
             if node.name == "step":
@@ -361,7 +383,7 @@ def evaluate(node: Ast, point: Sequence[float]) -> float:
             if node.name == "max":
                 return max(args)
         except OverflowError:
-            raise EvalError(f"overflow in {to_source(node)!r}", node.offset) from None
+            raise EvalError(f"overflow in {_shown(node)}", node.offset) from None
         raise EvalError(f"unknown function {node.name!r}", node.offset)
     raise EvalError(f"unexpected node {node!r}", getattr(node, "offset", 0))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -135,18 +136,20 @@ class Grid:
         """All node coordinates as an array of shape ``(node_count, dim)``."""
         return np.stack([m.ravel() for m in self.meshes()], axis=-1)
 
+    def axis_weights(self, axis: int) -> NDArray[np.float64]:
+        """Trapezoid weights along one axis: ``h/2`` at the two end nodes, ``h`` inside."""
+        h = self.spacing[axis]
+        w = np.full(self.resolution[axis] + 1, h)
+        w[0] = w[-1] = h / 2.0
+        return w
+
     def trapezoid_weights(self) -> NDArray[np.float64]:
         """Tensor-product trapezoid weights, shape ``node_shape``.
 
-        Per axis the weights are ``h/2`` at the two end nodes and ``h``
-        inside, so the rule is exact for affine integrands.
+        The product of the per-axis rules of :meth:`axis_weights`, so the
+        rule is exact for affine integrands.
         """
-        w = np.ones(1)
-        for h, r in zip(self.spacing, self.resolution):
-            axis_w = np.full(r + 1, h)
-            axis_w[0] = axis_w[-1] = h / 2.0
-            w = np.multiply.outer(w, axis_w)
-        return w.reshape(self.node_shape)
+        return reduce(np.multiply.outer, [self.axis_weights(i) for i in range(self.dim)])
 
 
 def make_grid(box: Box, resolution: int | Sequence[int]) -> Grid:

@@ -56,6 +56,15 @@ class TestMollify:
         assert code == EXIT_VALIDATION
         assert "too large" in err
 
+    def test_under_resolved_kernel_exits_two(self, capsys):
+        # a kernel narrower than one cell would put all its mass on one node
+        code, out, err = run(
+            capsys, ["mollify", "--lo", "0", "--hi", "1", "--res", "10", "--eps", "0.001", "--f", "1"]
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "lattice mass" in err
+
 
 class TestConverge:
     def test_error_table(self, capsys):
@@ -305,9 +314,10 @@ class TestConfigFile:
 
     def test_abbreviated_flag_wins(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("eps=0.3\nres=20\n")
+        cfg.write_text("eps=0.3\nres=100\n")
         argv = ["mollify", "--f", "x1^2", "--config", str(cfg)]
-        _, abbreviated, _ = run(capsys, argv + ["--ep", "0.05"])
+        code, abbreviated, _ = run(capsys, argv + ["--ep", "0.05"])
+        assert code == EXIT_OK
         _, spelled_out, _ = run(capsys, argv + ["--eps", "0.05"])
         _, from_file, _ = run(capsys, argv + ["--eps", "0.3"])
         assert abbreviated == spelled_out
@@ -381,6 +391,19 @@ class TestValidationExits:
         assert code == EXIT_VALIDATION
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mollify", "--f", "sin(1e999)", "--eps", "0.1", "--res", "20"],
+            ["mollify", "--f", "abs(1e999)", "--eps", "0.1", "--res", "20"],
+            ["newton", "--f", "sin(1e999)", "--a", "1", "--y", "1", "--x0", "1"],
+        ],
+    )
+    def test_non_finite_literal(self, capsys, argv):
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_VALIDATION
+        assert "number literal '1e999' is out of range (at offset 4)" in err
+
     def test_numerical_domain_error(self, capsys):
         code, _, err = run(
             capsys, ["mollify", "--f", "log(x1-2)", "--eps", "0.1", "--res", "50"]
@@ -437,12 +460,16 @@ def test_long_operator_chain_exits_two(op):
         [sys.executable, "-m", "sobolevkit.cli", "mollify", "--f", expression, "--eps", "0.1", "--res", "20"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
-        text=True,
     )
     assert result.returncode == EXIT_VALIDATION
-    assert result.stderr.startswith("error:")
-    assert "deeply nested" in result.stderr
-    assert "Traceback" not in result.stderr
+    stderr = result.stderr.decode("utf-8", "replace")
+    assert stderr.startswith("error:")
+    assert "deeply nested" in stderr
+    assert "Traceback" not in stderr
+    # the 9 kB source is quoted only around the offset
+    assert "(at offset " in stderr
+    assert stderr.count("\n") == 1
+    assert len(result.stderr) < 300
 
 
 def test_cli_import_leaves_scipy_out():

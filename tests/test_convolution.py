@@ -138,6 +138,22 @@ class TestBasicProperties:
         with pytest.raises(ValueError, match="dimension"):
             mollify(f, scale(standard_bump(2), 0.1))
 
+    @pytest.mark.parametrize("dim,cells", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_lattice_mass_tolerance(self, dim, cells):
+        # one or two cells per radius miss unit mass by more than 0.05 (the
+        # smoothed function would be a multiple of f); three cells do not
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), 20)
+        f = GridFunction(grid, np.ones(grid.node_shape))
+        m = scale(standard_bump(dim), cells * grid.spacing[0])
+        if cells >= 3:
+            f_eps, region = mollify(f, m)
+            assert np.max(np.abs(f_eps.values[region.mask] - 1.0)) <= 0.05
+        else:
+            with pytest.raises(ValueError, match="lattice mass"):
+                mollify(f, m)
+        # derivative kernels have no unit mass to keep and are not checked
+        convolve(f, m, deriv=(1,) + (0,) * (dim - 1))
+
 
 class TestAgainstAnalyticModels:
     def test_sine_attenuation_factor(self):

@@ -14,6 +14,7 @@ from sobolevkit.expr import (
     ParseError,
     evaluate,
     evaluate_many,
+    excerpt,
     parse,
     to_source,
     tokenize,
@@ -115,6 +116,18 @@ class TestParseErrors:
             parse("x12", dim=3)
         parse("x3", dim=3)  # boundary case is fine
 
+    @pytest.mark.parametrize(
+        "source,offset", [("1e999", 0), ("sin(1e999)", 4), ("2*-1e400", 3), ("1" * 400, 0)]
+    )
+    def test_non_finite_literal(self, source, offset):
+        with pytest.raises(ParseError, match="out of range") as err:
+            parse(source)
+        assert err.value.offset == offset
+        assert len(str(err.value)) < 200
+
+    def test_largest_finite_literal_parses(self):
+        assert ev("1.7976931348623157e308") == 1.7976931348623157e308
+
     def test_depth_guard(self):
         deep = "(" * 250 + "1" + ")" * 250
         with pytest.raises(ParseError, match="deeply nested"):
@@ -180,10 +193,34 @@ class TestEvalErrors:
         with pytest.raises(EvalError, match="coordinates"):
             evaluate(node, (1.0,))
 
+    def test_quoted_subexpression_is_bounded(self):
+        # a long failing subexpression is quoted by its first 80 characters
+        node = parse("1/(" + "+".join(["x1"] * 150) + "-150*x1)", dim=1)
+        with pytest.raises(EvalError, match="division by zero") as err:
+            evaluate(node, (1.0,))
+        assert "…" in str(err.value)
+        assert len(str(err.value)) < 200
+
     def test_errors_carry_offsets(self):
         with pytest.raises(EvalError) as err:
             ev("1 + log(0)")
         assert err.value.offset == 4
+
+
+class TestExcerpt:
+    def test_short_text_is_whole(self):
+        assert excerpt("sin(x1)", 3) == "sin(x1)"
+
+    @pytest.mark.parametrize("offset", [0, 5, 500, 995, 1000])
+    def test_long_text_is_cut_around_offset(self, offset):
+        text = "".join(chr(0x4E00 + i) for i in range(1000))  # no character repeats
+        shown = excerpt(text, offset)
+        body = shown.strip("…")
+        assert len(body) == 80
+        start = text.index(body)
+        assert start <= min(offset, 999) < start + 80
+        assert shown.startswith("…") == (start > 0)
+        assert shown.endswith("…") == (start + 80 < 1000)
 
 
 class TestTokenize:

@@ -1,5 +1,6 @@
 import io
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from sobolevkit import weakdiff as wd
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
+from sobolevkit.sobolev import enumerate_multi_indices
 
 RAW_MASS_1D = 0.4439938161680794  # integral of exp(1/(z^2-1)) over [-1, 1]
 
@@ -142,6 +144,118 @@ class TestPair:
         f = GridFunction(unit_grid(50), np.ones(51))
         with pytest.raises(ValueError, match="dimension"):
             wd.pair(f, wd.TestFunction((0.5, 0.5), 0.2))
+
+
+def full_grid_pairing(f, fn):
+    """Reference: trapezoid sum of ``f * fn`` over every node of the grid, and its size."""
+    vals = fn(f.grid.points()).reshape(f.grid.node_shape)
+    terms = f.grid.trapezoid_weights() * f.values * vals
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def support_box_mask(grid, phi):
+    """Nodes inside the closed support box of ``phi``."""
+    mask = np.ones(grid.node_shape, dtype=bool)
+    for axis, (lo, hi) in enumerate(zip(phi.support_lo, phi.support_hi)):
+        x = grid.axis_nodes(axis)
+        shape = [1] * grid.dim
+        shape[axis] = x.size
+        mask &= ((x >= lo) & (x <= hi)).reshape(shape)
+    return mask
+
+
+def random_pairing_case(rng, dim, on_nodes):
+    """A random grid function and a test function supported inside its box.
+
+    With ``on_nodes`` the grid has unit spacing on an integer box and the
+    support box's faces fall exactly on nodes.
+    """
+    if on_nodes:
+        res = tuple(int(r) for r in rng.integers(8, 24 if dim < 3 else 14, dim))
+        box = Box((0.0,) * dim, tuple(float(r) for r in res))
+        radius = float(rng.integers(2, min(res) // 2))
+        center = tuple(float(rng.integers(radius + 1, r - radius)) for r in res)
+    else:
+        box = Box(tuple(rng.uniform(-1.0, 0.0, dim)), tuple(rng.uniform(1.0, 2.0, dim)))
+        res = tuple(int(r) for r in rng.integers(10, 60 if dim < 3 else 20, dim))
+        radius = float(rng.uniform(0.1, 0.45)) * min(box.widths)
+        center = tuple(rng.uniform(lo + radius + 1e-3, hi - radius - 1e-3) for lo, hi in zip(box.lo, box.hi))
+    grid = make_grid(box, res)
+    f = GridFunction(grid, rng.uniform(-3.0, 3.0, grid.node_shape))
+    poly = tuple(int(b) for b in rng.integers(0, 3, dim))
+    return f, wd.TestFunction(center, radius, poly)
+
+
+def derivative_indices(dim):
+    """Every multi-index of order 1 or 2."""
+    return [a for a in enumerate_multi_indices(dim, 2) if sum(a) > 0]
+
+
+class CountingTestFunction(wd.TestFunction):
+    """Records how many points each evaluation receives."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counts = []
+
+    def value(self, points):
+        self.counts.append(len(points))
+        return super().value(points)
+
+    def derivative(self, alpha, points):
+        self.counts.append(len(points))
+        return super().derivative(alpha, points)
+
+
+class TestWindowedPairing:
+    @pytest.mark.parametrize("on_nodes", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_full_grid_oracle(self, dim, on_nodes):
+        rng = np.random.default_rng(100 * dim + on_nodes)
+        for _ in range(6):
+            f, phi = random_pairing_case(rng, dim, on_nodes)
+            pairings = [(phi.value, wd.pair(f, phi))]
+            for alpha in derivative_indices(dim):
+                fn = partial(phi.derivative, alpha)
+                pairings.append((fn, wd._pair(f, phi, fn)))
+            for fn, got in pairings:
+                expected, size = full_grid_pairing(f, fn)
+                assert abs(got - expected) <= 1e-14 * size
+
+    @pytest.mark.parametrize("on_nodes", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_test_function_vanishes_outside_window(self, dim, on_nodes):
+        rng = np.random.default_rng(200 * dim + on_nodes)
+        for _ in range(6):
+            f, phi = random_pairing_case(rng, dim, on_nodes)
+            outside = f.grid.points()[~support_box_mask(f.grid, phi).ravel()]
+            assert len(outside) > 0
+            assert np.all(phi.value(outside) == 0.0)
+            for alpha in derivative_indices(dim):
+                assert np.all(phi.derivative(alpha, outside) == 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_evaluates_only_the_window(self, dim):
+        # the saving: a pairing costs the support window, not the grid
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), 40 if dim < 3 else 20)
+        pts = grid.points()
+        f = GridFunction(grid, np.sin(pts.sum(axis=-1)))
+        u = GridFunction(grid, np.cos(pts.sum(axis=-1)))
+        phi = CountingTestFunction((0.5,) * dim, 0.2)
+        window_nodes = int(support_box_mask(grid, phi).sum())
+        assert window_nodes < grid.node_count // 2
+        wd.pair(f, phi)
+        wd.verify_weak_derivative(f, u, (1,) + (0,) * (dim - 1), [phi], 1e-2)
+        assert len(phi.counts) == 3
+        assert max(phi.counts) <= window_nodes
+
+    def test_rejects_non_finite_products(self):
+        grid = unit_grid(100)
+        f = GridFunction(grid, np.full(101, 1e308))
+        phi = wd.TestFunction((0.5,), 0.1)
+        # 1e308 times the kernel derivative overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            wd.verify_weak_derivative(f, f, (1,), [phi], 1e-4)
 
 
 class TestVerifyWeakDerivative:
