@@ -11,7 +11,7 @@ from .grid import (
     make_grid,
     quadrature,
 )
-from .mollifier import Mollifier, MollifierProfile, UnitReport, scale, standard_bump, verify_unit
+from .mollifier import Mollifier, UnitReport, standard_bump, verify_unit
 from .convolution import (
     ConvergenceTable,
     KernelReport,
@@ -25,7 +25,6 @@ from .weakdiff import (
     PairingResidual,
     TestFunction,
     commutation_residual,
-    mollified_derivative,
     pair,
     test_function_catalog,
     verify_weak_derivative,
@@ -59,11 +58,9 @@ __all__ = [
     "lp_norm",
     "interior_region",
     "ae_equal",
-    "MollifierProfile",
     "Mollifier",
     "UnitReport",
     "standard_bump",
-    "scale",
     "verify_unit",
     "OrbitNet",
     "ConvergenceTable",
@@ -77,7 +74,6 @@ __all__ = [
     "pair",
     "test_function_catalog",
     "verify_weak_derivative",
-    "mollified_derivative",
     "commutation_residual",
     "DerivativeFamily",
     "MembershipReport",

@@ -18,7 +18,7 @@ from .convolution import compose, convergence_study, mollify, orbit
 from .dynamics import exponential_flow, invertibility_check, newton_net
 from .expr import ParseError, evaluate, parse
 from .grid import Box, GridFunction, make_grid
-from .mollifier import scale, standard_bump, verify_unit
+from .mollifier import standard_bump, verify_unit
 from .sobolev import DerivativeFamily, sobolev_norm
 from .weakdiff import (
     TestFunction,
@@ -75,9 +75,8 @@ def criterion_mollifier_unit() -> CriterionResult:
     worst = 0.0
     ok = True
     for n in (1, 2):
-        profile = standard_bump(n)
         for eps in (1.0, 0.5, 0.1):
-            report = verify_unit(scale(profile, eps), 256, tol=1e-3)
+            report = verify_unit(standard_bump(n, eps), 256, tol=1e-3)
             ok = ok and report.nonneg and report.support_ok and report.mass_error <= 1e-3
             worst = max(worst, report.mass_error)
     return CriterionResult(1, "mollifier-unit-properties", ok, f"max mass error {worst:.3e} (tol 1e-3)")
@@ -107,7 +106,7 @@ def criterion_approximate_identity() -> CriterionResult:
 def criterion_affine_exactness() -> CriterionResult:
     """Unit mass and symmetry reproduce affine functions on the interior."""
     f = _sample(400, lambda x: 3.0 * x + 1.0)
-    smoothed, region = mollify(f, scale(standard_bump(1), 0.2))
+    smoothed, region = mollify(f, standard_bump(1, 0.2))
     gap = float(np.max(np.abs(smoothed.values - f.values), where=region.mask, initial=0.0))
     return CriterionResult(3, "affine-exactness", gap <= 1e-8, f"max interior gap {gap:.3e} (tol 1e-8)")
 
@@ -169,8 +168,7 @@ def criterion_sobolev_norm() -> CriterionResult:
 
 def criterion_compose() -> CriterionResult:
     """Composing eps=0.1 and eps=0.2 kernels: support adds, mass stays one."""
-    profile = standard_bump(1)
-    report = compose(scale(profile, 0.1), scale(profile, 0.2), 256)
+    report = compose(standard_bump(1, 0.1), standard_bump(1, 0.2), 256)
     cell = 0.6 / 256
     support_ok = report.support_radius <= 0.3 + cell
     mass_ok = abs(report.mass - 1.0) <= 1e-3

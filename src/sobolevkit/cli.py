@@ -4,8 +4,10 @@ Every subcommand reads plain flags (optionally seeded from a ``key=value``
 config file via ``--config``) and writes CSV with shortest round-trip
 float formatting, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 suite criteria failed, 2 invalid configuration,
-3 numerical failure (domain error while evaluating an expression).
+Exit codes: 0 success, 1 suite criteria failed, 2 invalid configuration
+(including a grid above ``grid.MAX_NODES`` nodes) or out of memory,
+3 numerical failure (a domain error while evaluating an expression, an
+overflow, or any other ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .acceptance import DEFAULT_SEED
 from .convolution import compose, convergence_study, mollify, write_convergence_csv
 from .dynamics import exponential_flow, newton_net, write_flow_csv, write_newton_csv
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
-from .grid import Box, GridFunction, format_float, make_grid, write_grid_function_csv
-from .mollifier import scale, standard_bump
+from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
+from .mollifier import standard_bump
 from .sobolev import DerivativeFamily, membership_report, write_membership_csv
 from .weakdiff import test_function_catalog, verify_weak_derivative, write_pairing_csv
 
@@ -96,14 +98,9 @@ def _parse_alpha(raw: str, dim: int) -> tuple[int, ...]:
 class RunConfig:
     """Validated grid and ladder settings shared by the grid-based commands."""
 
-    box: Box
-    resolution: tuple[int, ...]
+    grid: Grid
     eps_ladder: tuple[float, ...]
     tol: float
-
-    @property
-    def dim(self) -> int:
-        return self.box.dim
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -122,12 +119,14 @@ class RunConfig:
             raise CliError(f"--res {args.res!r} has {len(resolution)} entries for a {box.dim}-d box")
         if any(r < 1 for r in resolution):
             raise CliError(f"--res entries must be positive, got {args.res!r}")
+        try:
+            # refuses a grid above MAX_NODES nodes; nothing is allocated yet
+            grid = make_grid(box, resolution)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
         tol = _parse_float(args.tol, "--tol") if getattr(args, "tol", None) else 1e-4
-        return cls(box, resolution, eps_ladder, tol)
-
-    def grid(self):
-        return make_grid(self.box, self.resolution)
+        return cls(grid, eps_ladder, tol)
 
 
 def _expression_error(source: str, exc: ParseError | EvalError) -> CliError:
@@ -155,9 +154,9 @@ def _single_eps(config: RunConfig) -> float:
 
 def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
-    grid = config.grid()
+    grid = config.grid
     f = _sample_expression(args.f, grid)
-    smoothed, _ = mollify(f, scale(standard_bump(grid.dim), _single_eps(config)))
+    smoothed, _ = mollify(f, standard_bump(grid.dim, _single_eps(config)))
     out = io.StringIO()
     write_grid_function_csv(smoothed, out)
     return out.getvalue(), EXIT_OK
@@ -165,7 +164,7 @@ def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
-    grid = config.grid()
+    grid = config.grid
     f = _sample_expression(args.f, grid)
     table = convergence_study(f, _parse_p(args.p), config.eps_ladder)
     out = io.StringIO()
@@ -177,7 +176,7 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
     from .weakdiff import commutation_residual
 
     config = RunConfig.from_args(args)
-    grid = config.grid()
+    grid = config.grid
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
     alpha = _parse_alpha(args.alpha, grid.dim)
@@ -192,7 +191,7 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
-    grid = config.grid()
+    grid = config.grid
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
     alpha = _parse_alpha(args.alpha, grid.dim)
@@ -210,7 +209,7 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
-    grid = config.grid()
+    grid = config.grid
     f = _sample_expression(args.f, grid)
     k = _parse_int(args.k, "--k")
     entries = {(0,) * grid.dim: f}
@@ -237,8 +236,7 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     res = _parse_int(args.res, "--res")
     try:
         dim = _parse_int(args.dim, "--dim")
-        profile = standard_bump(dim)
-        report = compose(scale(profile, eps_a), scale(profile, eps_b), res)
+        report = compose(standard_bump(dim, eps_a), standard_bump(dim, eps_b), res)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.kernel_out:
@@ -474,11 +472,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except EvalError as exc:
+    except ArithmeticError as exc:
+        # EvalError, OverflowError, FloatingPointError, ZeroDivisionError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.output:
         try:

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import Box, Grid, GridFunction, Region, format_float, interior_region, lp_norm, make_grid, quadrature
-from .mollifier import Mollifier, MollifierProfile, scale, standard_bump
+from .mollifier import Mollifier, standard_bump
 
 __all__ = [
     "OrbitEntry",
@@ -167,18 +167,12 @@ def _check_ladder(eps_list: Sequence[float]) -> list[float]:
     return epses
 
 
-def orbit(
-    f: GridFunction,
-    eps_list: Sequence[float],
-    profile: MollifierProfile | None = None,
-) -> OrbitNet:
+def orbit(f: GridFunction, eps_list: Sequence[float]) -> OrbitNet:
     """Mollify ``f`` at every eps of a strictly decreasing ladder."""
     epses = _check_ladder(eps_list)
-    if profile is None:
-        profile = standard_bump(f.grid.dim)
     entries = []
     for eps in epses:
-        f_eps, region = mollify(f, scale(profile, eps))
+        f_eps, region = mollify(f, standard_bump(f.grid.dim, eps))
         entries.append(OrbitEntry(eps, f_eps, region))
     return OrbitNet(f, tuple(entries))
 
@@ -212,23 +206,16 @@ class ConvergenceTable:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def convergence_study(
-    f: GridFunction,
-    p: float,
-    eps_list: Sequence[float],
-    profile: MollifierProfile | None = None,
-) -> ConvergenceTable:
+def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> ConvergenceTable:
     """Tabulate ``||f_eps - f||_p`` on the interior at ``max(eps_list)``."""
     epses = _check_ladder(eps_list)
-    if profile is None:
-        profile = standard_bump(f.grid.dim)
     comparison = interior_region(f.grid, epses[0])
     if comparison.is_empty:
         raise ValueError(f"comparison region at eps={epses[0]} contains no nodes")
     rows: list[ConvergenceRow] = []
     prev: float | None = None
     for eps in epses:
-        f_eps, _ = mollify(f, scale(profile, eps))
+        f_eps, _ = mollify(f, standard_bump(f.grid.dim, eps))
         err = lp_norm(f_eps - f, p, comparison)
         ratio = None if prev is None else (math.inf if err == 0.0 else prev / err)
         rows.append(ConvergenceRow(eps, err, ratio))

@@ -16,10 +16,10 @@ from typing import Callable, TextIO
 
 import numpy as np
 
-from .convolution import OrbitNet, mollify
+from .convolution import OrbitNet, convolve, mollify
 from .grid import GridFunction, format_float
-from .mollifier import MollifierProfile, scale, standard_bump
-from .weakdiff import TestFunction, mollified_derivative, pair
+from .mollifier import standard_bump
+from .weakdiff import TestFunction, pair
 
 __all__ = [
     "NewtonTrace",
@@ -134,12 +134,7 @@ class InvertibilityReport:
     path_gap: float | None = None
 
 
-def invertibility_check(
-    f: GridFunction,
-    u: GridFunction | None,
-    eps: float,
-    profile: MollifierProfile | None = None,
-) -> InvertibilityReport:
+def invertibility_check(f: GridFunction, u: GridFunction | None, eps: float) -> InvertibilityReport:
     """Check that the derivative of the smoothed 1-d function never vanishes.
 
     ``D f_eps`` is computed with the analytic kernel derivative; the
@@ -151,9 +146,8 @@ def invertibility_check(
     """
     if f.grid.dim != 1:
         raise ValueError("invertibility check applies to 1-d grid functions")
-    if profile is None:
-        profile = standard_bump(1)
-    df_eps, region = mollified_derivative(f, (1,), eps, profile)
+    m = standard_bump(1, eps)
+    df_eps, region = convolve(f, m, deriv=(1,))
     vals = df_eps.values[region.mask]
     if vals.size == 0:
         raise ValueError(f"interior region at eps={eps} contains no nodes")
@@ -163,7 +157,7 @@ def invertibility_check(
 
     path_gap = None
     if u is not None:
-        u_eps, _ = mollify(u, scale(profile, eps))
+        u_eps, _ = mollify(u, m)
         path_gap = float(np.max(np.abs(df_eps.values - u_eps.values), where=region.mask, initial=0.0))
     return InvertibilityReport(min_abs, invertible, path_gap)
 

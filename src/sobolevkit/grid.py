@@ -33,6 +33,11 @@ __all__ = [
 
 MAX_DIM = 3
 
+# Largest node count a grid may have: one float64 array over it is 128 MiB,
+# and a convolution holds several.  Checked before anything is allocated.
+MAX_NODES = 2**24
+
+
 def format_float(x: float) -> str:
     """Shortest decimal string that parses back to exactly ``x``.
 
@@ -103,6 +108,11 @@ class Grid:
             )
         if any(r < 1 for r in res):
             raise ValueError(f"resolution must be >= 1 per axis, got {res}")
+        if self.node_count > MAX_NODES:
+            raise ValueError(
+                f"grid of {'x'.join(map(str, self.node_shape))} = {self.node_count} nodes"
+                f" is above the limit of {MAX_NODES} nodes"
+            )
 
     @property
     def dim(self) -> int:
@@ -260,7 +270,9 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
 
     Finite ``p >= 1`` integrates ``|f|^p`` with the trapezoid rule and
     takes the p-th root; ``p = inf`` takes the max of ``|f|`` over the
-    region's nodes (the grid stand-in for the essential supremum).
+    region's nodes (the grid stand-in for the essential supremum).  When
+    ``|f|^p`` overflows, the sum is redone on ``|f| / max|f|`` and the
+    root scaled back, so a finite norm is never reported as ``inf``.
     """
     mask = _resolve_region(f, region)
     if math.isinf(p):
@@ -271,8 +283,13 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w = f.grid.trapezoid_weights()
-    total = float(np.sum(w * np.abs(f.values) ** p, where=mask))
-    return total ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w * np.abs(f.values) ** p, where=mask))
+    if math.isfinite(total):
+        return total ** (1.0 / p)
+    top = float(np.max(np.abs(f.values), where=mask, initial=0.0))
+    total = float(np.sum(w * (np.abs(f.values) / top) ** p, where=mask))
+    return top * total ** (1.0 / p)
 
 
 def boundary_distances(grid: Grid) -> NDArray[np.float64]:

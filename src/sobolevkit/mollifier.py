@@ -1,13 +1,14 @@
 """Smooth compactly supported unit-mass kernels.
 
-The standard bump profile is
+Every kernel is a scaled copy of one standard bump
 
     phi(x) = C * exp(1 / (|x|^2 - 1))   for |x| < 1,   0 otherwise,
 
-with C chosen so the profile integrates to one over the unit ball.
-Scaling by ``eps`` gives the family ``phi_eps(x) = eps^(-n) phi(x/eps)``:
-support shrinks to the closed ball of radius ``eps`` while the mass
-stays one, and the derivative sups grow like ``eps^(-n-|alpha|)``.
+with C chosen so the bump integrates to one over the unit ball.  A
+kernel is fully described by its dimension ``n`` and radius ``eps``:
+``standard_bump(n, eps)`` is ``phi_eps(x) = eps^(-n) phi(x/eps)``,
+supported in the closed ball of radius ``eps`` with mass one, whose
+derivative sups grow like ``eps^(-n-|alpha|)``.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ from numpy.typing import NDArray
 from .grid import Box, GridFunction, make_grid, quadrature
 
 __all__ = [
-    "MollifierProfile",
     "Mollifier",
     "UnitReport",
     "standard_bump",
-    "scale",
     "verify_unit",
     "bump_raw",
     "bump_raw_derivative",
 ]
 
 # Gauss-Legendre nodes for the radial normalization integral over [0, 1].
-# The profile is flat to all orders at r = 1, so the rule converges faster
+# The bump is flat to all orders at r = 1, so the rule converges faster
 # than any power of the node count; 128 nodes are at machine accuracy.
 _RADIAL_NODES = 128
 
@@ -95,26 +94,6 @@ def bump_raw_derivative(alpha: tuple[int, ...], points: NDArray[np.float64]) -> 
     return _raw_closed_form(_points_2d(points, len(alpha)), axes)
 
 
-@dataclass(frozen=True)
-class MollifierProfile:
-    """Normalized standard bump on the unit ball in dimension ``dim``."""
-
-    dim: int
-    normalization: float
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0
-
-    def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.normalization * bump_raw(_points_2d(points, self.dim))
-
-    def derivative(self, alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
-        if len(alpha) != self.dim:
-            raise ValueError(f"multi-index {alpha} does not match dimension {self.dim}")
-        return self.normalization * bump_raw_derivative(alpha, _points_2d(points, self.dim))
-
-
 @functools.lru_cache(maxsize=None)
 def _normalization_constant(dim: int) -> float:
     # the bump is radial: its mass is |S^(dim-1)| * int_0^1 r^(dim-1) exp(1/(r^2-1)) dr
@@ -124,49 +103,52 @@ def _normalization_constant(dim: int) -> float:
     return float(1.0 / (_SPHERE_AREA[dim] * radial))
 
 
-def standard_bump(dim: int) -> MollifierProfile:
-    """The standard bump profile in dimension ``dim``, normalized to unit mass.
+@dataclass(frozen=True)
+class Mollifier:
+    """Scaled standard bump ``phi_eps(x) = eps^(-n) phi(x/eps)`` supported on ``|x| <= eps``.
+
+    ``dim`` must be 1 to 3 and ``eps`` positive and finite; ``eps = 1``
+    is the unscaled bump, whose constant ``normalization`` gives it unit
+    mass.
+    """
+
+    dim: int
+    eps: float
+
+    def __post_init__(self) -> None:
+        dim, eps = int(self.dim), float(self.eps)
+        if not 1 <= dim <= 3:
+            raise ValueError(f"dimension must be between 1 and 3, got {dim}")
+        if not (eps > 0 and math.isfinite(eps)):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "eps", eps)
+
+    @property
+    def normalization(self) -> float:
+        return _normalization_constant(self.dim)
+
+    def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
+        pts = _points_2d(points, self.dim)
+        return self.eps ** (-self.dim) * (self.normalization * bump_raw(pts / self.eps))
+
+    def derivative(self, alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
+        pts = _points_2d(points, self.dim)
+        if len(alpha) != self.dim:
+            raise ValueError(f"multi-index {alpha} does not match dimension {self.dim}")
+        order = sum(alpha)
+        return self.eps ** (-self.dim - order) * (
+            self.normalization * bump_raw_derivative(alpha, pts / self.eps)
+        )
+
+
+def standard_bump(dim: int, eps: float = 1.0) -> Mollifier:
+    """The unit-mass standard bump in dimension ``dim``, scaled to support radius ``eps``.
 
     The constant comes from a radial Gauss-Legendre integral; derivatives
     are available in closed form for orders 0 to 2.
     """
-    dim = int(dim)
-    if not 1 <= dim <= 3:
-        raise ValueError(f"dimension must be between 1 and 3, got {dim}")
-    return MollifierProfile(dim, _normalization_constant(dim))
-
-
-@dataclass(frozen=True)
-class Mollifier:
-    """Scaled kernel ``phi_eps(x) = eps^(-n) phi(x/eps)`` supported on ``|x| <= eps``."""
-
-    profile: MollifierProfile
-    eps: float
-
-    @property
-    def dim(self) -> int:
-        return self.profile.dim
-
-    @property
-    def support_radius(self) -> float:
-        return self.eps
-
-    def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
-        pts = _points_2d(points, self.dim)
-        return self.eps ** (-self.dim) * self.profile.value(pts / self.eps)
-
-    def derivative(self, alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
-        pts = _points_2d(points, self.dim)
-        order = sum(alpha)
-        return self.eps ** (-self.dim - order) * self.profile.derivative(alpha, pts / self.eps)
-
-
-def scale(profile: MollifierProfile, eps: float) -> Mollifier:
-    """Scale ``profile`` down to support radius ``eps > 0``."""
-    eps = float(eps)
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    return Mollifier(profile, eps)
+    return Mollifier(dim, eps)
 
 
 @dataclass(frozen=True)

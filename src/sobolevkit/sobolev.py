@@ -21,7 +21,7 @@ import numpy as np
 
 from .convolution import convolve
 from .grid import GridFunction, Region, boundary_distances, format_float, lp_norm
-from .mollifier import MollifierProfile, scale, standard_bump
+from .mollifier import standard_bump
 from .weakdiff import (
     MultiIndex,
     TestFunction,
@@ -115,8 +115,18 @@ def sobolev_norm(
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    total = sum(lp_norm(fam[a], p, region) ** p for a in alphas)
-    return total ** (1.0 / p)
+    norms = [lp_norm(fam[a], p, region) for a in alphas]
+    try:
+        total = sum(x**p for x in norms)
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total):
+        return total ** (1.0 / p)
+    # combine the per-alpha norms relative to the largest, as lp_norm does
+    top = max(norms)
+    if math.isinf(top):
+        return top
+    return top * sum((x / top) ** p for x in norms) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -206,7 +216,6 @@ def boundary_vanish_check(
     f: GridFunction,
     eps_list: Sequence[float],
     collar_width: float,
-    profile: MollifierProfile | None = None,
 ) -> list[tuple[float, float]]:
     """Max of ``|f_eps|`` over the boundary collar, per eps.
 
@@ -229,12 +238,10 @@ def boundary_vanish_check(
         raise ValueError(
             f"support is {support_dist} from the boundary, too close for eps up to {max(epses)}"
         )
-    if profile is None:
-        profile = standard_bump(f.grid.dim)
     collar = boundary_distances(f.grid) <= collar_width
     rows: list[tuple[float, float]] = []
     for eps in epses:
-        smoothed, _ = convolve(f, scale(profile, eps), zero_extend=True)
+        smoothed, _ = convolve(f, standard_bump(f.grid.dim, eps), zero_extend=True)
         collar_max = float(np.max(np.abs(smoothed.values), where=collar, initial=0.0))
         rows.append((eps, collar_max))
     return rows

@@ -22,8 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .convolution import convolve, mollify
-from .grid import Box, GridFunction, Region, format_float, lp_norm
-from .mollifier import MollifierProfile, bump_raw, bump_raw_derivative, scale, standard_bump
+from .grid import Box, GridFunction, format_float, lp_norm
+from .mollifier import bump_raw, bump_raw_derivative, standard_bump
 
 __all__ = [
     "MultiIndex",
@@ -34,7 +34,6 @@ __all__ = [
     "test_function_catalog",
     "pair",
     "verify_weak_derivative",
-    "mollified_derivative",
     "commutation_residual",
     "write_pairing_csv",
 ]
@@ -213,7 +212,8 @@ def _pair(
         weights.append(grid.axis_weights(axis)[s])
     mesh = np.meshgrid(*axes, indexing="ij")
     phi_vals = fn(np.stack([m.ravel() for m in mesh], axis=-1)).reshape(mesh[0].shape)
-    product = f.values[tuple(window)] * phi_vals
+    with np.errstate(over="ignore"):
+        product = f.values[tuple(window)] * phi_vals
     if not np.all(np.isfinite(product)):
         raise ValueError("grid function values must be finite")
     return float(np.sum(reduce(np.multiply.outer, weights) * product))
@@ -281,46 +281,24 @@ def write_pairing_csv(result: PairingResidual, out: TextIO) -> None:
         out.write(f"{test_id},{format_float(r)}\n")
 
 
-def mollified_derivative(
-    f: GridFunction,
-    alpha: Sequence[int],
-    eps: float,
-    profile: MollifierProfile | None = None,
-) -> tuple[GridFunction, Region]:
-    """Derivative of the smoothed function via the analytic kernel derivative.
-
-    ``d^alpha f_eps = (d^alpha phi_eps) * f``: the derivative lands on the
-    kernel, so ``f`` itself is never finite-differenced.  Values live on
-    the eps-interior region.  ``alpha = 0`` reduces to plain smoothing.
-    """
-    alpha = validate_multi_index(alpha, f.grid.dim)
-    if profile is None:
-        profile = standard_bump(f.grid.dim)
-    m = scale(profile, eps)
-    if multi_index_order(alpha) == 0:
-        return mollify(f, m)
-    return convolve(f, m, deriv=alpha)
-
-
 def commutation_residual(
     f: GridFunction,
     u: GridFunction,
     alpha: Sequence[int],
     eps: float,
     p: float,
-    profile: MollifierProfile | None = None,
 ) -> float:
     """Size of ``d^alpha(f_eps) - (d^alpha f)_eps`` in ``L^p``.
 
-    The first path differentiates the kernel; the second smooths the
-    verified weak derivative ``u``.  Differentiation and smoothing
-    commute, so the residual is pure discretization error and shrinks
-    with the grid spacing.
+    The first path differentiates the kernel, ``d^alpha f_eps = (d^alpha
+    phi_eps) * f``, so ``f`` itself is never finite-differenced; the
+    second smooths the verified weak derivative ``u``.  Differentiation
+    and smoothing commute, so the residual is pure discretization error
+    and shrinks with the grid spacing.
     """
     f._check_same_grid(u)
     alpha = validate_multi_index(alpha, f.grid.dim, min_order=1)
-    if profile is None:
-        profile = standard_bump(f.grid.dim)
-    left, region = mollified_derivative(f, alpha, eps, profile)
-    right, _ = mollify(u, scale(profile, eps))
+    m = standard_bump(f.grid.dim, eps)
+    left, region = convolve(f, m, deriv=alpha)
+    right, _ = mollify(u, m)
     return lp_norm(left - right, p, region)

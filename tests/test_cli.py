@@ -8,6 +8,7 @@ import pytest
 
 import sobolevkit
 
+from sobolevkit import cli
 from sobolevkit.cli import (
     DEFAULT_SEED,
     EXIT_NUMERICAL,
@@ -18,6 +19,8 @@ from sobolevkit.cli import (
     main,
     resolve_seed,
 )
+from sobolevkit.expr import EvalError
+from sobolevkit.grid import MAX_NODES
 
 SQRT2 = 1.4142135623730951
 
@@ -418,6 +421,70 @@ class TestValidationExits:
     def test_missing_required_flag(self, capsys):
         assert main(["mollify", "--eps", "0.1"]) == 2
         capsys.readouterr()
+
+
+class TestOverflow:
+    def test_sobolev_norm_of_huge_function(self, capsys):
+        # |f|^2 overflows at 1e200 while every norm is finite: the rows
+        # must be 1e200 times those of f = x1, with no numpy warning
+        argv = ["sobolev", "--res", "50", "--tol", "1e300"]
+        code, out, err = run(capsys, argv + ["--f", "1e200*x1", "--deriv", "1=1e200"])
+        assert code == EXIT_OK
+        assert "Warning" not in err
+        _, unit_out, _ = run(capsys, argv + ["--f", "x1", "--deriv", "1=1"])
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        unit_rows = [line.split(",") for line in unit_out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["0", "1", "overall"]
+        for row, unit in zip(rows, unit_rows):
+            assert float(row[2]) == pytest.approx(1e200 * float(unit[2]), rel=1e-12)
+        # sqrt(4/3) up to the trapezoid error of x^2 at 50 cells
+        assert float(rows[-1][2]) == pytest.approx(1e200 * math.sqrt(4.0 / 3.0), rel=1e-4)
+
+    def test_pairing_overflow_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, ["weak-verify", "--res", "50", "--f", "1e308", "--u", "0"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: grid function values must be finite\n"
+
+
+class TestResourceLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mollify", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "5000", "--f", "x1", "--eps", "0.1"],
+            ["compose", "--dim", "3", "--res", "5000", "--eps-a", "0.1", "--eps-b", "0.1"],
+        ],
+    )
+    def test_huge_grid_refused_before_allocation(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            f"error: grid of 5001x5001x5001 = {5001**3} nodes is above the limit of {MAX_NODES} nodes\n"
+        )
+
+    @pytest.mark.parametrize(
+        "exc,expected",
+        [
+            (MemoryError("cannot allocate"), EXIT_VALIDATION),
+            (MemoryError(), EXIT_VALIDATION),
+            (OverflowError("math range error"), EXIT_NUMERICAL),
+            (FloatingPointError("overflow encountered in multiply"), EXIT_NUMERICAL),
+            (ZeroDivisionError("float division by zero"), EXIT_NUMERICAL),
+            (EvalError("log of a nonpositive number", 0), EXIT_NUMERICAL),
+        ],
+    )
+    def test_exceptions_map_to_exit_codes(self, capsys, monkeypatch, exc, expected):
+        # exit 1 means failed suite criteria, so no exception may surface as 1
+        def handler(args):
+            raise exc
+
+        monkeypatch.setitem(cli.HANDLERS, "flow", handler)
+        code, out, err = run(capsys, ["flow", "--k", "1", "--x0", "1", "--s", "0", "--t", "1"])
+        assert code == expected
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
 
 
 class TestSeed:

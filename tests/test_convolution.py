@@ -18,7 +18,7 @@ from sobolevkit.convolution import (
     write_convergence_csv,
 )
 from sobolevkit.grid import Box, GridFunction, interior_region, lp_norm, make_grid
-from sobolevkit.mollifier import scale, standard_bump
+from sobolevkit.mollifier import standard_bump
 
 
 def unit_grid(res=400):
@@ -52,10 +52,10 @@ def random_grid_function(rng, dim):
     return GridFunction(grid, rng.uniform(-3.0, 3.0, grid.node_shape))
 
 
-def attenuation(profile, eps, freq=2.0 * math.pi):
+def attenuation(eps, freq=2.0 * math.pi):
     """integral of phi(z) cos(freq * eps * z) dz, by dense 1-d trapezoid."""
     z = np.linspace(-1.0, 1.0, 4001)
-    vals = profile.value(z.reshape(-1, 1)) * np.cos(freq * eps * z)
+    vals = standard_bump(1).value(z.reshape(-1, 1)) * np.cos(freq * eps * z)
     return float(np.trapezoid(vals, z))
 
 
@@ -63,7 +63,7 @@ class TestBasicProperties:
     def test_constant_is_preserved(self):
         grid = unit_grid()
         f = GridFunction(grid, np.full(401, 2.5))
-        f_eps, region = mollify(f, scale(standard_bump(1), 0.2))
+        f_eps, region = mollify(f, standard_bump(1, 0.2))
         assert np.max(np.abs(f_eps.values[region.mask] - 2.5)) <= 1e-10
 
     def test_linear_in_the_function(self):
@@ -71,7 +71,7 @@ class TestBasicProperties:
         rng = np.random.default_rng(2)
         f = GridFunction(grid, rng.uniform(-1, 1, 201))
         g = GridFunction(grid, rng.uniform(-1, 1, 201))
-        m = scale(standard_bump(1), 0.15)
+        m = standard_bump(1, 0.15)
         lhs, region = convolve(3.0 * f + (-2.0) * g, m)
         rhs = 3.0 * convolve(f, m)[0].values - 2.0 * convolve(g, m)[0].values
         np.testing.assert_allclose(lhs.values[region.mask], rhs[region.mask], atol=1e-12)
@@ -80,14 +80,14 @@ class TestBasicProperties:
         grid = unit_grid(200)
         rng = np.random.default_rng(4)
         f = GridFunction(grid, rng.uniform(0.0, 3.0, 201))
-        f_eps, region = mollify(f, scale(standard_bump(1), 0.1))
+        f_eps, region = mollify(f, standard_bump(1, 0.1))
         assert np.min(f_eps.values[region.mask]) >= 0.0
 
     def test_sup_never_amplified(self):
         grid = unit_grid(200)
         rng = np.random.default_rng(6)
         f = GridFunction(grid, rng.uniform(-5.0, 5.0, 201))
-        f_eps, region = mollify(f, scale(standard_bump(1), 0.1))
+        f_eps, region = mollify(f, standard_bump(1, 0.1))
         assert np.max(np.abs(f_eps.values[region.mask])) <= 5.0 * (1.0 + 1e-9)
 
     def test_translation_equivariance(self):
@@ -98,7 +98,7 @@ class TestBasicProperties:
         x = grid.points()[:, 0]
         f_left = GridFunction(grid, g(x, 0.35))
         f_right = GridFunction(grid, g(x, 0.45))
-        m = scale(bump, 0.12)
+        m = standard_bump(1, 0.12)
         left, _ = mollify(f_left, m)
         right, _ = mollify(f_right, m)
         shift = 40  # 0.1 in cells
@@ -112,7 +112,7 @@ class TestBasicProperties:
     def test_region_is_eps_interior_and_zeros_outside(self):
         grid = unit_grid(100)
         f = GridFunction(grid, np.ones(101))
-        f_eps, region = mollify(f, scale(standard_bump(1), 0.25))
+        f_eps, region = mollify(f, standard_bump(1, 0.25))
         np.testing.assert_array_equal(region.mask, interior_region(grid, 0.25).mask)
         assert np.all(f_eps.values[~region.mask] == 0.0)
 
@@ -120,7 +120,7 @@ class TestBasicProperties:
         grid = unit_grid(100)
         rng = np.random.default_rng(8)
         f = GridFunction(grid, rng.uniform(-1, 1, 101))
-        m = scale(standard_bump(1), 0.2)
+        m = standard_bump(1, 0.2)
         plain, region = convolve(f, m)
         extended, full = convolve(f, m, zero_extend=True)
         assert full.mask.all()
@@ -131,12 +131,12 @@ class TestBasicProperties:
     def test_eps_too_large(self):
         f = GridFunction(unit_grid(50), np.ones(51))
         with pytest.raises(ValueError, match="too large"):
-            mollify(f, scale(standard_bump(1), 0.5))
+            mollify(f, standard_bump(1, 0.5))
 
     def test_dimension_mismatch(self):
         f = GridFunction(unit_grid(50), np.ones(51))
         with pytest.raises(ValueError, match="dimension"):
-            mollify(f, scale(standard_bump(2), 0.1))
+            mollify(f, standard_bump(2, 0.1))
 
     @pytest.mark.parametrize("dim,cells", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_lattice_mass_tolerance(self, dim, cells):
@@ -144,7 +144,7 @@ class TestBasicProperties:
         # smoothed function would be a multiple of f); three cells do not
         grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), 20)
         f = GridFunction(grid, np.ones(grid.node_shape))
-        m = scale(standard_bump(dim), cells * grid.spacing[0])
+        m = standard_bump(dim, cells * grid.spacing[0])
         if cells >= 3:
             f_eps, region = mollify(f, m)
             assert np.max(np.abs(f_eps.values[region.mask] - 1.0)) <= 0.05
@@ -161,44 +161,40 @@ class TestAgainstAnalyticModels:
         # the achievable agreement is set by how densely the grid samples
         # the kernel: eps/h cells across half the support
         grid = unit_grid(400)
-        profile = standard_bump(1)
         f = sample(grid, lambda x: np.sin(2.0 * math.pi * x))
         for eps, tol in ((0.2, 1e-10), (0.1, 1e-7), (0.05, 5e-5)):
-            f_eps, region = mollify(f, scale(profile, eps))
-            predicted = attenuation(profile, eps) * f.values[region.mask]
+            f_eps, region = mollify(f, standard_bump(1, eps))
+            predicted = attenuation(eps) * f.values[region.mask]
             measured = f_eps.values[region.mask]
             assert np.max(np.abs(measured - predicted)) <= tol
 
     def test_sine_sup_error(self):
         grid = unit_grid(400)
-        profile = standard_bump(1)
         f = sample(grid, lambda x: np.sin(2.0 * math.pi * x))
         eps = 0.1
-        table = convergence_study(f, math.inf, [eps], profile)
-        predicted = abs(1.0 - attenuation(profile, eps))
+        table = convergence_study(f, math.inf, [eps])
+        predicted = abs(1.0 - attenuation(eps))
         assert table.errors[0] == pytest.approx(predicted, rel=1e-6)
 
     def test_kink_error_is_eps_times_first_moment(self):
         # at the corner of |x - 1/2| the smoothing error is eps * integral |z| phi(z)
         grid = unit_grid(400)
-        profile = standard_bump(1)
         f = sample(grid, lambda x: np.abs(x - 0.5))
         z = np.linspace(-1.0, 1.0, 4001)
-        first_moment = float(np.trapezoid(np.abs(z) * profile.value(z.reshape(-1, 1)), z))
+        first_moment = float(np.trapezoid(np.abs(z) * standard_bump(1).value(z.reshape(-1, 1)), z))
         for eps in (0.2, 0.1):
-            f_eps, _ = mollify(f, scale(profile, eps))
+            f_eps, _ = mollify(f, standard_bump(1, eps))
             assert f_eps.values[200] == pytest.approx(eps * first_moment, rel=5e-3)
 
     def test_derivative_kernel_orientation(self):
         # (phi_eps' * sin)(x) = 2 pi A(eps) cos(2 pi x); a flipped kernel
         # would negate this, so the check pins the orientation
         grid = unit_grid(400)
-        profile = standard_bump(1)
         f = sample(grid, lambda x: np.sin(2.0 * math.pi * x))
         eps = 0.15
-        d_eps, region = convolve(f, scale(profile, eps), deriv=(1,))
+        d_eps, region = convolve(f, standard_bump(1, eps), deriv=(1,))
         x = grid.points()[:, 0][region.mask]
-        predicted = 2.0 * math.pi * attenuation(profile, eps) * np.cos(2.0 * math.pi * x)
+        predicted = 2.0 * math.pi * attenuation(eps) * np.cos(2.0 * math.pi * x)
         np.testing.assert_allclose(d_eps.values[region.mask], predicted, atol=1e-5)
 
 
@@ -217,10 +213,9 @@ class TestConvergenceStudy:
         # otherwise pick up nodes near the boundary that large eps excludes
         grid = unit_grid(400)
         f = sample(grid, lambda x: np.sin(2.0 * math.pi * x))
-        profile = standard_bump(1)
-        table = convergence_study(f, math.inf, [0.2, 0.05], profile)
+        table = convergence_study(f, math.inf, [0.2, 0.05])
         region = interior_region(grid, 0.2)
-        f_small, _ = mollify(f, scale(profile, 0.05))
+        f_small, _ = mollify(f, standard_bump(1, 0.05))
         assert table.errors[1] == pytest.approx(
             lp_norm(f_small - f, math.inf, region), abs=1e-15
         )
@@ -266,37 +261,34 @@ class TestOrbit:
 
 class TestCompose:
     def test_commutative(self):
-        profile = standard_bump(1)
-        a, b = scale(profile, 0.1), scale(profile, 0.2)
+        a, b = standard_bump(1, 0.1), standard_bump(1, 0.2)
         ab = compose(a, b)
         ba = compose(b, a)
         np.testing.assert_allclose(ab.kernel.values, ba.kernel.values, atol=1e-12)
 
     def test_support_and_mass(self):
-        profile = standard_bump(1)
-        report = compose(scale(profile, 0.1), scale(profile, 0.2), 512)
+        report = compose(standard_bump(1, 0.1), standard_bump(1, 0.2), 512)
         cell = report.kernel.grid.spacing[0]
         assert report.support_radius <= 0.3 + cell
         assert report.mass == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_at_center(self):
-        report = compose(scale(standard_bump(1), 0.15), scale(standard_bump(1), 0.15))
+        report = compose(standard_bump(1, 0.15), standard_bump(1, 0.15))
         values = report.kernel.values
         assert int(np.argmax(values)) == values.size // 2
 
     def test_2d_mass(self):
-        profile = standard_bump(2)
-        report = compose(scale(profile, 0.3), scale(profile, 0.3), 64)
+        report = compose(standard_bump(2, 0.3), standard_bump(2, 0.3), 64)
         assert report.mass == pytest.approx(1.0, abs=1e-3)
 
     def test_odd_resolution_rejected(self):
-        m = scale(standard_bump(1), 0.1)
+        m = standard_bump(1, 0.1)
         with pytest.raises(ValueError, match="even"):
             compose(m, m, 255)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
-            compose(scale(standard_bump(1), 0.1), scale(standard_bump(2), 0.1))
+            compose(standard_bump(1, 0.1), standard_bump(2, 0.1))
 
 
 class TestAgainstDirectSum:
@@ -310,7 +302,7 @@ class TestAgainstDirectSum:
         for trial in range(3):
             f = random_grid_function(rng, dim)
             eps = float(rng.uniform(0.15, 0.4)) * min(f.grid.box.widths)
-            m = scale(standard_bump(dim), eps)
+            m = standard_bump(dim, eps)
             for deriv in derivs:
                 got, region = convolve(f, m, deriv=deriv, zero_extend=zero_extend)
                 want, _ = direct_sum(f, m, deriv)
@@ -328,7 +320,7 @@ class TestAgainstDirectSum:
         values = np.zeros(f.grid.node_shape)
         values[inside] = rng.uniform(0.5, 1.0, values[inside].shape)
         f = GridFunction(f.grid, values)
-        m = scale(standard_bump(dim), 0.2 * min(f.grid.box.widths))
+        m = standard_bump(dim, 0.2 * min(f.grid.box.widths))
         got, _ = convolve(f, m, zero_extend=True)
         want, radii = direct_sum(f, m)
         reach = np.zeros(f.grid.node_shape, dtype=bool)
@@ -339,7 +331,7 @@ class TestAgainstDirectSum:
 
     @pytest.mark.parametrize("dim,res", [(1, 40), (2, 16)])
     def test_compose(self, dim, res):
-        a, b = scale(standard_bump(dim), 0.1), scale(standard_bump(dim), 0.25)
+        a, b = standard_bump(dim, 0.1), standard_bump(dim, 0.25)
         report = compose(a, b, res)
         grid = report.kernel.grid
         pts = grid.points()

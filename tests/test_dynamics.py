@@ -32,9 +32,9 @@ def sample(grid, fn):
     return GridFunction(grid, fn(grid.points()[:, 0]))
 
 
-def attenuation(profile, eps):
+def attenuation(eps):
     z = np.linspace(-1.0, 1.0, 4001)
-    vals = profile.value(z.reshape(-1, 1)) * np.cos(2.0 * math.pi * eps * z)
+    vals = standard_bump(1).value(z.reshape(-1, 1)) * np.cos(2.0 * math.pi * eps * z)
     return float(np.trapezoid(vals, z))
 
 
@@ -115,16 +115,15 @@ class TestNewton:
 class TestInvertibility:
     def test_perturbed_identity_is_invertible(self):
         grid = unit_grid()
-        profile = standard_bump(1)
         f = sample(grid, lambda x: x + 0.1 * np.sin(2 * math.pi * x))
         u = sample(grid, lambda x: 1.0 + 0.2 * math.pi * np.cos(2 * math.pi * x))
         eps = 0.1
-        report = invertibility_check(f, u, eps, profile)
+        report = invertibility_check(f, u, eps)
         assert report.invertible
         assert report.path_gap is not None and report.path_gap <= 1e-3
 
         # the smoothed slope is 1 + 0.2 pi A(eps) cos(2 pi x) on the interior
-        a = attenuation(profile, eps)
+        a = attenuation(eps)
         x = grid.points()[:, 0][interior_region(grid, eps).mask]
         predicted = np.min(np.abs(1.0 + 0.2 * math.pi * a * np.cos(2 * math.pi * x)))
         assert report.min_abs_df_eps == pytest.approx(predicted, abs=1e-4)
@@ -215,19 +214,18 @@ class TestDistributionalShadow:
         # m2 the kernel second moment; the two-rung extrapolation then
         # lands at p0 - c2 eps1 eps2
         grid = unit_grid()
-        profile = standard_bump(1)
         f = sample(grid, lambda x: np.sin(2 * math.pi * x))
         v = TestFunction((0.6,), 0.15)
 
         z = np.linspace(-1.0, 1.0, 4001)
-        m2 = float(np.trapezoid(z * z * profile.value(z.reshape(-1, 1)), z))
+        m2 = float(np.trapezoid(z * z * standard_bump(1).value(z.reshape(-1, 1)), z))
         from sobolevkit.grid import quadrature
 
         vpp = v.derivative((2,), grid.points()).reshape(grid.node_shape)
         c2 = 0.5 * m2 * quadrature(GridFunction(grid, f.values * vpp))
 
         for ladder, rel in (([0.2, 0.1], 0.15), ([0.1, 0.05], 0.05)):
-            report = distributional_shadow(orbit(f, ladder, profile), v)
+            report = distributional_shadow(orbit(f, ladder), v)
             gap = report.extrapolated - report.direct
             assert gap == pytest.approx(-c2 * ladder[0] * ladder[1], rel=rel)
 

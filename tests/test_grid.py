@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobolevkit.grid import (
+    MAX_NODES,
     Box,
     Grid,
     GridFunction,
@@ -72,6 +73,13 @@ class TestGrid:
     def test_rejects_resolution_dim_mismatch(self):
         with pytest.raises(ValueError):
             Grid(Box((0.0,), (1.0,)), (4, 4))
+
+    def test_node_limit(self):
+        # a Grid holds no arrays, so building one at the limit allocates nothing
+        cube = Box((0.0,) * 3, (1.0,) * 3)
+        assert make_grid(cube, 255).node_count == MAX_NODES == 2**24
+        with pytest.raises(ValueError, match=f"257x257x257 = {257**3} nodes is above the limit of {MAX_NODES}"):
+            make_grid(cube, 256)
 
 
 class TestGridFunction:
@@ -147,6 +155,14 @@ class TestLpNorm:
         f = GridFunction(unit_grid(2), np.ones(3))
         with pytest.raises(ValueError, match=">= 1"):
             lp_norm(f, 0.5)
+
+    def test_huge_values_do_not_overflow(self):
+        # |f|^p overflows for p > 1 although every norm is finite
+        grid = unit_grid(400)
+        x = grid.points()[:, 0]
+        for p in (1.0, 2.0, 3.5):
+            expected = 1e300 * lp_norm(GridFunction(grid, x), p)
+            assert lp_norm(GridFunction(grid, 1e300 * x), p) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_region_is_zero(self):
         grid = unit_grid(4)

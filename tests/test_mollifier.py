@@ -15,13 +15,12 @@ from sobolevkit.mollifier import (
     UnitReport,
     bump_raw,
     bump_raw_derivative,
-    scale,
     standard_bump,
     verify_unit,
 )
 
 # Normalization constants, frozen from an independent radial computation:
-# the profile is radial, so its mass over the unit ball reduces to a 1-d
+# the bump is radial, so its mass over the unit ball reduces to a 1-d
 # integral of exp(1/(r^2-1)) against the surface-area factor.
 FROZEN_C = {1: 2.2522836210435810, 2: 2.1435657757922366, 3: 2.2671167396083265}
 FROZEN_RAW_MASS_1D = 0.4439938161680794
@@ -41,9 +40,9 @@ def radial_oracle_constant(dim: int) -> float:
 class TestNormalization:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_radial_oracle(self, dim):
-        profile = standard_bump(dim)
-        assert profile.normalization == pytest.approx(radial_oracle_constant(dim), abs=1e-13)
-        assert profile.normalization == pytest.approx(FROZEN_C[dim], abs=1e-13)
+        bump = standard_bump(dim)
+        assert bump.normalization == pytest.approx(radial_oracle_constant(dim), abs=1e-13)
+        assert bump.normalization == pytest.approx(FROZEN_C[dim], abs=1e-13)
 
     def test_raw_mass_1d(self):
         mass, _ = quad(lambda r: 2.0 * math.exp(1.0 / (r * r - 1.0)), 0.0, 1.0)
@@ -62,7 +61,7 @@ class TestNormalization:
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
             "before = peak()\n"
-            "standard_bump(3)\n"
+            "standard_bump(3).normalization\n"
             "print(peak() - before)\n"
         )
         src = str(Path(sobolevkit.__file__).resolve().parents[1])
@@ -86,7 +85,7 @@ class TestSupportAndSign:
         assert np.all(bump_raw(x) > 0.0)
 
     def test_scaled_support_is_closed_eps_ball(self):
-        m = scale(standard_bump(1), 0.25)
+        m = standard_bump(1, 0.25)
         outside = np.array([[0.25], [-0.25], [0.3], [1.0]])
         np.testing.assert_array_equal(m.value(outside), np.zeros(4))
         # near the boundary exp(1/(z^2-1)) underflows, so probe well inside
@@ -96,7 +95,7 @@ class TestSupportAndSign:
         # phi_eps(0) = C * e^(-1) * eps^(-n)
         for dim in (1, 2):
             for eps in (1.0, 0.5, 0.1):
-                m = scale(standard_bump(dim), eps)
+                m = standard_bump(dim, eps)
                 peak = m.value(np.zeros((1, dim)))[0]
                 assert peak == pytest.approx(FROZEN_C[dim] / math.e * eps**-dim, rel=1e-10)
 
@@ -159,28 +158,32 @@ class TestDerivatives:
 
 class TestScaling:
     def test_rejects_nonpositive_eps(self):
-        profile = standard_bump(1)
         for eps in (0.0, -0.5, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive"):
-                scale(profile, eps)
+                standard_bump(1, eps)
+            with pytest.raises(ValueError, match="positive"):
+                Mollifier(2, eps)
+        for dim in (0, 4):
+            with pytest.raises(ValueError, match="dimension"):
+                standard_bump(dim, 0.5)
 
     def test_value_scaling_identity(self):
-        profile = standard_bump(1)
-        m = scale(profile, 0.2)
+        bump = standard_bump(1)
+        m = standard_bump(1, 0.2)
         x = np.array([[0.07], [-0.11], [0.0]])
-        np.testing.assert_allclose(m.value(x), 5.0 * profile.value(x / 0.2), rtol=1e-14)
+        np.testing.assert_allclose(m.value(x), 5.0 * bump.value(x / 0.2), rtol=1e-14)
 
     @pytest.mark.parametrize("eps", [1.0, 0.37, 0.002])
     def test_mass_is_scale_invariant(self, eps):
-        report = verify_unit(scale(standard_bump(1), eps), 400)
+        report = verify_unit(standard_bump(1, eps), 400)
         assert report.mass_error <= 1e-10
 
     def test_derivative_sups_scale_like_eps_powers(self):
         # same relative sample nodes at every eps, so the ratio is exact
         for dim in (1, 2):
             res = 400 if dim == 1 else 96
-            coarse = verify_unit(scale(standard_bump(dim), 1.0), res)
-            fine = verify_unit(scale(standard_bump(dim), 0.5), res)
+            coarse = verify_unit(standard_bump(dim, 1.0), res)
+            fine = verify_unit(standard_bump(dim, 0.5), res)
             for k in range(3):
                 assert fine.c_bounds[k] / coarse.c_bounds[k] == pytest.approx(
                     2.0 ** (dim + k), rel=1e-12
@@ -190,7 +193,7 @@ class TestScaling:
 class TestVerifyUnit:
     @pytest.mark.parametrize("dim,eps,res", [(1, 0.1, 400), (1, 1.0, 400), (2, 0.3, 120)])
     def test_standard_kernels_pass(self, dim, eps, res):
-        report = verify_unit(scale(standard_bump(dim), eps), res)
+        report = verify_unit(standard_bump(dim, eps), res)
         assert report.nonneg
         assert report.support_ok
         assert report.mass_error <= report.mass_tol
@@ -198,7 +201,7 @@ class TestVerifyUnit:
         assert report.c_bounds[0] < report.c_bounds[1] < report.c_bounds[2]
 
     def test_mass_error_is_tiny_at_moderate_resolution(self):
-        report = verify_unit(scale(standard_bump(1), 0.2), 160)
+        report = verify_unit(standard_bump(1, 0.2), 160)
         assert report.mass_error <= 1e-9
 
     def test_report_fails_on_bad_mass(self):
@@ -212,7 +215,7 @@ class TestVerifyUnit:
 
 def test_mollifier_integrates_to_one_on_larger_box():
     # quadrature over a box strictly containing the support still sees mass one
-    m = scale(standard_bump(1), 0.3)
+    m = standard_bump(1, 0.3)
     grid = make_grid(Box((-1.0,), (1.0,)), 800)
     f = GridFunction(grid, m.value(grid.points()))
     assert quadrature(f) == pytest.approx(1.0, abs=1e-10)

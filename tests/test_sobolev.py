@@ -121,6 +121,13 @@ class TestSobolevNorm:
         norms = [sobolev_norm(fam, k, 2.0) for k in (0, 1, 2)]
         assert norms[0] < norms[1] < norms[2]
 
+    def test_huge_family_does_not_overflow(self):
+        # each per-alpha norm is finite, but its p-th power is not
+        fam = affine_family(unit_grid())
+        big = DerivativeFamily({a: 1e200 * fam[a] for a in fam.alphas()})
+        for p in (2.0, 3.0):
+            assert sobolev_norm(big, 1, p) == pytest.approx(1e200 * sobolev_norm(fam, 1, p), rel=1e-12)
+
     def test_missing_derivative(self):
         fam = affine_family(unit_grid(100))
         with pytest.raises(ValueError, match=r"missing derivatives \[\(2,\)\]"):
@@ -210,8 +217,7 @@ class TestMembershipReport:
 class TestBoundaryVanish:
     def grid_bump(self, res=400):
         grid = unit_grid(res)
-        profile = standard_bump(1)
-        vals = profile.value(((grid.points()[:, 0] - 0.5) / 0.2).reshape(-1, 1))
+        vals = standard_bump(1).value(((grid.points()[:, 0] - 0.5) / 0.2).reshape(-1, 1))
         return grid, GridFunction(grid, vals)
 
     def test_small_eps_collar_is_exactly_zero(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sobolevkit import weakdiff as wd
+from sobolevkit.convolution import convolve, mollify
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
 from sobolevkit.sobolev import enumerate_multi_indices
@@ -337,45 +338,32 @@ class TestVerifyWeakDerivative:
 
 
 class TestMollifiedDerivative:
+    # d^alpha f_eps is the convolution of f with the kernel's derivative
     def test_constant_has_zero_derivative(self):
         grid = unit_grid()
         f = GridFunction(grid, np.full(401, 4.0))
-        d, region = wd.mollified_derivative(f, (1,), 0.2)
+        d, region = convolve(f, standard_bump(1, 0.2), deriv=(1,))
         assert np.max(np.abs(d.values[region.mask])) <= 1e-12
 
     def test_affine_slope_recovered(self):
         grid = unit_grid()
         f = sample(grid, lambda x: 3.0 * x + 1.0)
-        d, region = wd.mollified_derivative(f, (1,), 0.2)
+        d, region = convolve(f, standard_bump(1, 0.2), deriv=(1,))
         np.testing.assert_allclose(d.values[region.mask], 3.0, atol=1e-9)
-
-    def test_order_zero_is_plain_smoothing(self):
-        from sobolevkit.convolution import mollify
-        from sobolevkit.mollifier import scale
-
-        grid = unit_grid(200)
-        f = sample(grid, lambda x: np.sin(2 * math.pi * x))
-        a, _ = wd.mollified_derivative(f, (0,), 0.1)
-        b, _ = mollify(f, scale(standard_bump(1), 0.1))
-        np.testing.assert_array_equal(a.values, b.values)
 
     def test_stages_commute(self):
         # derivative-then-smooth equals smooth-then-derivative wherever
         # both windows see only valid data
-        from sobolevkit.convolution import mollify
-        from sobolevkit.mollifier import scale
-
         grid = unit_grid()
         f = sample(grid, lambda x: np.sin(2 * math.pi * x))
-        profile = standard_bump(1)
-        eps1, eps2 = 0.1, 0.15
+        m1, m2 = standard_bump(1, 0.1), standard_bump(1, 0.15)
 
-        smooth_first, _ = mollify(f, scale(profile, eps1))
-        route_a, _ = wd.mollified_derivative(smooth_first, (1,), eps2, profile)
-        deriv_first, _ = wd.mollified_derivative(f, (1,), eps2, profile)
-        route_b, _ = mollify(deriv_first, scale(profile, eps1))
+        smooth_first, _ = mollify(f, m1)
+        route_a, _ = convolve(smooth_first, m2, deriv=(1,))
+        deriv_first, _ = convolve(f, m2, deriv=(1,))
+        route_b, _ = mollify(deriv_first, m1)
 
-        safe = interior_region(grid, eps1 + eps2 + 2.0 * grid.spacing[0])
+        safe = interior_region(grid, m1.eps + m2.eps + 2.0 * grid.spacing[0])
         diff = np.abs(route_a.values - route_b.values)[safe.mask]
         assert np.max(diff) <= 1e-10
 
