@@ -5,7 +5,6 @@ from .grid import (
     Grid,
     GridFunction,
     Region,
-    ae_equal,
     interior_region,
     lp_norm,
     make_grid,
@@ -57,7 +56,6 @@ __all__ = [
     "quadrature",
     "lp_norm",
     "interior_region",
-    "ae_equal",
     "Mollifier",
     "UnitReport",
     "standard_bump",

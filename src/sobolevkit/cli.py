@@ -19,19 +19,19 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import acceptance
 from .acceptance import DEFAULT_SEED
-from .convolution import compose, convergence_study, mollify, write_convergence_csv
-from .dynamics import exponential_flow, newton_net, write_flow_csv, write_newton_csv
+from .convolution import compose, convergence_study, mollify
+from .dynamics import exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump
-from .sobolev import DerivativeFamily, membership_report, write_membership_csv
-from .weakdiff import test_function_catalog, verify_weak_derivative, write_pairing_csv
+from .sobolev import DerivativeFamily, membership_report
+from .weakdiff import test_function_catalog, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
 
@@ -146,6 +146,27 @@ def _sample_expression(source: str, grid) -> GridFunction:
     return GridFunction(grid, np.array(values))
 
 
+def _cell(value: object) -> str:
+    """Empty for ``None``, lowercase for a bool, shortest round-trip decimal for a float."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    return str(value)
+
+
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text of every command but ``mollify``: the header line, then one line per row."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _alpha_label(alpha: Sequence[int]) -> str:
+    return " ".join(str(a) for a in alpha)
+
+
 def _single_eps(config: RunConfig) -> float:
     if len(config.eps_ladder) != 1:
         raise CliError(f"this command needs exactly one --eps value, got {config.eps_ladder}")
@@ -167,9 +188,8 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
     grid = config.grid
     f = _sample_expression(args.f, grid)
     table = convergence_study(f, _parse_p(args.p), config.eps_ladder)
-    out = io.StringIO()
-    write_convergence_csv(table, out)
-    return out.getvalue(), EXIT_OK
+    rows = [(r.eps, r.error, r.ratio) for r in table.rows]
+    return _table(("eps", "error", "ratio"), rows), EXIT_OK
 
 
 def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
@@ -181,12 +201,9 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
     u = _sample_expression(args.u, grid)
     alpha = _parse_alpha(args.alpha, grid.dim)
     eps = _single_eps(config)
-    residual = commutation_residual(f, u, alpha, eps, _parse_p(args.p))
-    alpha_label = " ".join(str(a) for a in alpha)
-    text = "alpha,eps,p,residual\n" + ",".join(
-        [alpha_label, format_float(eps), format_float(_parse_p(args.p)), format_float(residual)]
-    ) + "\n"
-    return text, EXIT_OK
+    p = _parse_p(args.p)
+    residual = commutation_residual(f, u, alpha, eps, p)
+    return _table(("alpha", "eps", "p", "residual"), [(_alpha_label(alpha), eps, p, residual)]), EXIT_OK
 
 
 def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
@@ -197,14 +214,12 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     alpha = _parse_alpha(args.alpha, grid.dim)
     tests = test_function_catalog(grid.box, _parse_int(args.count, "--count"))
     result = verify_weak_derivative(f, u, alpha, tests, config.tol)
-    out = io.StringIO()
-    write_pairing_csv(result, out)
     verdict = "verified" if result.verdict else "not verified"
     print(
         f"weak-verify: {verdict} (max residual {format_float(result.max_residual)}, tol {format_float(config.tol)})",
         file=sys.stderr,
     )
-    return out.getvalue(), EXIT_OK
+    return _table(("test_id", "residual"), zip(result.test_ids, result.residuals)), EXIT_OK
 
 
 def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
@@ -225,9 +240,9 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
         report = membership_report(f, family, k, _parse_p(args.p), tests, config.tol)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    out = io.StringIO()
-    write_membership_csv(report, out)
-    return out.getvalue(), EXIT_OK
+    rows = [(_alpha_label(e.alpha), e.pairing_residual, e.lp_norm, e.verdict) for e in report.entries]
+    rows.append(("overall", None, report.norm, report.member))
+    return _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows), EXIT_OK
 
 
 def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
@@ -242,10 +257,7 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     if args.kernel_out:
         with open(args.kernel_out, "w") as fh:
             write_grid_function_csv(report.kernel, fh)
-    text = "support_radius,mass\n" + ",".join(
-        [format_float(report.support_radius), format_float(report.mass)]
-    ) + "\n"
-    return text, EXIT_OK
+    return _table(("support_radius", "mass"), [(report.support_radius, report.mass)]), EXIT_OK
 
 
 def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
@@ -271,11 +283,10 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
         raise _expression_error(args.f, exc) from None
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    out = io.StringIO()
-    write_newton_csv(trace, out)
     status = "converged" if trace.converged else "did not converge"
     print(f"newton: {status} after {trace.iterations} iterations", file=sys.stderr)
-    return out.getvalue(), EXIT_OK
+    rows = [(k, x, r) for k, (x, r) in enumerate(zip(trace.iterates, trace.residuals))]
+    return _table(("iter", "x", "residual"), rows), EXIT_OK
 
 
 def _cmd_flow(args: argparse.Namespace) -> tuple[str, int]:
@@ -287,9 +298,8 @@ def _cmd_flow(args: argparse.Namespace) -> tuple[str, int]:
         check = exponential_flow(k, x0, s, t)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    out = io.StringIO()
-    write_flow_csv(check, out)
-    return out.getvalue(), EXIT_OK
+    header = ("k", "x0", "s", "t", "lhs", "rhs", "residual", "rk4_error")
+    return _table(header, [tuple(getattr(check, name) for name in header)]), EXIT_OK
 
 
 def resolve_seed(raw: str | None = None) -> int:
@@ -308,13 +318,9 @@ def resolve_seed(raw: str | None = None) -> int:
 def _cmd_suite(args: argparse.Namespace) -> tuple[str, int]:
     seed = resolve_seed(args.seed)
     results = acceptance.run_all(seed=seed)
-    lines = ["status,index,name,detail"]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        detail = r.detail.replace(",", ";")
-        lines.append(f"{status},{r.index},{r.name},{detail}")
+    rows = [("PASS" if r.passed else "FAIL", r.index, r.name, r.detail.replace(",", ";")) for r in results]
     all_ok = all(r.passed for r in results)
-    return "\n".join(lines) + "\n", EXIT_OK if all_ok else EXIT_SUITE_FAIL
+    return _table(("status", "index", "name", "detail"), rows), EXIT_OK if all_ok else EXIT_SUITE_FAIL
 
 
 HANDLERS: dict[str, Callable[[argparse.Namespace], tuple[str, int]]] = {

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Box, Grid, GridFunction, Region, format_float, interior_region, lp_norm, make_grid, quadrature
+from .grid import Box, Grid, GridFunction, Region, interior_region, lp_norm, make_grid, quadrature
 from .mollifier import Mollifier, standard_bump
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "orbit",
     "convergence_study",
     "compose",
-    "write_convergence_csv",
 ]
 
 
@@ -63,6 +62,15 @@ def _lattice_kernel(grid: Grid, m: Mollifier, deriv: tuple[int, ...] | None) -> 
         vals = m.derivative(deriv, pts)
     shape = tuple(2 * k + 1 for k in radii)
     return vals.reshape(shape) * grid.cell_volume
+
+
+def _check_lattice_mass(m: Mollifier, mass: float) -> None:
+    """Refuse a value kernel whose samples have lost their unit mass on the lattice."""
+    if abs(mass - 1.0) > MASS_TOL:
+        raise ValueError(
+            f"kernel at eps={m.eps} has lattice mass {mass:.6g}, outside 1 +- {MASS_TOL}:"
+            f" the grid is too coarse for this eps"
+        )
 
 
 def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -109,12 +117,7 @@ def convolve(
     radii = _window_radii(grid, m.eps)
     kernel = _lattice_kernel(grid, m, deriv)
     if deriv is None:
-        mass = float(kernel.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(
-                f"kernel at eps={m.eps} has lattice mass {mass:.6g}, outside 1 +- {MASS_TOL}:"
-                f" the grid is too coarse for this eps"
-            )
+        _check_lattice_mass(m, float(kernel.sum()))
     conv = _full_convolution(f.values, kernel)
     # node i of the grid is entry i + k of the full convolution, zero-extending f
     vals = conv[tuple(slice(k, k + n) for k, n in zip(radii, grid.node_shape))]
@@ -223,13 +226,6 @@ def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> C
     return ConvergenceTable(float(p), tuple(rows))
 
 
-def write_convergence_csv(table: ConvergenceTable, out: TextIO) -> None:
-    out.write("eps,error,ratio\n")
-    for row in table.rows:
-        ratio = "" if row.ratio is None else format_float(row.ratio)
-        out.write(f"{format_float(row.eps)},{format_float(row.error)},{ratio}\n")
-
-
 @dataclass(frozen=True)
 class KernelReport:
     """Numerical convolution of two kernels, with its support radius and mass."""
@@ -248,7 +244,9 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     ball of radius ``eps_a + eps_b`` and keeps unit mass, mirroring
     composition of smoothing steps.  The grid covers
     ``[-(eps_a + eps_b), eps_a + eps_b]^n``; the resolution must be even
-    so the offset lattice is centered at the origin.
+    so the offset lattice is centered at the origin.  As in
+    :func:`convolve`, each kernel's samples must keep their unit mass
+    within ``MASS_TOL`` on that grid, or ``ValueError`` is raised.
     """
     if a.dim != b.dim:
         raise ValueError(f"kernel dimensions differ: {a.dim} vs {b.dim}")
@@ -261,6 +259,8 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     pts = grid.points()
     av = a.value(pts).reshape(grid.node_shape)
     bv = b.value(pts).reshape(grid.node_shape)
+    for m, samples in ((a, av), (b, bv)):
+        _check_lattice_mass(m, float(samples.sum()) * grid.cell_volume)
     # node i of the grid is entry i + resolution / 2 of the full convolution
     half = grid_resolution // 2
     window = tuple(slice(half, half + size) for size in grid.node_shape)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
 from .convolution import OrbitNet, convolve, mollify
-from .grid import GridFunction, format_float
+from .grid import GridFunction
 from .mollifier import standard_bump
 from .weakdiff import TestFunction, pair
 
@@ -30,8 +30,6 @@ __all__ = [
     "invertibility_check",
     "exponential_flow",
     "distributional_shadow",
-    "write_newton_csv",
-    "write_flow_csv",
 ]
 
 # Residuals beyond this are treated as divergence and stop the iteration
@@ -39,6 +37,9 @@ __all__ = [
 _DIVERGENCE_LIMIT = 1e15
 
 RK4_STEP = 1e-3
+# Longest RK4 control run, |t| = 1000 at RK4_STEP.  The steps run in pure
+# Python, so an unbounded |t| could ask for hours of them.
+MAX_RK4_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,6 @@ def newton_net(
     )
 
 
-def write_newton_csv(trace: NewtonTrace, out: TextIO) -> None:
-    out.write("iter,x,residual\n")
-    for k, (x, r) in enumerate(zip(trace.iterates, trace.residuals)):
-        out.write(f"{k},{format_float(x)},{format_float(r)}\n")
-
-
 @dataclass(frozen=True)
 class InvertibilityReport:
     """Sign and size of the smoothed derivative on the interior region."""
@@ -181,6 +176,8 @@ def _rk4_exponential(k: float, x0: float, t: float, step: float = RK4_STEP) -> f
     if t == 0.0:
         return x0
     n = max(1, math.ceil(abs(t) / step))
+    if n > MAX_RK4_STEPS:
+        raise ValueError(f"t={t} needs {n} RK4 steps of {step}, above the limit of {MAX_RK4_STEPS}")
     h = t / n
     x = x0
     for _ in range(n):
@@ -198,23 +195,19 @@ def exponential_flow(k: float, x0: float, s: float, t: float) -> FlowCheck:
     ``lhs`` evaluates the flow at ``s + t`` directly, ``rhs`` composes the
     two partial flows; the group law makes them equal up to rounding.
     The RK4 error compares numerical integration of ``x' = k x`` over
-    ``[0, t]`` against the closed form.
+    ``[0, t]`` against the closed form; it takes ``|t| / RK4_STEP``
+    steps, so ``|t|`` above 1000 (``MAX_RK4_STEPS`` steps) raises
+    ``ValueError``.
     """
     k, x0, s, t = float(k), float(x0), float(s), float(t)
     for name, v in (("k", k), ("x0", x0), ("s", s), ("t", t)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
+    rk4 = _rk4_exponential(k, x0, t)
     lhs = x0 * math.exp(k * (s + t))
     rhs = (x0 * math.exp(k * s)) * math.exp(k * t)
-    rk4 = _rk4_exponential(k, x0, t)
     exact_t = x0 * math.exp(k * t)
     return FlowCheck(k, x0, s, t, lhs, rhs, abs(lhs - rhs), abs(rk4 - exact_t))
-
-
-def write_flow_csv(check: FlowCheck, out: TextIO) -> None:
-    out.write("k,x0,s,t,lhs,rhs,residual,rk4_error\n")
-    row = (check.k, check.x0, check.s, check.t, check.lhs, check.rhs, check.residual, check.rk4_error)
-    out.write(",".join(format_float(v) for v in row) + "\n")
 
 
 @dataclass(frozen=True)

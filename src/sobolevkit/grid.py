@@ -4,7 +4,7 @@ Everything downstream (mollification, weak-derivative checks, Sobolev
 norms) works with functions sampled at the nodes of a uniform grid over
 an axis-aligned box in dimension 1 to 3.  This module provides the box
 and grid containers, trapezoid quadrature, L^p norms, interior regions,
-and an almost-everywhere equality check at grid resolution.
+and the grid-function CSV writer.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ __all__ = [
     "quadrature",
     "lp_norm",
     "interior_region",
-    "ae_equal",
     "write_grid_function_csv",
-    "read_grid_function_csv",
 ]
 
 MAX_DIM = 3
@@ -41,8 +39,8 @@ MAX_NODES = 2**24
 def format_float(x: float) -> str:
     """Shortest decimal string that parses back to exactly ``x``.
 
-    Used by every CSV writer so identical inputs produce byte-identical
-    output; integral values drop the trailing ``.0``.
+    Used by the grid CSV writer and every CLI table, so identical inputs
+    produce byte-identical output; integral values drop the trailing ``.0``.
     """
     s = repr(float(x))
     return s[:-2] if s.endswith(".0") else s
@@ -317,21 +315,6 @@ def interior_region(grid: Grid, eps: float) -> Region:
     return Region(grid, boundary_distances(grid) > eps)
 
 
-def ae_equal(f: GridFunction, g: GridFunction, tol: float = 1e-12) -> tuple[bool, float]:
-    """Almost-everywhere equality at grid resolution.
-
-    Returns ``(equal, disagreement_measure)`` where the measure is the
-    quadrature of the indicator of ``|f - g| > tol``.  The grid cannot
-    localize sets smaller than one cell, so the functions count as equal
-    when the disagreement measure does not exceed one cell's volume.
-    """
-    f._check_same_grid(g)
-    indicator = (np.abs(f.values - g.values) > float(tol)).astype(np.float64)
-    measure = quadrature(GridFunction(f.grid, indicator))
-    cell = f.grid.cell_volume
-    return measure <= cell * (1.0 + 1e-12), measure
-
-
 def _format_axis_floats(xs: Sequence[float]) -> str:
     return ",".join(format_float(x) for x in xs)
 
@@ -347,28 +330,3 @@ def write_grid_function_csv(f: GridFunction, out: TextIO) -> None:
     for row, v in zip(pts, vals):
         coords = ",".join(format_float(c) for c in row)
         out.write(f"{coords},{format_float(v)}\n")
-
-
-def read_grid_function_csv(inp: TextIO) -> GridFunction:
-    """Inverse of :func:`write_grid_function_csv`."""
-    header = inp.readline().strip()
-    if not header.startswith("# grid "):
-        raise ValueError(f"missing grid header, got {header!r}")
-    fields: dict[str, str] = {}
-    for part in header[len("# grid "):].split():
-        key, _, raw = part.partition("=")
-        fields[key] = raw
-    try:
-        lo = tuple(float(x) for x in fields["lo"].split(","))
-        hi = tuple(float(x) for x in fields["hi"].split(","))
-        res = tuple(int(x) for x in fields["res"].split(","))
-    except KeyError as exc:
-        raise ValueError(f"grid header missing field {exc}") from exc
-    grid = Grid(Box(lo, hi), res)
-    vals = []
-    for line in inp:
-        line = line.strip()
-        if not line:
-            continue
-        vals.append(float(line.split(",")[-1]))
-    return GridFunction(grid, np.array(vals))

@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .convolution import convolve
-from .grid import GridFunction, Region, boundary_distances, format_float, lp_norm
+from .grid import GridFunction, Region, boundary_distances, lp_norm
 from .mollifier import standard_bump
 from .weakdiff import (
+    MAX_DERIVATIVE_ORDER,
     MultiIndex,
     TestFunction,
     multi_index_order,
@@ -38,7 +39,6 @@ __all__ = [
     "sobolev_norm",
     "membership_report",
     "boundary_vanish_check",
-    "write_membership_csv",
 ]
 
 
@@ -51,6 +51,13 @@ def enumerate_multi_indices(dim: int, max_order: int) -> list[MultiIndex]:
     ]
     out.sort(key=lambda a: (sum(a), a))
     return out
+
+
+def _check_max_order(k: int) -> None:
+    # every entry is a validated multi-index, so no family of higher order
+    # exists; refuse before enumerating its (k + 1)^dim candidates
+    if k > MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"order k must be at most {MAX_DERIVATIVE_ORDER}, got {k}")
 
 
 class DerivativeFamily:
@@ -106,6 +113,7 @@ def sobolev_norm(
     k = int(k)
     if k < 0:
         raise ValueError(f"order k must be nonnegative, got {k}")
+    _check_max_order(k)
     missing = fam.missing_up_to(k)
     if missing:
         raise ValueError(f"family is missing derivatives {missing} for k={k}")
@@ -165,6 +173,7 @@ def membership_report(
     k = int(k)
     if k < 1:
         raise ValueError(f"order k must be at least 1, got {k}")
+    _check_max_order(k)
     if candidates.grid != f.grid:
         raise ValueError("candidates live on a different grid than f")
     missing = candidates.missing_up_to(k)
@@ -186,22 +195,6 @@ def membership_report(
 
     norm = sobolev_norm(candidates, k, p) if all_ok else None
     return MembershipReport(k, float(p), tuple(entries), all_ok, norm)
-
-
-def _alpha_label(alpha: MultiIndex) -> str:
-    return " ".join(str(a) for a in alpha)
-
-
-def write_membership_csv(report: MembershipReport, out: TextIO) -> None:
-    """CSV rows ``alpha,pairing_residual,lp_norm,verdict`` plus a summary row."""
-    out.write("alpha,pairing_residual,lp_norm,verdict\n")
-    for e in report.entries:
-        residual = "" if e.pairing_residual is None else format_float(e.pairing_residual)
-        out.write(
-            f"{_alpha_label(e.alpha)},{residual},{format_float(e.lp_norm)},{str(e.verdict).lower()}\n"
-        )
-    norm = "" if report.norm is None else format_float(report.norm)
-    out.write(f"overall,,{norm},{str(report.member).lower()}\n")
 
 
 def _support_distance(f: GridFunction) -> float:

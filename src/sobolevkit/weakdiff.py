@@ -16,13 +16,13 @@ import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product as _cartesian
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .convolution import convolve, mollify
-from .grid import Box, GridFunction, format_float, lp_norm
+from .grid import Box, GridFunction, lp_norm
 from .mollifier import bump_raw, bump_raw_derivative, standard_bump
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "pair",
     "verify_weak_derivative",
     "commutation_residual",
-    "write_pairing_csv",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -273,12 +272,6 @@ def verify_weak_derivative(
         ids.append(phi.label)
         residuals.append(abs(lhs - rhs))
     return PairingResidual(alpha, float(tol), tuple(ids), tuple(residuals))
-
-
-def write_pairing_csv(result: PairingResidual, out: TextIO) -> None:
-    out.write("test_id,residual\n")
-    for test_id, r in zip(result.test_ids, result.residuals):
-        out.write(f"{test_id},{format_float(r)}\n")
 
 
 def commutation_residual(

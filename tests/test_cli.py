@@ -194,6 +194,17 @@ class TestCompose:
         content = target.read_text().splitlines()
         assert content[0].startswith("# grid lo=-0.2 hi=0.2 res=256")
 
+    def test_under_resolved_kernel_exits_two(self, capsys):
+        # eps-b 0.001 is below one cell (2.002 / 256), so that kernel's mass
+        # lands on its centre node and the composed mass read 6.48
+        code, out, err = run(
+            capsys, ["compose", "--eps-a", "1", "--eps-b", "0.001", "--res", "256"]
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: kernel at eps=0.001 has lattice mass 6.47967")
+        assert err.count("\n") == 1
+
     def test_odd_resolution(self, capsys):
         code, _, err = run(
             capsys, ["compose", "--eps-a", "0.1", "--eps-b", "0.1", "--res", "255"]
@@ -250,6 +261,49 @@ class TestFlow:
         )
         assert code == EXIT_VALIDATION
         assert "finite" in err
+
+
+def run_subprocess(argv, timeout=60):
+    """The CLI in a child process; a hang fails the test at ``timeout`` seconds."""
+    src = str(Path(sobolevkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sobolevkit.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
+class TestRefusedBeforeWork:
+    # each of these ran for hours (10^12 RK4 steps, 10^15 multi-indices)
+    # or printed a 152 kB error line before the refusal came first
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["flow", "--k", "0", "--x0", "1", "--s", "0", "--t", "1e9"], "RK4 steps"),
+            (["flow", "--k", "0", "--x0", "1", "--s", "0", "--t=-1e5"], "RK4 steps"),
+            (["sobolev", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "4", "--k", "100000", "--f", "x1"],
+             "order k must be at most 2, got 100000"),
+            (["sobolev", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "4", "--k", "40", "--f", "x1"],
+             "order k must be at most 2, got 40"),
+            (["sobolev", "--res", "4", "--k", "2000", "--f", "x1"], "order k must be at most 2, got 2000"),
+        ],
+    )
+    def test_exit_two_with_short_error(self, argv, message):
+        result = run_subprocess(argv)
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stdout == b""
+        stderr = result.stderr.decode()
+        assert stderr.startswith("error:")
+        assert message in stderr
+        assert stderr.count("\n") == 1
+        assert len(result.stderr) < 300
+
+    def test_longest_flow_still_runs(self, capsys):
+        code, out, _ = run(capsys, ["flow", "--k", "0", "--x0", "1", "--s", "0", "--t", "-1000"])
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "0,1,0,-1000,1,1,0,0"
 
 
 class TestOutputHandling:

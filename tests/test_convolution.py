@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 
@@ -6,8 +5,6 @@ import numpy as np
 import pytest
 
 from sobolevkit.convolution import (
-    ConvergenceRow,
-    ConvergenceTable,
     OrbitEntry,
     OrbitNet,
     compose,
@@ -15,8 +12,8 @@ from sobolevkit.convolution import (
     convolve,
     mollify,
     orbit,
-    write_convergence_csv,
 )
+from sobolevkit.cli import _table
 from sobolevkit.grid import Box, GridFunction, interior_region, lp_norm, make_grid
 from sobolevkit.mollifier import standard_bump
 
@@ -227,16 +224,9 @@ class TestConvergenceStudy:
                 convergence_study(f, 2.0, bad)
 
     def test_csv_format(self):
-        table = ConvergenceTable(
-            2.0,
-            (
-                ConvergenceRow(0.2, 0.5, None),
-                ConvergenceRow(0.1, 0.125, 4.0),
-            ),
-        )
-        out = io.StringIO()
-        write_convergence_csv(table, out)
-        assert out.getvalue() == "eps,error,ratio\n0.2,0.5,\n0.1,0.125,4\n"
+        # the first row has no ratio: an empty cell
+        text = _table(("eps", "error", "ratio"), [(0.2, 0.5, None), (0.1, 0.125, 4.0)])
+        assert text == "eps,error,ratio\n0.2,0.5,\n0.1,0.125,4\n"
 
 
 class TestOrbit:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobolevkit.cli import _table
 from sobolevkit.convolution import OrbitNet, orbit
 from sobolevkit.dynamics import (
-    FlowCheck,
-    NewtonTrace,
+    MAX_RK4_STEPS,
+    RK4_STEP,
     distributional_shadow,
     exponential_flow,
     invertibility_check,
     newton_net,
-    write_flow_csv,
-    write_newton_csv,
 )
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
@@ -106,10 +104,9 @@ class TestNewton:
         assert newton_net(lambda x: x, 2.0, 1.0, 0.5).anchor == 0.5
 
     def test_csv_format(self):
-        trace = NewtonTrace(1.0, 3.0, 7.0, (1.0, 2.0), (1.0, 0.0), True)
-        out = io.StringIO()
-        write_newton_csv(trace, out)
-        assert out.getvalue() == "iter,x,residual\n0,1,1\n1,2,0\n"
+        # integer iteration counts print as ints, integral floats drop ".0"
+        text = _table(("iter", "x", "residual"), [(0, 1.0, 1.0), (1, 2.0, 0.0)])
+        assert text == "iter,x,residual\n0,1,1\n1,2,0\n"
 
 
 class TestInvertibility:
@@ -176,6 +173,13 @@ class TestExponentialFlow:
         with pytest.raises(ValueError, match="finite"):
             exponential_flow(math.nan, 1.0, 0.0, 0.0)
 
+    def test_rk4_step_limit(self):
+        # |t| = 1000 is the longest control run; beyond it the step count is refused
+        assert MAX_RK4_STEPS * RK4_STEP == 1000.0
+        for t in (1000.001, -1e5, 1e9):
+            with pytest.raises(ValueError, match="RK4 steps"):
+                exponential_flow(0.0, 1.0, 0.0, t)
+
     @given(
         k=st.floats(-2.0, 2.0),
         x0=st.floats(-10.0, 10.0),
@@ -189,12 +193,9 @@ class TestExponentialFlow:
         assert check.residual <= 1e-12 * scale
 
     def test_csv_format(self):
-        check = FlowCheck(0.0, 2.0, 0.1, 0.2, 2.0, 2.0, 0.0, 0.0)
-        out = io.StringIO()
-        write_flow_csv(check, out)
-        assert out.getvalue() == (
-            "k,x0,s,t,lhs,rhs,residual,rk4_error\n0,2,0.1,0.2,2,2,0,0\n"
-        )
+        header = ("k", "x0", "s", "t", "lhs", "rhs", "residual", "rk4_error")
+        text = _table(header, [(0.0, 2.0, 0.1, 0.2, 2.0, 2.0, 0.0, 0.0)])
+        assert text == "k,x0,s,t,lhs,rhs,residual,rk4_error\n0,2,0.1,0.2,2,2,0,0\n"
 
 
 class TestDistributionalShadow:

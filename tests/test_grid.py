@@ -12,19 +12,29 @@ from sobolevkit.grid import (
     Grid,
     GridFunction,
     Region,
-    ae_equal,
     boundary_distances,
     interior_region,
     lp_norm,
     make_grid,
     quadrature,
-    read_grid_function_csv,
     write_grid_function_csv,
 )
 
 
 def unit_grid(res=10):
     return make_grid(Box((0.0,), (1.0,)), res)
+
+
+def read_grid_function_csv(inp):
+    """Inverse of ``write_grid_function_csv``: the header gives the grid, the last column the values."""
+    header = inp.readline().strip()
+    if not header.startswith("# grid "):
+        raise ValueError(f"missing grid header, got {header!r}")
+    fields = dict(part.partition("=")[::2] for part in header[len("# grid "):].split())
+    lo, hi = (tuple(float(x) for x in fields[key].split(",")) for key in ("lo", "hi"))
+    res = tuple(int(x) for x in fields["res"].split(","))
+    values = [float(line.split(",")[-1]) for line in inp if line.strip()]
+    return GridFunction(Grid(Box(lo, hi), res), np.array(values))
 
 
 class TestBox:
@@ -205,30 +215,6 @@ class TestInteriorRegion:
         large = interior_region(grid, eps_small + gap).mask
         # growing the margin can only remove nodes
         assert np.all(large <= small)
-
-
-class TestAeEqual:
-    def test_identical(self):
-        f = GridFunction(unit_grid(10), np.ones(11))
-        equal, measure = ae_equal(f, f)
-        assert equal and measure == 0.0
-
-    def test_single_interior_node_is_negligible(self):
-        grid = unit_grid(10)
-        vals = np.ones(11)
-        bumped = vals.copy()
-        bumped[5] += 1.0
-        equal, measure = ae_equal(GridFunction(grid, vals), GridFunction(grid, bumped))
-        assert equal
-        assert measure <= grid.cell_volume + 1e-15
-
-    def test_everywhere_different(self):
-        grid = unit_grid(10)
-        f = GridFunction(grid, np.zeros(11))
-        g = GridFunction(grid, np.ones(11))
-        equal, measure = ae_equal(f, g)
-        assert not equal
-        assert measure == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProperties:

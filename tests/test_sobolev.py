@@ -1,20 +1,17 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
+from sobolevkit.cli import _alpha_label, _table
 from sobolevkit.grid import Box, GridFunction, make_grid
 from sobolevkit.mollifier import standard_bump
 from sobolevkit.sobolev import (
     DerivativeFamily,
-    MembershipEntry,
-    MembershipReport,
     boundary_vanish_check,
     enumerate_multi_indices,
     membership_report,
     sobolev_norm,
-    write_membership_csv,
 )
 from sobolevkit.weakdiff import test_function_catalog
 
@@ -140,6 +137,12 @@ class TestSobolevNorm:
         with pytest.raises(ValueError, match=">= 1"):
             sobolev_norm(fam, 1, 0.5)
 
+    def test_order_above_maximum_refused(self):
+        # no derivative family of order 3 or more exists to be complete
+        fam = affine_family(unit_grid(100))
+        with pytest.raises(ValueError, match="order k must be at most 2, got 3"):
+            sobolev_norm(fam, 3, 2.0)
+
 
 class TestMembershipReport:
     def test_sine_is_member(self):
@@ -180,19 +183,14 @@ class TestMembershipReport:
             membership_report(other, fam, 1, 2.0, cat, 1e-4)
 
     def test_csv_format(self):
-        report = MembershipReport(
-            1,
-            2.0,
-            (
-                MembershipEntry((0,), None, 0.5, True),
-                MembershipEntry((1,), 1e-08, 1.0, True),
-            ),
-            True,
-            1.25,
-        )
-        out = io.StringIO()
-        write_membership_csv(report, out)
-        assert out.getvalue() == (
+        rows = [
+            (_alpha_label((0,)), None, 0.5, True),
+            # a verdict computed by numpy prints like a Python bool
+            (_alpha_label((1,)), np.float64(1e-08), 1.0, np.True_),
+            ("overall", None, 1.25, True),
+        ]
+        text = _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows)
+        assert text == (
             "alpha,pairing_residual,lp_norm,verdict\n"
             "0,,0.5,true\n"
             "1,1e-08,1,true\n"
@@ -200,16 +198,8 @@ class TestMembershipReport:
         )
 
     def test_csv_2d_alpha_labels(self):
-        report = MembershipReport(
-            1,
-            math.inf,
-            (MembershipEntry((1, 0), 0.001, 2.0, False),),
-            False,
-            None,
-        )
-        out = io.StringIO()
-        write_membership_csv(report, out)
-        lines = out.getvalue().splitlines()
+        rows = [(_alpha_label((1, 0)), 0.001, 2.0, False), ("overall", None, None, False)]
+        lines = _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows).splitlines()
         assert lines[1] == "1 0,0.001,2,false"
         assert lines[-1] == "overall,,,false"
 

@@ -1,4 +1,3 @@
-import io
 import math
 from functools import partial
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 from sobolevkit import weakdiff as wd
+from sobolevkit.cli import _table
 from sobolevkit.convolution import convolve, mollify
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
@@ -332,9 +332,8 @@ class TestVerifyWeakDerivative:
 
     def test_csv_output(self):
         res = wd.PairingResidual((1,), 1e-4, ("a", "b"), (0.5, 0.25))
-        out = io.StringIO()
-        wd.write_pairing_csv(res, out)
-        assert out.getvalue() == "test_id,residual\na,0.5\nb,0.25\n"
+        text = _table(("test_id", "residual"), zip(res.test_ids, res.residuals))
+        assert text == "test_id,residual\na,0.5\nb,0.25\n"
 
 
 class TestMollifiedDerivative:
