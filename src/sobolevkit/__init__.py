@@ -17,7 +17,6 @@ from .convolution import (
     OrbitNet,
     compose,
     convergence_study,
-    mollify,
     orbit,
 )
 from .weakdiff import (
@@ -31,7 +30,6 @@ from .weakdiff import (
 from .sobolev import (
     DerivativeFamily,
     MembershipReport,
-    boundary_vanish_check,
     membership_report,
     sobolev_norm,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "OrbitNet",
     "ConvergenceTable",
     "KernelReport",
-    "mollify",
     "orbit",
     "convergence_study",
     "compose",
@@ -77,7 +74,6 @@ __all__ = [
     "MembershipReport",
     "sobolev_norm",
     "membership_report",
-    "boundary_vanish_check",
     "NewtonTrace",
     "FlowCheck",
     "newton_net",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import compose, convergence_study, mollify, orbit
+from .convolution import compose, convergence_study, convolve, orbit
 from .dynamics import exponential_flow, invertibility_check, newton_net
 from .expr import ParseError, evaluate, parse
 from .grid import Box, GridFunction, make_grid
@@ -77,7 +77,7 @@ def criterion_mollifier_unit() -> CriterionResult:
     for n in (1, 2):
         for eps in (1.0, 0.5, 0.1):
             report = verify_unit(standard_bump(n, eps), 256, tol=1e-3)
-            ok = ok and report.nonneg and report.support_ok and report.mass_error <= 1e-3
+            ok = ok and report.passed
             worst = max(worst, report.mass_error)
     return CriterionResult(1, "mollifier-unit-properties", ok, f"max mass error {worst:.3e} (tol 1e-3)")
 
@@ -106,7 +106,7 @@ def criterion_approximate_identity() -> CriterionResult:
 def criterion_affine_exactness() -> CriterionResult:
     """Unit mass and symmetry reproduce affine functions on the interior."""
     f = _sample(400, lambda x: 3.0 * x + 1.0)
-    smoothed, region = mollify(f, standard_bump(1, 0.2))
+    smoothed, region = convolve(f, standard_bump(1, 0.2))
     gap = float(np.max(np.abs(smoothed.values - f.values), where=region.mask, initial=0.0))
     return CriterionResult(3, "affine-exactness", gap <= 1e-8, f"max interior gap {gap:.3e} (tol 1e-8)")
 

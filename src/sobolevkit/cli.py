@@ -5,9 +5,9 @@ config file via ``--config``) and writes CSV with shortest round-trip
 float formatting, so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 suite criteria failed, 2 invalid configuration
-(including a grid above ``grid.MAX_NODES`` nodes) or out of memory,
-3 numerical failure (a domain error while evaluating an expression, an
-overflow, or any other ``ArithmeticError``).
+(any ``ValueError``, such as a grid or an FFT shape above ``grid.MAX_NODES``
+nodes) or out of memory, 3 numerical failure (a domain error while evaluating
+an expression, an overflow, or any other ``ArithmeticError``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import DEFAULT_SEED
-from .convolution import compose, convergence_study, mollify
+from .convolution import compose, convergence_study, convolve
 from .dynamics import exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
@@ -106,10 +106,7 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         lo = _parse_floats(args.lo, "--lo")
         hi = _parse_floats(args.hi, "--hi")
-        try:
-            box = Box(lo, hi)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        box = Box(lo, hi)
         res_values = args.res.split(",")
         if len(res_values) == 1:
             resolution = (_parse_int(res_values[0], "--res"),) * box.dim
@@ -119,11 +116,8 @@ class RunConfig:
             raise CliError(f"--res {args.res!r} has {len(resolution)} entries for a {box.dim}-d box")
         if any(r < 1 for r in resolution):
             raise CliError(f"--res entries must be positive, got {args.res!r}")
-        try:
-            # refuses a grid above MAX_NODES nodes; nothing is allocated yet
-            grid = make_grid(box, resolution)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        # refuses a grid above MAX_NODES nodes; nothing is allocated yet
+        grid = make_grid(box, resolution)
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
         tol = _parse_float(args.tol, "--tol") if getattr(args, "tol", None) else 1e-4
         return cls(grid, eps_ladder, tol)
@@ -177,7 +171,7 @@ def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
     f = _sample_expression(args.f, grid)
-    smoothed, _ = mollify(f, standard_bump(grid.dim, _single_eps(config)))
+    smoothed, _ = convolve(f, standard_bump(grid.dim, _single_eps(config)))
     out = io.StringIO()
     write_grid_function_csv(smoothed, out)
     return out.getvalue(), EXIT_OK
@@ -234,12 +228,9 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
             raise CliError(f"--deriv needs ALPHA=EXPR, got {deriv_item!r}")
         alpha = _parse_alpha(alpha_raw.strip(), grid.dim)
         entries[alpha] = _sample_expression(source.strip(), grid)
-    try:
-        family = DerivativeFamily(entries)
-        tests = test_function_catalog(grid.box, _parse_int(args.count, "--count"))
-        report = membership_report(f, family, k, _parse_p(args.p), tests, config.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    family = DerivativeFamily(entries)
+    tests = test_function_catalog(grid.box, _parse_int(args.count, "--count"))
+    report = membership_report(f, family, k, _parse_p(args.p), tests, config.tol)
     rows = [(_alpha_label(e.alpha), e.pairing_residual, e.lp_norm, e.verdict) for e in report.entries]
     rows.append(("overall", None, report.norm, report.member))
     return _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows), EXIT_OK
@@ -249,11 +240,8 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     eps_a = _parse_float(args.eps_a, "--eps-a")
     eps_b = _parse_float(args.eps_b, "--eps-b")
     res = _parse_int(args.res, "--res")
-    try:
-        dim = _parse_int(args.dim, "--dim")
-        report = compose(standard_bump(dim, eps_a), standard_bump(dim, eps_b), res)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    dim = _parse_int(args.dim, "--dim")
+    report = compose(standard_bump(dim, eps_a), standard_bump(dim, eps_b), res)
     if args.kernel_out:
         with open(args.kernel_out, "w") as fh:
             write_grid_function_csv(report.kernel, fh)
@@ -281,8 +269,6 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
         trace = newton_net(fn, df_a, y, x0, max_iter=max_iter, tol=tol, anchor=a)
     except EvalError as exc:
         raise _expression_error(args.f, exc) from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     status = "converged" if trace.converged else "did not converge"
     print(f"newton: {status} after {trace.iterations} iterations", file=sys.stderr)
     rows = [(k, x, r) for k, (x, r) in enumerate(zip(trace.iterates, trace.residuals))]
@@ -294,10 +280,7 @@ def _cmd_flow(args: argparse.Namespace) -> tuple[str, int]:
     x0 = _parse_float(args.x0, "--x0")
     s = _parse_float(args.s, "--s")
     t = _parse_float(args.t, "--t")
-    try:
-        check = exponential_flow(k, x0, s, t)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    check = exponential_flow(k, x0, s, t)
     header = ("k", "x0", "s", "t", "lhs", "rhs", "residual", "rk4_error")
     return _table(header, [tuple(getattr(check, name) for name in header)]), EXIT_OK
 
@@ -467,14 +450,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code else EXIT_OK
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    try:
         text, code = HANDLERS[args.command](args)
+    except SystemExit as exc:
+        # argparse has printed its usage or help
+        return int(exc.code) if exc.code else EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -10,6 +10,8 @@ kernel vanishes outside the ball of radius ``eps``, the value at a node
 whose distance to the box boundary exceeds ``eps`` uses only in-box
 data, so results are reported on that interior region; nodes outside it
 carry a zero placeholder and are flagged absent by the accompanying mask.
+The full convolution shape, the grid widened by the kernel window, is
+refused above ``grid.MAX_NODES`` nodes like the grid itself.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Box, Grid, GridFunction, Region, interior_region, lp_norm, make_grid, quadrature
+from .grid import MAX_NODES, Box, Grid, GridFunction, Region, interior_region, lp_norm, make_grid, quadrature
 from .mollifier import Mollifier, standard_bump
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "KernelReport",
-    "mollify",
     "convolve",
     "orbit",
     "convergence_study",
@@ -73,6 +74,16 @@ def _check_lattice_mass(m: Mollifier, mass: float) -> None:
         )
 
 
+def _check_full_shape(shape: tuple[int, ...]) -> None:
+    # the FFTs work on this shape, up to twice the grid per axis: refuse it before it exists
+    count = math.prod(shape)
+    if count > MAX_NODES:
+        raise ValueError(
+            f"full convolution of {'x'.join(map(str, shape))} = {count} nodes"
+            f" is above the limit of {MAX_NODES} nodes"
+        )
+
+
 def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
     """Full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets."""
     shape = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
@@ -105,7 +116,7 @@ def convolve(
     lattice: a lattice mass farther than ``MASS_TOL`` (0.05) from 1 means
     the grid has too few cells per kernel radius, and raises
     ``ValueError`` instead of returning a multiple of the smoothed
-    function.
+    function; so does a full convolution shape above ``MAX_NODES`` nodes.
     """
     grid = f.grid
     if m.dim != grid.dim:
@@ -115,6 +126,7 @@ def convolve(
             f"eps={m.eps} is too large for the box (needs eps < half the minimum width)"
         )
     radii = _window_radii(grid, m.eps)
+    _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, radii)))
     kernel = _lattice_kernel(grid, m, deriv)
     if deriv is None:
         _check_lattice_mass(m, float(kernel.sum()))
@@ -130,11 +142,6 @@ def convolve(
     # the eps-interior lies inside the valid window, where no zero extension enters
     vals[~region.mask] = 0.0
     return GridFunction(grid, vals), region
-
-
-def mollify(f: GridFunction, m: Mollifier) -> tuple[GridFunction, Region]:
-    """Smooth ``f`` by the kernel ``m``; values live on the eps-interior region."""
-    return convolve(f, m)
 
 
 @dataclass(frozen=True)
@@ -175,7 +182,7 @@ def orbit(f: GridFunction, eps_list: Sequence[float]) -> OrbitNet:
     epses = _check_ladder(eps_list)
     entries = []
     for eps in epses:
-        f_eps, region = mollify(f, standard_bump(f.grid.dim, eps))
+        f_eps, region = convolve(f, standard_bump(f.grid.dim, eps))
         entries.append(OrbitEntry(eps, f_eps, region))
     return OrbitNet(f, tuple(entries))
 
@@ -218,7 +225,7 @@ def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> C
     rows: list[ConvergenceRow] = []
     prev: float | None = None
     for eps in epses:
-        f_eps, _ = mollify(f, standard_bump(f.grid.dim, eps))
+        f_eps, _ = convolve(f, standard_bump(f.grid.dim, eps))
         err = lp_norm(f_eps - f, p, comparison)
         ratio = None if prev is None else (math.inf if err == 0.0 else prev / err)
         rows.append(ConvergenceRow(eps, err, ratio))
@@ -246,7 +253,8 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     ``[-(eps_a + eps_b), eps_a + eps_b]^n``; the resolution must be even
     so the offset lattice is centered at the origin.  As in
     :func:`convolve`, each kernel's samples must keep their unit mass
-    within ``MASS_TOL`` on that grid, or ``ValueError`` is raised.
+    within ``MASS_TOL`` on that grid, and the full convolution shape must
+    stay within ``MAX_NODES`` nodes, or ``ValueError`` is raised.
     """
     if a.dim != b.dim:
         raise ValueError(f"kernel dimensions differ: {a.dim} vs {b.dim}")
@@ -256,6 +264,7 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     radius = a.eps + b.eps
     n = a.dim
     grid = make_grid(Box((-radius,) * n, (radius,) * n), grid_resolution)
+    _check_full_shape(tuple(2 * size - 1 for size in grid.node_shape))
     pts = grid.points()
     av = a.value(pts).reshape(grid.node_shape)
     bv = b.value(pts).reshape(grid.node_shape)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convolution import OrbitNet, convolve, mollify
+from .convolution import OrbitNet, convolve
 from .grid import GridFunction
 from .mollifier import standard_bump
 from .weakdiff import TestFunction, pair
@@ -152,7 +152,7 @@ def invertibility_check(f: GridFunction, u: GridFunction | None, eps: float) -> 
 
     path_gap = None
     if u is not None:
-        u_eps, _ = mollify(u, m)
+        u_eps, _ = convolve(u, m)
         path_gap = float(np.max(np.abs(df_eps.values - u_eps.values), where=region.mask, initial=0.0))
     return InvertibilityReport(min_abs, invertible, path_gap)
 

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .convolution import convolve
-from .grid import GridFunction, Region, boundary_distances, lp_norm
-from .mollifier import standard_bump
+from .grid import GridFunction, Region, lp_norm
 from .weakdiff import (
     MAX_DERIVATIVE_ORDER,
     MultiIndex,
@@ -38,7 +34,6 @@ __all__ = [
     "enumerate_multi_indices",
     "sobolev_norm",
     "membership_report",
-    "boundary_vanish_check",
 ]
 
 
@@ -117,13 +112,16 @@ def sobolev_norm(
     missing = fam.missing_up_to(k)
     if missing:
         raise ValueError(f"family is missing derivatives {missing} for k={k}")
-    alphas = enumerate_multi_indices(fam.dim, k)
-    if math.isinf(p):
-        return sum(lp_norm(fam[a], math.inf, region) for a in alphas)
+    # lp_norm refuses p below 1
     p = float(p)
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    norms = [lp_norm(fam[a], p, region) for a in alphas]
+    norms = [lp_norm(fam[a], p, region) for a in enumerate_multi_indices(fam.dim, k)]
+    return _combine_norms(norms, p)
+
+
+def _combine_norms(norms: Sequence[float], p: float) -> float:
+    """``W^{k,p}`` norm from the derivatives' ``L^p`` norms: their sum, or the root of their p-th powers."""
+    if math.isinf(p):
+        return sum(norms)
     try:
         total = sum(x**p for x in norms)
     except OverflowError:
@@ -193,48 +191,6 @@ def membership_report(
         entries.append(MembershipEntry(alpha, residual, norm_a, ok))
         all_ok = all_ok and ok
 
-    norm = sobolev_norm(candidates, k, p) if all_ok else None
+    norm = _combine_norms([e.lp_norm for e in entries], float(p)) if all_ok else None
     return MembershipReport(k, float(p), tuple(entries), all_ok, norm)
 
-
-def _support_distance(f: GridFunction) -> float:
-    """Distance from the sampled support of ``f`` to the box boundary."""
-    hit = f.values != 0.0
-    if not hit.any():
-        return math.inf
-    return float(boundary_distances(f.grid)[hit].min())
-
-
-def boundary_vanish_check(
-    f: GridFunction,
-    eps_list: Sequence[float],
-    collar_width: float,
-) -> list[tuple[float, float]]:
-    """Max of ``|f_eps|`` over the boundary collar, per eps.
-
-    ``f`` must be supported away from the boundary by more than the
-    largest eps; the smoothed function is then evaluated on every node
-    (zero-extending ``f``, which adds nothing since its support is
-    interior) and maximized over nodes within ``collar_width`` of the
-    boundary.  Whenever ``eps + collar_width`` is below the support
-    distance the collar max is exactly zero: the smoothing widens the
-    support by at most ``eps``.
-    """
-    collar_width = float(collar_width)
-    if collar_width < 0:
-        raise ValueError(f"collar width must be nonnegative, got {collar_width}")
-    epses = [float(e) for e in eps_list]
-    if not epses:
-        raise ValueError("eps ladder is empty")
-    support_dist = _support_distance(f)
-    if support_dist <= max(epses):
-        raise ValueError(
-            f"support is {support_dist} from the boundary, too close for eps up to {max(epses)}"
-        )
-    collar = boundary_distances(f.grid) <= collar_width
-    rows: list[tuple[float, float]] = []
-    for eps in epses:
-        smoothed, _ = convolve(f, standard_bump(f.grid.dim, eps), zero_extend=True)
-        collar_max = float(np.max(np.abs(smoothed.values), where=collar, initial=0.0))
-        rows.append((eps, collar_max))
-    return rows

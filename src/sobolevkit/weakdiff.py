@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .convolution import convolve, mollify
+from .convolution import convolve
 from .grid import Box, GridFunction, lp_norm
 from .mollifier import bump_raw, bump_raw_derivative, standard_bump
 
@@ -40,6 +40,10 @@ __all__ = [
 MultiIndex = tuple[int, ...]
 
 MAX_DERIVATIVE_ORDER = 2
+
+# Largest test function catalog: its entries repeat after 30 (120 in 3-d),
+# so a larger count only repeats pairings.
+MAX_TEST_FUNCTIONS = 1000
 
 
 def multi_index_order(alpha: MultiIndex) -> int:
@@ -153,9 +157,12 @@ def test_function_catalog(box: Box, count: int = 8) -> list[TestFunction]:
     """A deterministic catalog of test functions supported strictly inside ``box``.
 
     Mixes pure bumps with bump-times-monomial products at varied centers
-    and radii; at least 8 are produced.
+    and radii; at least 8 are produced.  A count above
+    ``MAX_TEST_FUNCTIONS`` raises ``ValueError`` before any is built.
     """
     count = max(int(count), 8)
+    if count > MAX_TEST_FUNCTIONS:
+        raise ValueError(f"test function count {count} is above the limit of {MAX_TEST_FUNCTIONS}")
     n = box.dim
     widths = box.widths
     center = tuple((lo + hi) / 2.0 for lo, hi in zip(box.lo, box.hi))
@@ -293,5 +300,5 @@ def commutation_residual(
     alpha = validate_multi_index(alpha, f.grid.dim, min_order=1)
     m = standard_bump(f.grid.dim, eps)
     left, region = convolve(f, m, deriv=alpha)
-    right, _ = mollify(u, m)
+    right, _ = convolve(u, m)
     return lp_norm(left - right, p, region)

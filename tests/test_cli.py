@@ -288,6 +288,11 @@ class TestRefusedBeforeWork:
             (["sobolev", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "4", "--k", "40", "--f", "x1"],
              "order k must be at most 2, got 40"),
             (["sobolev", "--res", "4", "--k", "2000", "--f", "x1"], "order k must be at most 2, got 2000"),
+            (["weak-verify", "--res", "20", "--f", "x1", "--u", "1", "--count", "1000000000"],
+             "test function count 1000000000 is above the limit of 1000"),
+            # a grid of 255^3 nodes is under MAX_NODES, its full convolution shape is not
+            (["compose", "--dim", "3", "--res", "254", "--eps-a", "0.1", "--eps-b", "0.1"],
+             f"full convolution of 509x509x509 = {509**3} nodes is above the limit of {MAX_NODES} nodes"),
         ],
     )
     def test_exit_two_with_short_error(self, argv, message):
@@ -299,6 +304,12 @@ class TestRefusedBeforeWork:
         assert message in stderr
         assert stderr.count("\n") == 1
         assert len(result.stderr) < 300
+
+    def test_largest_3d_compose_still_runs(self):
+        # full convolution shape 201^3, just under MAX_NODES
+        result = run_subprocess(["compose", "--dim", "3", "--res", "100", "--eps-a", "0.1", "--eps-b", "0.1"])
+        assert result.returncode == EXIT_OK
+        assert result.stdout.startswith(b"support_radius,mass\n")
 
     def test_longest_flow_still_runs(self, capsys):
         code, out, _ = run(capsys, ["flow", "--k", "0", "--x0", "1", "--s", "0", "--t", "-1000"])

@@ -10,7 +10,6 @@ from sobolevkit.convolution import (
     compose,
     convergence_study,
     convolve,
-    mollify,
     orbit,
 )
 from sobolevkit.cli import _table
@@ -60,7 +59,7 @@ class TestBasicProperties:
     def test_constant_is_preserved(self):
         grid = unit_grid()
         f = GridFunction(grid, np.full(401, 2.5))
-        f_eps, region = mollify(f, standard_bump(1, 0.2))
+        f_eps, region = convolve(f, standard_bump(1, 0.2))
         assert np.max(np.abs(f_eps.values[region.mask] - 2.5)) <= 1e-10
 
     def test_linear_in_the_function(self):
@@ -77,14 +76,14 @@ class TestBasicProperties:
         grid = unit_grid(200)
         rng = np.random.default_rng(4)
         f = GridFunction(grid, rng.uniform(0.0, 3.0, 201))
-        f_eps, region = mollify(f, standard_bump(1, 0.1))
+        f_eps, region = convolve(f, standard_bump(1, 0.1))
         assert np.min(f_eps.values[region.mask]) >= 0.0
 
     def test_sup_never_amplified(self):
         grid = unit_grid(200)
         rng = np.random.default_rng(6)
         f = GridFunction(grid, rng.uniform(-5.0, 5.0, 201))
-        f_eps, region = mollify(f, standard_bump(1, 0.1))
+        f_eps, region = convolve(f, standard_bump(1, 0.1))
         assert np.max(np.abs(f_eps.values[region.mask])) <= 5.0 * (1.0 + 1e-9)
 
     def test_translation_equivariance(self):
@@ -96,8 +95,8 @@ class TestBasicProperties:
         f_left = GridFunction(grid, g(x, 0.35))
         f_right = GridFunction(grid, g(x, 0.45))
         m = standard_bump(1, 0.12)
-        left, _ = mollify(f_left, m)
-        right, _ = mollify(f_right, m)
+        left, _ = convolve(f_left, m)
+        right, _ = convolve(f_right, m)
         shift = 40  # 0.1 in cells
         inner = slice(100, 260)
         np.testing.assert_allclose(
@@ -109,7 +108,7 @@ class TestBasicProperties:
     def test_region_is_eps_interior_and_zeros_outside(self):
         grid = unit_grid(100)
         f = GridFunction(grid, np.ones(101))
-        f_eps, region = mollify(f, standard_bump(1, 0.25))
+        f_eps, region = convolve(f, standard_bump(1, 0.25))
         np.testing.assert_array_equal(region.mask, interior_region(grid, 0.25).mask)
         assert np.all(f_eps.values[~region.mask] == 0.0)
 
@@ -128,12 +127,18 @@ class TestBasicProperties:
     def test_eps_too_large(self):
         f = GridFunction(unit_grid(50), np.ones(51))
         with pytest.raises(ValueError, match="too large"):
-            mollify(f, standard_bump(1, 0.5))
+            convolve(f, standard_bump(1, 0.5))
+
+    def test_full_shape_above_node_limit(self):
+        # 161^3 nodes fit; widened by 72 nodes a side they are 305^3
+        f = GridFunction(make_grid(Box((0.0,) * 3, (1.0,) * 3), 160), np.zeros((161,) * 3))
+        with pytest.raises(ValueError, match=f"full convolution of 305x305x305 = {305**3} nodes"):
+            convolve(f, standard_bump(3, 0.45))
 
     def test_dimension_mismatch(self):
         f = GridFunction(unit_grid(50), np.ones(51))
         with pytest.raises(ValueError, match="dimension"):
-            mollify(f, standard_bump(2, 0.1))
+            convolve(f, standard_bump(2, 0.1))
 
     @pytest.mark.parametrize("dim,cells", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_lattice_mass_tolerance(self, dim, cells):
@@ -143,11 +148,11 @@ class TestBasicProperties:
         f = GridFunction(grid, np.ones(grid.node_shape))
         m = standard_bump(dim, cells * grid.spacing[0])
         if cells >= 3:
-            f_eps, region = mollify(f, m)
+            f_eps, region = convolve(f, m)
             assert np.max(np.abs(f_eps.values[region.mask] - 1.0)) <= 0.05
         else:
             with pytest.raises(ValueError, match="lattice mass"):
-                mollify(f, m)
+                convolve(f, m)
         # derivative kernels have no unit mass to keep and are not checked
         convolve(f, m, deriv=(1,) + (0,) * (dim - 1))
 
@@ -160,7 +165,7 @@ class TestAgainstAnalyticModels:
         grid = unit_grid(400)
         f = sample(grid, lambda x: np.sin(2.0 * math.pi * x))
         for eps, tol in ((0.2, 1e-10), (0.1, 1e-7), (0.05, 5e-5)):
-            f_eps, region = mollify(f, standard_bump(1, eps))
+            f_eps, region = convolve(f, standard_bump(1, eps))
             predicted = attenuation(eps) * f.values[region.mask]
             measured = f_eps.values[region.mask]
             assert np.max(np.abs(measured - predicted)) <= tol
@@ -180,7 +185,7 @@ class TestAgainstAnalyticModels:
         z = np.linspace(-1.0, 1.0, 4001)
         first_moment = float(np.trapezoid(np.abs(z) * standard_bump(1).value(z.reshape(-1, 1)), z))
         for eps in (0.2, 0.1):
-            f_eps, _ = mollify(f, standard_bump(1, eps))
+            f_eps, _ = convolve(f, standard_bump(1, eps))
             assert f_eps.values[200] == pytest.approx(eps * first_moment, rel=5e-3)
 
     def test_derivative_kernel_orientation(self):
@@ -212,7 +217,7 @@ class TestConvergenceStudy:
         f = sample(grid, lambda x: np.sin(2.0 * math.pi * x))
         table = convergence_study(f, math.inf, [0.2, 0.05])
         region = interior_region(grid, 0.2)
-        f_small, _ = mollify(f, standard_bump(1, 0.05))
+        f_small, _ = convolve(f, standard_bump(1, 0.05))
         assert table.errors[1] == pytest.approx(
             lp_norm(f_small - f, math.inf, region), abs=1e-15
         )

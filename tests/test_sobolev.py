@@ -5,10 +5,8 @@ import pytest
 
 from sobolevkit.cli import _alpha_label, _table
 from sobolevkit.grid import Box, GridFunction, make_grid
-from sobolevkit.mollifier import standard_bump
 from sobolevkit.sobolev import (
     DerivativeFamily,
-    boundary_vanish_check,
     enumerate_multi_indices,
     membership_report,
     sobolev_norm,
@@ -203,40 +201,3 @@ class TestMembershipReport:
         assert lines[1] == "1 0,0.001,2,false"
         assert lines[-1] == "overall,,,false"
 
-
-class TestBoundaryVanish:
-    def grid_bump(self, res=400):
-        grid = unit_grid(res)
-        vals = standard_bump(1).value(((grid.points()[:, 0] - 0.5) / 0.2).reshape(-1, 1))
-        return grid, GridFunction(grid, vals)
-
-    def test_small_eps_collar_is_exactly_zero(self):
-        _, f = self.grid_bump()
-        rows = boundary_vanish_check(f, [0.15, 0.1], 0.1)
-        assert rows[0] == (0.15, 0.0)
-        assert rows[1] == (0.1, 0.0)
-
-    def test_large_eps_leaks_but_stays_bounded(self):
-        _, f = self.grid_bump()
-        rows = boundary_vanish_check(f, [0.25], 0.1)
-        eps, collar_max = rows[0]
-        assert eps == 0.25
-        assert 0.0 < collar_max <= float(np.max(np.abs(f.values)))
-
-    def test_support_too_close(self):
-        _, f = self.grid_bump()
-        with pytest.raises(ValueError, match="too close"):
-            boundary_vanish_check(f, [0.35], 0.1)
-
-    def test_zero_function(self):
-        grid = unit_grid(100)
-        f = GridFunction(grid, np.zeros(101))
-        rows = boundary_vanish_check(f, [0.4], 0.2)
-        assert rows == [(0.4, 0.0)]
-
-    def test_validation(self):
-        _, f = self.grid_bump(100)
-        with pytest.raises(ValueError, match="nonnegative"):
-            boundary_vanish_check(f, [0.1], -0.1)
-        with pytest.raises(ValueError, match="empty"):
-            boundary_vanish_check(f, [], 0.1)

@@ -6,7 +6,7 @@ import pytest
 
 from sobolevkit import weakdiff as wd
 from sobolevkit.cli import _table
-from sobolevkit.convolution import convolve, mollify
+from sobolevkit.convolution import convolve
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
 from sobolevkit.sobolev import enumerate_multi_indices
@@ -117,6 +117,12 @@ class TestCatalog:
         cat = wd.test_function_catalog(Box((0.0,), (1.0,)))
         assert any(any(b > 0 for b in phi.poly) for phi in cat)
         assert any(all(b == 0 for b in phi.poly) for phi in cat)
+
+    def test_count_limit(self):
+        box = Box((0.0,), (1.0,))
+        assert len(wd.test_function_catalog(box, wd.MAX_TEST_FUNCTIONS)) == wd.MAX_TEST_FUNCTIONS
+        with pytest.raises(ValueError, match="count 1001 is above the limit of 1000"):
+            wd.test_function_catalog(box, wd.MAX_TEST_FUNCTIONS + 1)
 
     def test_deterministic(self):
         a = wd.test_function_catalog(Box((0.0,), (1.0,)))
@@ -357,10 +363,10 @@ class TestMollifiedDerivative:
         f = sample(grid, lambda x: np.sin(2 * math.pi * x))
         m1, m2 = standard_bump(1, 0.1), standard_bump(1, 0.15)
 
-        smooth_first, _ = mollify(f, m1)
+        smooth_first, _ = convolve(f, m1)
         route_a, _ = convolve(smooth_first, m2, deriv=(1,))
         deriv_first, _ = convolve(f, m2, deriv=(1,))
-        route_b, _ = mollify(deriv_first, m1)
+        route_b, _ = convolve(deriv_first, m1)
 
         safe = interior_region(grid, m1.eps + m2.eps + 2.0 * grid.spacing[0])
         diff = np.abs(route_a.values - route_b.values)[safe.mask]
