@@ -9,7 +9,9 @@ there is exactly one definition of "done" for the numerical claims.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,12 @@ __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 DEFAULT_SEED = 20250825
 
 EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
+
+# criterion 12 parses FUZZ_COUNT random strings of 0..FUZZ_LENGTHS-1 bytes
+FUZZ_COUNT = 100_000
+FUZZ_LENGTHS = 24
+# 64-bit words per bit-generator draw; a small chunk keeps peak RSS flat
+_FUZZ_CHUNK_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -258,8 +266,53 @@ def criterion_shadow() -> CriterionResult:
     )
 
 
+def _fuzz_sources(word_chunks: Iterable[np.ndarray], count: int) -> Iterator[str]:
+    """Yield ``count`` fuzz strings from chunks of raw 64-bit PCG64 words.
+
+    The strings equal those of the scalar loop ``length =
+    rng.integers(0, FUZZ_LENGTHS)``, ``rng.integers(0, 256, size=length,
+    dtype=np.uint8)`` on the same words:
+
+    * numpy splits each word into two uint32 draws, low half first;
+    * a length is numpy's Lemire draw: ``m = u * FUZZ_LENGTHS``, rejected
+      while the low 32 bits of ``m`` are below ``2**32 % FUZZ_LENGTHS``,
+      else ``m >> 32``;
+    * the string's bytes are the next ``ceil(length / 4)`` draws in
+      little-endian byte order, truncated to ``length``.
+    """
+    threshold = (1 << 32) % FUZZ_LENGTHS
+    # bytes of a length draw plus the draws of the longest string
+    longest = 4 * (1 + math.ceil((FUZZ_LENGTHS - 1) / 4))
+    chunks = iter(word_chunks)
+    data = b""
+    pos = 0
+    produced = 0
+    while produced < count:
+        while len(data) - pos < longest:
+            # a word's little-endian bytes are its low uint32's little-endian
+            # bytes, then its high uint32's: the draw stream, on any host
+            data = data[pos:] + np.asarray(next(chunks), dtype="<u8").tobytes()
+            pos = 0
+        m = int.from_bytes(data[pos : pos + 4], "little") * FUZZ_LENGTHS
+        pos += 4
+        if m & 0xFFFFFFFF < threshold:  # rejected: numpy draws the length again
+            continue
+        length = m >> 32
+        yield data[pos : pos + length].decode("latin-1")
+        pos += 4 * math.ceil(length / 4)
+        produced += 1
+
+
 def criterion_parser(seed: int) -> CriterionResult:
-    """Operator precedence is exact and random byte strings never crash the parser."""
+    """Operator precedence is exact and random byte strings never crash the parser.
+
+    The ``FUZZ_COUNT`` inputs are drawn in bulk from the bit generator of
+    ``np.random.default_rng(seed)`` by ``_fuzz_sources``.  They equal, byte
+    for byte, the strings of numpy's ``Generator.integers`` sequence
+    ``integers(0, FUZZ_LENGTHS)`` then ``integers(0, 256, size=length,
+    dtype=np.uint8)``; ``tests/test_acceptance.py::TestFuzzSources`` pins
+    this against that scalar loop.
+    """
     cases = {
         "2+3*4": 14.0,
         "2^3^2": 512.0,
@@ -275,12 +328,10 @@ def criterion_parser(seed: int) -> CriterionResult:
         got = evaluate(parse(source, 1), (0.25,))
         if got != expected:
             precedence_ok = False
-    rng = np.random.default_rng(seed)
+    bitgen = np.random.default_rng(seed).bit_generator
+    word_chunks = (bitgen.random_raw(_FUZZ_CHUNK_WORDS) for _ in itertools.count())
     crashes = 0
-    for _ in range(100_000):
-        length = int(rng.integers(0, 24))
-        raw = bytes(rng.integers(0, 256, size=length, dtype=np.uint8).tolist())
-        source = raw.decode("latin-1")
+    for source in _fuzz_sources(word_chunks, FUZZ_COUNT):
         try:
             parse(source, 3)
         except ParseError:
@@ -292,7 +343,7 @@ def criterion_parser(seed: int) -> CriterionResult:
         12,
         "expression-parser",
         ok,
-        f"precedence exact: {precedence_ok}; fuzz crashes {crashes}/100000",
+        f"precedence exact: {precedence_ok}; fuzz crashes {crashes}/{FUZZ_COUNT}",
     )
 
 

@@ -77,9 +77,16 @@ def _parse_p(raw: str) -> float:
     if raw.strip().lower() in ("inf", "infinity"):
         return math.inf
     p = _parse_float(raw, "--p")
-    if p < 1.0:
+    if not p >= 1.0:  # also refuses nan
         raise CliError(f"--p must be >= 1 or inf, got {raw!r}")
     return p
+
+
+def _parse_tol(raw: str) -> float:
+    tol = _parse_float(raw, "--tol")
+    if not tol >= 0.0:  # also refuses nan; inf accepts any finite residual
+        raise CliError(f"--tol must be >= 0, got {raw!r}")
+    return tol
 
 
 def _parse_alpha(raw: str, dim: int) -> tuple[int, ...]:
@@ -119,7 +126,7 @@ class RunConfig:
         # refuses a grid above MAX_NODES nodes; nothing is allocated yet
         grid = make_grid(box, resolution)
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
-        tol = _parse_float(args.tol, "--tol") if getattr(args, "tol", None) else 1e-4
+        tol = _parse_tol(args.tol) if getattr(args, "tol", None) else 1e-4
         return cls(grid, eps_ladder, tol)
 
 
@@ -253,7 +260,7 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
     y = _parse_float(args.y, "--y")
     x0 = _parse_float(args.x0, "--x0")
     max_iter = _parse_int(args.max_iter, "--max-iter")
-    tol = _parse_float(args.tol, "--tol")
+    tol = _parse_tol(args.tol)
     try:
         ast = parse(args.f, 1)
     except ParseError as exc:

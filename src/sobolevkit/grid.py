@@ -278,7 +278,7 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
             return 0.0
         return float(np.max(np.abs(f.values), where=mask, initial=0.0))
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # also refuses nan
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     w = f.grid.trapezoid_weights()
     with np.errstate(over="ignore"):

@@ -472,6 +472,42 @@ class TestValidationExits:
         assert code == EXIT_VALIDATION
         assert "number literal '1e999' is out of range (at offset 4)" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--res", "50", "--eps", "0.2,0.1", "--f", "abs(x1-0.5)"],
+            ["commute", "--res", "50", "--eps", "0.2", "--f", "x1", "--u", "1", "--alpha", "1"],
+            ["sobolev", "--res", "50", "--f", "x1", "--deriv", "1=1"],
+        ],
+    )
+    def test_nan_p(self, capsys, argv):
+        # nan passes a `p < 1` test; these printed nan errors with exit 0
+        code, out, err = run(capsys, argv + ["--p", "nan"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: --p must be >= 1 or inf, got 'nan'\n"
+
+    TOL_COMMANDS = [
+        ["weak-verify", "--res", "400", "--f", "x1^2", "--u", "2*x1"],
+        ["sobolev", "--res", "50", "--f", "x1", "--deriv", "1=1"],
+        ["newton", "--f", "x1^2", "--a", "1", "--y", "2", "--x0", "1"],
+    ]
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-1e-9"])
+    @pytest.mark.parametrize("argv", TOL_COMMANDS)
+    def test_bad_tol(self, capsys, argv, tol):
+        # a negative tol printed "not verified" for a correct derivative,
+        # and newton --tol nan ran every iteration to "did not converge"
+        code, out, err = run(capsys, argv + [f"--tol={tol}"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: --tol must be >= 0, got {tol!r}\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "0"])
+    @pytest.mark.parametrize("argv", TOL_COMMANDS)
+    def test_inf_and_zero_tol_accepted(self, capsys, argv, tol):
+        code, out, _ = run(capsys, argv + ["--tol", tol])
+        assert code == EXIT_OK
+        assert out
+
     def test_numerical_domain_error(self, capsys):
         code, _, err = run(
             capsys, ["mollify", "--f", "log(x1-2)", "--eps", "0.1", "--res", "50"]

@@ -166,6 +166,11 @@ class TestLpNorm:
         with pytest.raises(ValueError, match=">= 1"):
             lp_norm(f, 0.5)
 
+    def test_rejects_nan_p(self):
+        f = GridFunction(unit_grid(2), np.ones(3))
+        with pytest.raises(ValueError, match=">= 1"):
+            lp_norm(f, math.nan)
+
     def test_huge_values_do_not_overflow(self):
         # |f|^p overflows for p > 1 although every norm is finite
         grid = unit_grid(400)
