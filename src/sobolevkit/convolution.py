@@ -3,15 +3,23 @@
 The smoothed function ``f_eps(x) = integral of phi_eps(x - y) f(y) dy``
 is the lattice sum of kernel samples on the offset lattice times the
 function values, scaled by the cell volume.  The sum is evaluated as one
-full linear convolution by FFT; every node whose window holds no nonzero
-pair of samples is set to exactly ``0.0``, as the direct sum would give,
-so supports and the boundary collar carry no round-off.  Because the
-kernel vanishes outside the ball of radius ``eps``, the value at a node
-whose distance to the box boundary exceeds ``eps`` uses only in-box
-data, so results are reported on that interior region; nodes outside it
-carry a zero placeholder and are flagged absent by the accompanying mask.
-The full convolution shape, the grid widened by the kernel window, is
-refused above ``grid.MAX_NODES`` nodes like the grid itself.
+full linear convolution by FFT, each axis zero-padded to the next
+2*3*5-smooth length, which pocketfft transforms several times faster
+than a prime one; only the centred window, one value per grid node, is
+kept.  Every node whose window holds no nonzero pair of samples is set
+to exactly ``0.0``, as the direct sum would give, so supports and the
+boundary collar carry no round-off.  When the kernel's centre sample is
+nonzero, a node with a nonzero sample always has a pair, so only the
+zero samples' windows are checked, directly; otherwise, or when that
+check would cost more than an FFT, a second FFT of the nonzero masks
+counts the pairs of every node.  Because the kernel vanishes outside the
+ball of radius ``eps``, the value at a node whose distance to the box
+boundary exceeds ``eps`` uses only in-box data, so results are reported
+on that interior region; nodes outside it carry a zero placeholder and
+are flagged absent by the accompanying mask.  The full convolution
+shape, the grid widened by the kernel window, is refused above
+``grid.MAX_NODES`` nodes like the grid itself; where padding would take
+an accepted shape past that limit, the FFTs keep its exact lengths.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ def _check_lattice_mass(m: Mollifier, mass: float) -> None:
 
 
 def _check_full_shape(shape: tuple[int, ...]) -> None:
-    # the FFTs work on this shape, up to twice the grid per axis: refuse it before it exists
+    # up to twice the grid per axis: refuse it before it exists (_fft_shape pads it only within the limit)
     count = math.prod(shape)
     if count > MAX_NODES:
         raise ValueError(
@@ -84,18 +92,77 @@ def _check_full_shape(shape: tuple[int, ...]) -> None:
         )
 
 
+def _fast_length(n: int) -> int:
+    """Smallest 2*3*5-smooth integer ``>= n``: a length pocketfft transforms fast."""
+    best = 1 << max(n - 1, 0).bit_length()  # a power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_shape(full: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape the FFTs run on: ``full`` padded to fast lengths, unless that passes ``MAX_NODES``."""
+    fast = tuple(_fast_length(n) for n in full)
+    # an accepted full shape stays accepted: past the limit, keep the exact lengths
+    return fast if math.prod(fast) <= MAX_NODES else full
+
+
+def _pairless(a_nonzero: NDArray[np.bool_], b_nonzero: NDArray[np.bool_], nodes: NDArray[np.intp]) -> NDArray[np.bool_]:
+    """Which of the flat ``nodes`` of ``a`` meet no nonzero pair in the centred window of ``a * b``."""
+    k = b_nonzero.shape
+    # node i + c of the full convolution pairs a[i - d] with b[c + d]; padded, that is
+    # the window padded[i : i + k] against b flipped
+    padded = np.pad(a_nonzero, [(n - 1 - n // 2, n // 2) for n in k])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
+    flipped = b_nonzero[(slice(None, None, -1),) * b_nonzero.ndim]
+    index = np.unravel_index(nodes, a_nonzero.shape)
+    inner = tuple(range(1, b_nonzero.ndim + 1))
+    # chunks of about 2^22 window samples bound the gathered copy
+    chunk = max(1, 2**22 // b_nonzero.size)
+    out = np.empty(nodes.size, dtype=bool)
+    for start in range(0, nodes.size, chunk):
+        part = tuple(i[start : start + chunk] for i in index)
+        out[start : start + chunk] = ~np.any(windows[part] & flipped, axis=inner)
+    return out
+
+
 def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets."""
-    shape = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
+    """Centred window of the full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets.
+
+    Node ``i`` of the result, which has ``a``'s shape, is entry
+    ``i + b.shape // 2`` of the full convolution.  The FFTs run on the
+    full shape padded per axis to a 2*3*5-smooth length; the padding
+    lies beyond the full shape, so it adds no wrapped-around terms.
+    """
+    full = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
+    fast = _fft_shape(full)
     axes = tuple(range(a.ndim))
+    window = tuple(slice(k // 2, k // 2 + n) for n, k in zip(a.shape, b.shape))
 
     def fft_convolve(x: np.ndarray, y: np.ndarray) -> NDArray[np.float64]:
-        spectrum = np.fft.rfftn(x, shape, axes) * np.fft.rfftn(y, shape, axes)
-        return np.fft.irfftn(spectrum, shape, axes)
+        spectrum = np.fft.rfftn(x, fast, axes)
+        spectrum *= np.fft.rfftn(y, fast, axes)
+        return np.fft.irfftn(spectrum, fast, axes)[window].copy()
 
     out = fft_convolve(a, b)
-    # the masks' convolution counts nonzero pairs per node: integers up to round-off
-    out[fft_convolve(a != 0, b != 0) < 0.5] = 0.0
+    zeros = np.flatnonzero(a == 0)
+    centre = b[tuple(k // 2 for k in b.shape)]
+    size = math.prod(fast)
+    if centre != 0 and zeros.size * b.size <= size * math.log2(size):
+        # a nonzero sample pairs with the nonzero kernel centre, so only the zero
+        # samples need their windows checked, which here costs less than an FFT
+        out.flat[zeros[_pairless(a != 0, b != 0, zeros)]] = 0.0
+    else:
+        # the masks' convolution counts nonzero pairs per node: integers up to round-off
+        out[fft_convolve(a != 0, b != 0) < 0.5] = 0.0
     return out
 
 
@@ -130,9 +197,8 @@ def convolve(
     kernel = _lattice_kernel(grid, m, deriv)
     if deriv is None:
         _check_lattice_mass(m, float(kernel.sum()))
-    conv = _full_convolution(f.values, kernel)
     # node i of the grid is entry i + k of the full convolution, zero-extending f
-    vals = conv[tuple(slice(k, k + n) for k, n in zip(radii, grid.node_shape))]
+    vals = _full_convolution(f.values, kernel)
     if zero_extend:
         return GridFunction(grid, vals), Region.full(grid)
 
@@ -271,9 +337,7 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     for m, samples in ((a, av), (b, bv)):
         _check_lattice_mass(m, float(samples.sum()) * grid.cell_volume)
     # node i of the grid is entry i + resolution / 2 of the full convolution
-    half = grid_resolution // 2
-    window = tuple(slice(half, half + size) for size in grid.node_shape)
-    cv = _full_convolution(av, bv)[window] * grid.cell_volume
+    cv = _full_convolution(av, bv) * grid.cell_volume
     kernel = GridFunction(grid, cv)
     support = np.sqrt(np.sum(pts * pts, axis=-1)).reshape(grid.node_shape)
     hit = np.abs(cv) > 0.0

@@ -273,7 +273,7 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     root scaled back, so a finite norm is never reported as ``inf``.
     """
     mask = _resolve_region(f, region)
-    if math.isinf(p):
+    if p == math.inf:  # -inf falls through to the refusal below
         if not mask.any():
             return 0.0
         return float(np.max(np.abs(f.values), where=mask, initial=0.0))

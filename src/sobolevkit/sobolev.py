@@ -120,7 +120,7 @@ def sobolev_norm(
 
 def _combine_norms(norms: Sequence[float], p: float) -> float:
     """``W^{k,p}`` norm from the derivatives' ``L^p`` norms: their sum, or the root of their p-th powers."""
-    if math.isinf(p):
+    if p == math.inf:
         return sum(norms)
     try:
         total = sum(x**p for x in norms)

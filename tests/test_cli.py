@@ -305,6 +305,15 @@ class TestRefusedBeforeWork:
         assert stderr.count("\n") == 1
         assert len(result.stderr) < 300
 
+    def test_full_shape_just_above_limit(self):
+        # 257^3 nodes are refused with the exact full shape, not its padded FFT shape
+        result = run_subprocess(["compose", "--dim", "3", "--res", "128", "--eps-a", "0.1", "--eps-b", "0.1"])
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stdout == b""
+        assert result.stderr.decode() == (
+            f"error: full convolution of 257x257x257 = {257**3} nodes is above the limit of {MAX_NODES} nodes\n"
+        )
+
     def test_largest_3d_compose_still_runs(self):
         # full convolution shape 201^3, just under MAX_NODES
         result = run_subprocess(["compose", "--dim", "3", "--res", "100", "--eps-a", "0.1", "--eps-b", "0.1"])
@@ -333,6 +342,23 @@ class TestOutputHandling:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # f has exact zeros on the planes x1 = 0.5 and x2 = 0
+            ["converge", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "20", "--eps", "0.3,0.2",
+             "--f", "abs(x1-0.5)*x2"],
+            # a derivative kernel, whose centre sample is zero
+            ["commute", "--lo", "0,0", "--hi", "1,1", "--res", "40", "--eps", "0.2",
+             "--f", "x1*x2", "--u", "x2", "--alpha", "1,0"],
+        ],
+    )
+    def test_deterministic_repeat_with_exact_zeros(self, argv):
+        first = run_subprocess(argv)
+        second = run_subprocess(argv)
+        assert first.returncode == EXIT_OK
+        assert (first.returncode, first.stdout, first.stderr) == (second.returncode, second.stdout, second.stderr)
 
     def test_output_matches_stdout(self, capsys, tmp_path):
         argv = ["mollify", "--f", "x1^2", "--eps", "0.1", "--res", "50"]

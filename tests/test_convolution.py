@@ -7,13 +7,17 @@ import pytest
 from sobolevkit.convolution import (
     OrbitEntry,
     OrbitNet,
+    _check_full_shape,
+    _fast_length,
+    _fft_shape,
+    _full_convolution,
     compose,
     convergence_study,
     convolve,
     orbit,
 )
 from sobolevkit.cli import _table
-from sobolevkit.grid import Box, GridFunction, interior_region, lp_norm, make_grid
+from sobolevkit.grid import MAX_NODES, Box, GridFunction, interior_region, lp_norm, make_grid
 from sobolevkit.mollifier import standard_bump
 
 
@@ -46,6 +50,25 @@ def random_grid_function(rng, dim):
     res = tuple(int(r) for r in rng.integers(12, 30 if dim < 3 else 18, dim))
     grid = make_grid(box, res)
     return GridFunction(grid, rng.uniform(-3.0, 3.0, grid.node_shape))
+
+
+def count_forward_ffts(monkeypatch):
+    """Record the shape of every ``np.fft.rfftn`` call from here on."""
+    shapes = []
+    real = np.fft.rfftn
+
+    def counting(x, s=None, axes=None, *args, **kwargs):
+        shapes.append(tuple(s))
+        return real(x, s, axes, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counting)
+    return shapes
+
+
+def zero_set_case(rng, dim, res, k=3):
+    """The unit-cube grid at ``res`` cells per axis, random samples on it and a kernel of window radius ``k``."""
+    grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
+    return grid, rng.uniform(-3.0, 3.0, grid.node_shape), standard_bump(dim, (k + 0.5) / res)
 
 
 def attenuation(eps, freq=2.0 * math.pi):
@@ -339,3 +362,110 @@ class TestAgainstDirectSum:
         got = report.kernel.values
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+    @staticmethod
+    def _matches_direct_sum(f, m, deriv):
+        got, _ = convolve(f, m, deriv=deriv, zero_extend=True)
+        want, _ = direct_sum(f, m, deriv)
+        np.testing.assert_allclose(got.values, want, rtol=0.0, atol=1e-12 * np.max(np.abs(f.values)))
+        np.testing.assert_array_equal(got.values == 0.0, want == 0.0)
+        return got.values
+
+    @pytest.mark.parametrize("dim,res", [(1, 60), (2, 30), (3, 16)])
+    def test_isolated_zeros_keep_their_values(self, dim, res):
+        rng = np.random.default_rng(300 + dim)
+        grid, values, m = zero_set_case(rng, dim, res)
+        holes = rng.choice(values.size, 5, replace=False)
+        values.flat[holes] = 0.0
+        f = GridFunction(grid, values)
+        first = tuple(int(i == 0) for i in range(dim))
+        for deriv in (None, first):
+            got = self._matches_direct_sum(f, m, deriv)
+            # each zero sample's window holds nonzero samples
+            assert np.all(got.flat[holes] != 0.0)
+
+    @pytest.mark.parametrize("dim,res,block", [(1, 60, 20), (2, 30, 10), (3, 22, 8)])
+    def test_zero_block_wider_than_window(self, dim, res, block, monkeypatch):
+        rng = np.random.default_rng(400 + dim)
+        grid, values, m = zero_set_case(rng, dim, res, k=3)
+        start = (res + 1 - block) // 2
+        values[(slice(start, start + block),) * dim] = 0.0
+        f = GridFunction(grid, values)
+        # nodes whose whole window lies in the block
+        centre = (slice(start + 3, start + block - 3),) * dim
+        first = tuple(int(i == 0) for i in range(dim))
+        shapes = count_forward_ffts(monkeypatch)
+        for deriv, ffts in ((None, 2), (first, 4)):
+            shapes.clear()
+            got = self._matches_direct_sum(f, m, deriv)
+            assert got[centre].size > 0
+            assert np.all(got[centre] == 0.0)
+            # the value kernel's centre is nonzero and the block is small: its zeros are
+            # found by the window check; the derivative's centre is zero: by the mask FFT
+            assert len(shapes) == ffts
+
+    def test_value_kernel_on_few_zeros_skips_mask_fft(self, monkeypatch):
+        rng = np.random.default_rng(500)
+        grid, values, m = zero_set_case(rng, 3, 16)
+        values.flat[rng.choice(values.size, 5, replace=False)] = 0.0
+        f = GridFunction(grid, values)
+        shapes = count_forward_ffts(monkeypatch)
+        convolve(f, m)
+        # f and the kernel, at the 2*3*5-smooth lengths of the full shape 23^3
+        assert shapes == [(24, 24, 24)] * 2
+        shapes.clear()
+        convolve(f, m, deriv=(1, 0, 0))
+        assert len(shapes) == 4
+
+
+    @pytest.mark.parametrize("kshape", [(5, 4), (3, 6), (1, 7)])
+    def test_asymmetric_kernel_window(self, kshape):
+        # a kernel whose nonzero set is not symmetric, as no bump's is, with a nonzero centre
+        rng = np.random.default_rng(600 + sum(kshape))
+        a = rng.uniform(-1.0, 1.0, (14, 11))
+        a[rng.random(a.shape) < 0.1] = 0.0
+        a[4:10, 3:8] = 0.0
+        b = rng.uniform(0.5, 1.0, kshape) * (rng.random(kshape) < 0.5)
+        b[tuple(k // 2 for k in kshape)] = 1.0
+        full = np.zeros(tuple(n + k - 1 for n, k in zip(a.shape, kshape)))
+        pairs = np.zeros(full.shape)
+        for j in np.ndindex(*kshape):
+            window = tuple(slice(i, i + n) for i, n in zip(j, a.shape))
+            full[window] += b[j] * a
+            pairs[window] += (b[j] != 0) * (a != 0)
+        full[pairs == 0] = 0.0
+        want = full[tuple(slice(k // 2, k // 2 + n) for k, n in zip(kshape, a.shape))]
+        got = _full_convolution(a, b)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+
+def is_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestFftShape:
+    def test_fast_length_brute_force(self):
+        smooth = [n for n in range(1, 2100) if is_smooth(n)]
+        for n in range(1, 2001):
+            got = _fast_length(n)
+            assert is_smooth(got) and got >= n
+            assert not any(n <= s < got for s in smooth)
+
+    def test_smooth_3d_full_shapes_are_padded(self):
+        assert _fft_shape((73, 65, 57)) == (75, 72, 60)
+        assert _fft_shape((53, 49, 47)) == (54, 50, 48)
+        assert _fft_shape((401,)) == (405,)
+
+    def test_padding_never_passes_the_node_limit(self):
+        # 255*255*258 nodes fit; padded to 256*256*270 they would not
+        _check_full_shape((255, 255, 258))
+        assert _fft_shape((255, 255, 258)) == (255, 255, 258)
+        # 256^3 is exactly the limit
+        assert _fft_shape((253, 253, 253)) == (256, 256, 256)
+        assert math.prod(_fft_shape((253, 253, 253))) == MAX_NODES
+        with pytest.raises(ValueError, match=f"full convolution of 257x257x257 = {257**3} nodes is above"):
+            _check_full_shape((257, 257, 257))

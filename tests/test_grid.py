@@ -171,6 +171,12 @@ class TestLpNorm:
         with pytest.raises(ValueError, match=">= 1"):
             lp_norm(f, math.nan)
 
+    def test_rejects_minus_inf_p(self):
+        # -inf is not the sup norm: it is refused like any p below 1
+        f = GridFunction(unit_grid(4), np.array([0.0, 1.0, -3.0, 2.0, 0.0]))
+        with pytest.raises(ValueError, match=">= 1"):
+            lp_norm(f, -math.inf)
+
     def test_huge_values_do_not_overflow(self):
         # |f|^p overflows for p > 1 although every norm is finite
         grid = unit_grid(400)

@@ -100,6 +100,11 @@ class TestSobolevNorm:
         fam = affine_family(unit_grid())
         assert sobolev_norm(fam, 1, math.inf) == 2.0
 
+    def test_rejects_minus_inf_p(self):
+        fam = affine_family(unit_grid())
+        with pytest.raises(ValueError, match=">= 1"):
+            sobolev_norm(fam, 1, -math.inf)
+
     def test_affine_l1(self):
         fam = affine_family(unit_grid())
         assert sobolev_norm(fam, 1, 1.0) == pytest.approx(1.5, abs=1e-12)
