@@ -25,7 +25,7 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import DEFAULT_SEED
-from .convolution import compose, convergence_study, convolve
+from .convolution import check_convolution_shape, compose, convergence_study, convolve
 from .dynamics import exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
@@ -89,6 +89,13 @@ def _parse_tol(raw: str) -> float:
     return tol
 
 
+def _parse_count(raw: str) -> int:
+    count = _parse_int(raw, "--count")
+    if count < 1:
+        raise CliError(f"--count must be at least 1, got {raw!r}")
+    return count
+
+
 def _parse_alpha(raw: str, dim: int) -> tuple[int, ...]:
     try:
         alpha = tuple(int(part) for part in raw.split(","))
@@ -126,6 +133,11 @@ class RunConfig:
         # refuses a grid above MAX_NODES nodes; nothing is allocated yet
         grid = make_grid(box, resolution)
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
+        for eps in eps_ladder:
+            # refuse an oversized convolution before any expression is sampled;
+            # other bad radii are refused where the kernel is built
+            if 0.0 < eps < min(box.widths) / 2.0:
+                check_convolution_shape(grid, eps)
         tol = _parse_tol(args.tol) if getattr(args, "tol", None) else 1e-4
         return cls(grid, eps_ladder, tol)
 
@@ -213,7 +225,7 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
     alpha = _parse_alpha(args.alpha, grid.dim)
-    tests = test_function_catalog(grid.box, _parse_int(args.count, "--count"))
+    tests = test_function_catalog(grid.box, _parse_count(args.count))
     result = verify_weak_derivative(f, u, alpha, tests, config.tol)
     verdict = "verified" if result.verdict else "not verified"
     print(
@@ -236,7 +248,7 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
         alpha = _parse_alpha(alpha_raw.strip(), grid.dim)
         entries[alpha] = _sample_expression(source.strip(), grid)
     family = DerivativeFamily(entries)
-    tests = test_function_catalog(grid.box, _parse_int(args.count, "--count"))
+    tests = test_function_catalog(grid.box, _parse_count(args.count))
     report = membership_report(f, family, k, _parse_p(args.p), tests, config.tol)
     rows = [(_alpha_label(e.alpha), e.pairing_residual, e.lp_norm, e.verdict) for e in report.entries]
     rows.append(("overall", None, report.norm, report.member))

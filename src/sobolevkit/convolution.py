@@ -41,6 +41,7 @@ __all__ = [
     "ConvergenceTable",
     "KernelReport",
     "convolve",
+    "check_convolution_shape",
     "orbit",
     "convergence_study",
     "compose",
@@ -90,6 +91,12 @@ def _check_full_shape(shape: tuple[int, ...]) -> None:
             f"full convolution of {'x'.join(map(str, shape))} = {count} nodes"
             f" is above the limit of {MAX_NODES} nodes"
         )
+
+
+def check_convolution_shape(grid: Grid, eps: float) -> None:
+    """Refuse ``convolve``'s full shape for a radius-``eps`` kernel on ``grid`` above ``MAX_NODES`` nodes."""
+    radii = _window_radii(grid, eps)
+    _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, radii)))
 
 
 def _fast_length(n: int) -> int:
@@ -192,8 +199,7 @@ def convolve(
         raise ValueError(
             f"eps={m.eps} is too large for the box (needs eps < half the minimum width)"
         )
-    radii = _window_radii(grid, m.eps)
-    _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, radii)))
+    check_convolution_shape(grid, m.eps)
     kernel = _lattice_kernel(grid, m, deriv)
     if deriv is None:
         _check_lattice_mass(m, float(kernel.sum()))

@@ -30,6 +30,7 @@ __all__ = [
     "verify_unit",
     "bump_raw",
     "bump_raw_derivative",
+    "bump_raw_derivatives",
 ]
 
 # Gauss-Legendre nodes for the radial normalization integral over [0, 1].
@@ -49,35 +50,60 @@ def _points_2d(points: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
     return pts
 
 
-def _raw_closed_form(pts: NDArray[np.float64], axes: tuple[int, ...]) -> NDArray[np.float64]:
-    # derivative of exp(1/u), u = |x|^2 - 1, along ``axes`` (at most two),
-    # with an exact-zero branch outside |x| < 1
+def _raw_closed_form(pts: NDArray[np.float64], axes_list: list[tuple[int, ...]]) -> list[NDArray[np.float64]]:
+    # derivatives of exp(1/u), u = |x|^2 - 1, along each entry of ``axes_list``
+    # (at most two axes each), with an exact-zero branch outside |x| < 1; the
+    # exponential is computed once for all of them
     r2 = np.sum(pts * pts, axis=-1)
-    out = np.zeros_like(r2)
     inside = r2 < 1.0
     u = r2[inside] - 1.0
     e = np.exp(1.0 / u)
-    if not axes:
-        out[inside] = e
-    elif len(axes) == 1:
-        # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u)
-        xi = pts[..., axes[0]][inside]
-        out[inside] = -2.0 * xi / (u * u) * e
-    else:
-        # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
-        i, j = axes
-        xi = pts[..., i][inside]
-        xj = pts[..., j][inside]
-        term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
-        if i == j:
-            term = term - 2.0 / (u * u)
-        out[inside] = e * term
-    return out
+    outs = []
+    for axes in axes_list:
+        out = np.zeros_like(r2)
+        if not axes:
+            out[inside] = e
+        elif len(axes) == 1:
+            # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u)
+            xi = pts[..., axes[0]][inside]
+            out[inside] = -2.0 * xi / (u * u) * e
+        else:
+            # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
+            i, j = axes
+            xi = pts[..., i][inside]
+            xj = pts[..., j][inside]
+            term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
+            if i == j:
+                term = term - 2.0 / (u * u)
+            out[inside] = e * term
+        outs.append(out)
+    return outs
 
 
 def bump_raw(points: NDArray[np.float64]) -> NDArray[np.float64]:
     """Unnormalized bump ``exp(1/(|x|^2 - 1))`` with an exact-zero branch outside ``|x| < 1``."""
-    return _raw_closed_form(np.asarray(points, dtype=np.float64), ())
+    return _raw_closed_form(np.asarray(points, dtype=np.float64), [()])[0]
+
+
+def bump_raw_derivatives(
+    alphas: list[tuple[int, ...]], points: NDArray[np.float64]
+) -> list[NDArray[np.float64]]:
+    """Partial derivatives ``d^alpha`` of the unnormalized bump for each of ``alphas``, in closed form.
+
+    Only orders 0 to 2 are supported; a higher order raises ``ValueError``.
+    The bump's exponential is evaluated once for the whole list.
+    """
+    axes_list = []
+    for alpha in alphas:
+        alpha = tuple(int(a) for a in alpha)
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
+        axes = tuple(i for i, a in enumerate(alpha) for _ in range(a))
+        if len(axes) > 2:
+            raise ValueError(f"derivative order {len(axes)} of {alpha} is above 2")
+        axes_list.append(axes)
+        pts = _points_2d(points, len(alpha))  # also checks alpha's dimension
+    return _raw_closed_form(pts, axes_list)
 
 
 def bump_raw_derivative(alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -85,13 +111,7 @@ def bump_raw_derivative(alpha: tuple[int, ...], points: NDArray[np.float64]) -> 
 
     Only orders 0 to 2 are supported; a higher order raises ``ValueError``.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-    axes = tuple(i for i, a in enumerate(alpha) for _ in range(a))
-    if len(axes) > 2:
-        raise ValueError(f"derivative order {len(axes)} of {alpha} is above 2")
-    return _raw_closed_form(_points_2d(points, len(alpha)), axes)
+    return bump_raw_derivatives([alpha], points)[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -314,6 +314,27 @@ class TestRefusedBeforeWork:
             f"error: full convolution of 257x257x257 = {257**3} nodes is above the limit of {MAX_NODES} nodes\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mollify", "--eps", "0.05", "--f", "x1"],
+            ["converge", "--eps", "0.05,0.01", "--f", "x1"],
+            ["commute", "--eps", "0.05", "--alpha", "1,0,0", "--f", "x1", "--u", "1"],
+        ],
+    )
+    def test_oversized_convolution_refused_before_sampling(self, capsys, monkeypatch, argv):
+        # a 251^3 grid is under MAX_NODES; its full convolution shape at eps 0.05 is not
+        def tripwire(*args, **kwargs):
+            raise AssertionError("the expression was sampled")
+
+        monkeypatch.setattr(cli, "evaluate_many", tripwire)
+        code, out, err = run(capsys, argv + ["--lo", "0,0,0", "--hi", "1,1,1", "--res", "250"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == (
+            f"error: full convolution of 275x275x275 = {275**3} nodes is above the limit of {MAX_NODES} nodes\n"
+        )
+
     def test_largest_3d_compose_still_runs(self):
         # full convolution shape 201^3, just under MAX_NODES
         result = run_subprocess(["compose", "--dim", "3", "--res", "100", "--eps-a", "0.1", "--eps-b", "0.1"])
@@ -484,6 +505,25 @@ class TestValidationExits:
         code, _, err = run(capsys, argv)
         assert code == EXIT_VALIDATION
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak-verify", "--res", "20", "--f", "x1", "--u", "1"],
+            ["sobolev", "--res", "20", "--f", "x1", "--deriv", "1=1"],
+        ],
+    )
+    def test_count_below_one(self, capsys, argv, count):
+        code, out, err = run(capsys, argv + [f"--count={count}"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == f"error: --count must be at least 1, got '{count}'\n"
+
+    def test_count_of_one_runs_the_smallest_catalog(self, capsys):
+        code, out, _ = run(capsys, ["weak-verify", "--res", "20", "--f", "x1", "--u", "1", "--count", "1"])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 1 + 8
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,7 +8,7 @@ from sobolevkit import weakdiff as wd
 from sobolevkit.cli import _table
 from sobolevkit.convolution import convolve
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
-from sobolevkit.mollifier import standard_bump
+from sobolevkit.mollifier import bump_raw_derivative, standard_bump
 from sobolevkit.sobolev import enumerate_multi_indices
 
 RAW_MASS_1D = 0.4439938161680794  # integral of exp(1/(z^2-1)) over [-1, 1]
@@ -96,6 +96,22 @@ class TestBumpTestFunctions:
         ) / (4.0 * h * h)
         np.testing.assert_allclose(phi.derivative((1, 1), pts), fd, atol=1e-3)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_derivative_is_the_product_rule_bit_for_bit(self, dim):
+        # sharing the bump's exponential across gamma <= alpha changes no bit
+        rng = np.random.default_rng(40 + dim)
+        for alpha in enumerate_multi_indices(dim, 2):
+            poly = tuple(int(b) for b in rng.integers(0, 3, dim))
+            phi = wd.TestFunction(tuple(rng.uniform(-1.0, 1.0, dim)), float(rng.uniform(0.2, 2.0)), poly)
+            pts = np.asarray(phi.center) + phi.radius * rng.uniform(-1.2, 1.2, (200, dim))
+            z = (pts - np.asarray(phi.center)) / phi.radius
+            expected = np.zeros(len(pts))
+            for gamma, coeff in wd._sub_indices(alpha):
+                rest = tuple(a - g for a, g in zip(alpha, gamma))
+                bump_part = bump_raw_derivative(gamma, z) * phi.radius ** (-sum(gamma))
+                expected = expected + coeff * bump_part * phi._poly_part(rest, z)
+            np.testing.assert_array_equal(phi.derivative(alpha, pts), math.e * expected)
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="radius"):
             wd.TestFunction((0.5,), 0.0)
@@ -158,6 +174,13 @@ def full_grid_pairing(f, fn):
     vals = fn(f.grid.points()).reshape(f.grid.node_shape)
     terms = f.grid.trapezoid_weights() * f.values * vals
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def flattened(grid, fn, rng):
+    """Random values divided by ``|fn|`` (floored at 1e-300) where ``fn`` is nonzero."""
+    vals = fn(grid.points()).reshape(grid.node_shape)
+    scale = np.where(vals != 0.0, np.maximum(np.abs(vals), 1e-300), 1.0)
+    return GridFunction(grid, rng.uniform(-3.0, 3.0, grid.node_shape) / scale)
 
 
 def support_box_mask(grid, phi):
@@ -255,6 +278,46 @@ class TestWindowedPairing:
         wd.verify_weak_derivative(f, u, (1,) + (0,) * (dim - 1), [phi], 1e-2)
         assert len(phi.counts) == 3
         assert max(phi.counts) <= window_nodes
+
+    @pytest.mark.parametrize("on_nodes", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_residuals_match_full_grid_oracle(self, dim, on_nodes):
+        # u and f are divided by |phi| and |d^alpha phi| so that every node
+        # of the support ball weighs about the same, out to the sphere where
+        # phi falls below 1e-300: a node left out of a pairing shows
+        rng = np.random.default_rng(300 * dim + on_nodes)
+        for _ in range(4):
+            f, phi = random_pairing_case(rng, dim, on_nodes)
+            for alpha in derivative_indices(dim):
+                dphi = partial(phi.derivative, alpha)
+                u_case = flattened(f.grid, phi.value, rng)
+                f_case = flattened(f.grid, dphi, rng)
+                res = wd.verify_weak_derivative(f_case, u_case, alpha, [phi], 1.0)
+                lhs, lhs_size = full_grid_pairing(u_case, phi.value)
+                rhs, rhs_size = full_grid_pairing(f_case, dphi)
+                expected = abs(lhs - (-1) ** sum(alpha) * rhs)
+                assert abs(res.residuals[0] - expected) <= 1e-14 * (lhs_size + rhs_size)
+
+    def test_repeated_test_functions_are_evaluated_once(self):
+        grid = make_grid(Box((0.0, 0.0), (1.0, 1.0)), 40)
+        pts = grid.points()
+        f = GridFunction(grid, np.sin(pts.sum(axis=-1)))
+        u = GridFunction(grid, np.cos(pts.sum(axis=-1)))
+        # the two differ only in their polynomial factor
+        copies = [
+            [CountingTestFunction((0.5, 0.5), 0.2, (1, 0), label=f"a{i}") for i in range(3)],
+            [CountingTestFunction((0.5, 0.5), 0.2, (0, 0), label=f"b{i}") for i in range(3)],
+        ]
+        tests = [phi for both in zip(*copies) for phi in both]  # a0 b0 a1 b1 a2 b2
+        res = wd.verify_weak_derivative(f, u, (1, 0), tests, 1e-2)
+        for group in copies:
+            assert sum(len(phi.counts) for phi in group) == 2  # one value, one derivative
+        assert res.test_ids == ("a0", "b0", "a1", "b1", "a2", "b2")
+        assert res.residuals[0::2] == (res.residuals[0],) * 3
+        assert res.residuals[1::2] == (res.residuals[1],) * 3
+        assert res.residuals[0] != res.residuals[1]
+        single = [wd.verify_weak_derivative(f, u, (1, 0), [group[0]], 1e-2).residuals[0] for group in copies]
+        assert res.residuals[:2] == tuple(single)
 
     def test_rejects_non_finite_products(self):
         grid = unit_grid(100)
