@@ -281,26 +281,35 @@ def _fuzz_sources(word_chunks: Iterable[np.ndarray], count: int) -> Iterator[str
       little-endian byte order, truncated to ``length``.
     """
     threshold = (1 << 32) % FUZZ_LENGTHS
-    # bytes of a length draw plus the draws of the longest string
-    longest = 4 * (1 + math.ceil((FUZZ_LENGTHS - 1) / 4))
+    # a length draw plus the draws of the longest string
+    longest = 1 + math.ceil((FUZZ_LENGTHS - 1) / 4)
     chunks = iter(word_chunks)
     data = b""
-    pos = 0
     produced = 0
     while produced < count:
-        while len(data) - pos < longest:
+        while len(data) < 4 * longest:
             # a word's little-endian bytes are its low uint32's little-endian
             # bytes, then its high uint32's: the draw stream, on any host
-            data = data[pos:] + np.asarray(next(chunks), dtype="<u8").tobytes()
-            pos = 0
-        m = int.from_bytes(data[pos : pos + 4], "little") * FUZZ_LENGTHS
-        pos += 4
-        if m & 0xFFFFFFFF < threshold:  # rejected: numpy draws the length again
-            continue
-        length = m >> 32
-        yield data[pos : pos + length].decode("latin-1")
-        pos += 4 * math.ceil(length / 4)
-        produced += 1
+            data += np.asarray(next(chunks), dtype="<u8").tobytes()
+        m = np.frombuffer(data, dtype="<u4").astype(np.uint64) * np.uint64(FUZZ_LENGTHS)
+        # -1 marks a rejected length draw: numpy draws the length again
+        lengths = np.where(
+            (m & np.uint64(0xFFFFFFFF)) < threshold, -1, (m >> np.uint64(32)).astype(np.int64)
+        ).tolist()
+        text = data.decode("latin-1")
+        # draw k starts a string only if the longest one fits after it
+        last = len(lengths) - longest
+        k = 0
+        while k <= last and produced < count:
+            length = lengths[k]
+            if length < 0:
+                k += 1
+                continue
+            start = 4 * k + 4
+            yield text[start : start + length]
+            k += 1 + (length + 3) // 4
+            produced += 1
+        data = data[4 * k :]
 
 
 def criterion_parser(seed: int) -> CriterionResult:

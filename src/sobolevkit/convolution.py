@@ -343,7 +343,13 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     for m, samples in ((a, av), (b, bv)):
         _check_lattice_mass(m, float(samples.sum()) * grid.cell_volume)
     # node i of the grid is entry i + resolution / 2 of the full convolution
-    cv = _full_convolution(av, bv) * grid.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        cv = _full_convolution(av, bv) * grid.cell_volume
+    if not np.isfinite(cv).all():
+        raise ValueError(
+            f"kernels at eps={a.eps} and eps={b.eps} overflow float64 in their convolution:"
+            f" eps is too small"
+        )
     kernel = GridFunction(grid, cv)
     support = np.sqrt(np.sum(pts * pts, axis=-1)).reshape(grid.node_shape)
     hit = np.abs(cv) > 0.0

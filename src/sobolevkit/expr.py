@@ -99,38 +99,25 @@ class Token:
     offset: int
 
 
-_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# Whitespace and tokens as far as they go: the match ends at the first
+# character no token can start.  ``\s`` and ``str.isspace`` agree on every
+# code point.
+_LEXABLE_RE = re.compile(rf"(?:\s+|{_NUMBER}|{_IDENT}|[-+*/^(),])*")
+# One token per match; ``finditer`` skips the whitespace between them.
+_TOKEN_RE = re.compile(
+    rf"(?P<number>{_NUMBER})|(?P<ident>{_IDENT})"
+    r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+)
 
 
 def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if m := _NUMBER_RE.match(source, i):
-            tokens.append(Token("number", m.group(), i))
-            i = m.end()
-            continue
-        if m := _IDENT_RE.match(source, i):
-            tokens.append(Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(Token("comma", ch, i))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(Token("eof", "", n))
+    end = _LEXABLE_RE.match(source).end()
+    if end < len(source):
+        raise ParseError(f"unexpected character {source[end]!r}", end)
+    tokens = [Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(source)]
+    tokens.append(Token("eof", "", end))
     return tokens
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -148,18 +149,32 @@ class Mollifier:
     def normalization(self) -> float:
         return _normalization_constant(self.dim)
 
+    def _scaled(
+        self,
+        order: int,
+        raw: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+        pts: NDArray[np.float64],
+    ) -> NDArray[np.float64]:
+        # eps^(-n-order) * C * raw(pts / eps): the order-|alpha| samples of phi_eps
+        try:
+            scale = self.eps ** (-self.dim - order)
+        except OverflowError:
+            raise ValueError(
+                f"kernel at eps={self.eps} has values beyond the float64 range"
+                f" (eps^-{self.dim + order} overflows): eps is too small"
+            ) from None
+        with np.errstate(over="ignore"):  # a point too far out to scale or square is outside the ball
+            unit = raw(pts / self.eps)
+        return scale * (self.normalization * unit)
+
     def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
-        pts = _points_2d(points, self.dim)
-        return self.eps ** (-self.dim) * (self.normalization * bump_raw(pts / self.eps))
+        return self._scaled(0, bump_raw, _points_2d(points, self.dim))
 
     def derivative(self, alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
         pts = _points_2d(points, self.dim)
         if len(alpha) != self.dim:
             raise ValueError(f"multi-index {alpha} does not match dimension {self.dim}")
-        order = sum(alpha)
-        return self.eps ** (-self.dim - order) * (
-            self.normalization * bump_raw_derivative(alpha, pts / self.eps)
-        )
+        return self._scaled(sum(alpha), functools.partial(bump_raw_derivative, alpha), pts)
 
 
 def standard_bump(dim: int, eps: float = 1.0) -> Mollifier:

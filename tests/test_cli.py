@@ -347,6 +347,38 @@ class TestRefusedBeforeWork:
         assert out.splitlines()[1] == "0,1,0,-1000,1,1,0,0"
 
 
+class TestTinyKernels:
+    # eps^-dim overflowed Python's float power (exit 3 with an errno tuple),
+    # and squaring points scaled by 1e300 printed numpy overflow warnings
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["mollify", "--lo", "0,0", "--hi", "1,1", "--res", "10", "--eps", "1e-200", "--f", "x1"],
+             "kernel at eps=1e-200 has values beyond the float64 range (eps^-2 overflows)"),
+            (["mollify", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "10", "--eps", "1e-120", "--f", "x1"],
+             "kernel at eps=1e-120 has values beyond the float64 range (eps^-3 overflows)"),
+            (["commute", "--lo", "0,0", "--hi", "1,1", "--res", "10", "--eps", "1e-200", "--f", "x1",
+              "--u", "1", "--alpha", "1,0"],
+             "kernel at eps=1e-200 has values beyond the float64 range (eps^-3 overflows)"),
+            (["compose", "--dim", "3", "--res", "10", "--eps-a", "1e-120", "--eps-b", "1e-120"],
+             "kernel at eps=1e-120 has values beyond the float64 range (eps^-3 overflows)"),
+            (["compose", "--dim", "1", "--res", "100", "--eps-a", "0.1", "--eps-b", "1e-300"],
+             "kernel at eps=1e-300 has lattice mass 1.65714e+297"),
+            (["compose", "--dim", "1", "--res", "100", "--eps-a", "1e300", "--eps-b", "1e-300"],
+             "kernel at eps=1e-300 has lattice mass inf"),
+            (["compose", "--dim", "3", "--res", "10", "--eps-a", "1e-100", "--eps-b", "1e-100"],
+             "kernels at eps=1e-100 and eps=1e-100 overflow float64 in their convolution"),
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, argv, message):
+        result = run_subprocess(argv)
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stdout == b""
+        stderr = result.stderr.decode()
+        assert stderr.startswith("error: " + message)
+        assert stderr.count("\n") == 1
+
+
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"

@@ -1,10 +1,13 @@
 import itertools
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobolevkit import acceptance
 from sobolevkit.expr import (
     GRAMMAR_HELP,
     BinOp,
@@ -12,6 +15,7 @@ from sobolevkit.expr import (
     Neg,
     Num,
     ParseError,
+    Token,
     evaluate,
     evaluate_many,
     excerpt,
@@ -246,6 +250,98 @@ class TestTokenize:
         assert (tokens[0].lexeme, tokens[0].offset) == ("12", 2)
         assert (tokens[1].lexeme, tokens[1].offset) == ("+", 5)
         assert (tokens[2].lexeme, tokens[2].offset) == ("x1", 7)
+
+
+_REF_NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _reference_tokenize(source):
+    """The per-character tokenizer, kept as the oracle for ``tokenize``."""
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if m := _REF_NUMBER_RE.match(source, i):
+            tokens.append(Token("number", m.group(), i))
+            i = m.end()
+            continue
+        if m := _REF_IDENT_RE.match(source, i):
+            tokens.append(Token("ident", m.group(), i))
+            i = m.end()
+            continue
+        if ch in "+-*/^":
+            tokens.append(Token("op", ch, i))
+        elif ch == "(":
+            tokens.append(Token("lparen", ch, i))
+        elif ch == ")":
+            tokens.append(Token("rparen", ch, i))
+        elif ch == ",":
+            tokens.append(Token("comma", ch, i))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        i += 1
+    tokens.append(Token("eof", "", n))
+    return tokens
+
+
+def _lexed(tokenizer, source):
+    """The tokens, or the error message and offset."""
+    try:
+        return tokenizer(source)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+def _assert_lexes_like_reference(sources):
+    for source in sources:
+        want = _lexed(_reference_tokenize, source)
+        assert _lexed(tokenize, source) == want, f"source {source!r}"
+
+
+class TestTokenizeOracle:
+    """``tokenize`` gives the reference loop's tokens, or its exact error."""
+
+    def test_default_seed_fuzz_strings(self):
+        bitgen = np.random.default_rng(acceptance.DEFAULT_SEED).bit_generator
+        chunks = (bitgen.random_raw(acceptance._FUZZ_CHUNK_WORDS) for _ in itertools.count())
+        _assert_lexes_like_reference(acceptance._fuzz_sources(chunks, acceptance.FUZZ_COUNT))
+
+    def test_every_code_point_below_u3000(self):
+        # alone, between tokens, and after a number it might extend
+        chars = [chr(cp) for cp in range(0x3000)]
+        _assert_lexes_like_reference(chars)
+        _assert_lexes_like_reference(f"x1{ch}2" for ch in chars)
+        _assert_lexes_like_reference(f"1{ch}" for ch in chars)
+
+    def test_random_strings_over_token_alphabet(self):
+        # whitespace includes \x1c-\x1f, \x85 and \xa0, which isspace() accepts
+        alphabet = "0123456789.eE+-*/^(),x_a \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u3000#\xe9"
+        rng = np.random.default_rng(20241018)
+        ends = np.cumsum(rng.integers(0, 30, size=20_000)).tolist()
+        text = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=ends[-1]))
+        _assert_lexes_like_reference(text[a:b] for a, b in zip([0] + ends, ends))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "", " ", "\t1\n", "1e+", "1e", "1e5e2", "1E+09x", "1..2", ".5.", "..", ".", ".e1",
+            "1.e3", "a.b", "x1.2", "_a1", "e", "2^-3", "1 .", "sin (x1 ,2)", "1\x852", "1$",
+        ],
+    )
+    def test_edge_cases(self, source):
+        _assert_lexes_like_reference([source])
+
+    def test_megabyte_rejected_input(self):
+        # "1.1", then ".1" pairs; the final "." starts no token
+        source = "1." * 500_000 + "."
+        with pytest.raises(ParseError) as info:
+            tokenize(source)
+        assert info.value.offset == 999_999
+        assert str(info.value) == "unexpected character '.' (at offset 999999)"
 
 
 class TestToSource:
