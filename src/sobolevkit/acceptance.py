@@ -9,9 +9,8 @@ there is exactly one definition of "done" for the numerical claims.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +37,8 @@ EPS_LADDER = (0.2, 0.1, 0.05, 0.025)
 # criterion 12 parses FUZZ_COUNT random strings of 0..FUZZ_LENGTHS-1 bytes
 FUZZ_COUNT = 100_000
 FUZZ_LENGTHS = 24
-# 64-bit words per bit-generator draw; a small chunk keeps peak RSS flat
-_FUZZ_CHUNK_WORDS = 4096
+# strings drawn per bulk call; a small chunk keeps peak RSS flat
+_FUZZ_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -266,62 +265,24 @@ def criterion_shadow() -> CriterionResult:
     )
 
 
-def _fuzz_sources(word_chunks: Iterable[np.ndarray], count: int) -> Iterator[str]:
-    """Yield ``count`` fuzz strings from chunks of raw 64-bit PCG64 words.
+def _fuzz_sources(rng: np.random.Generator, count: int) -> Iterator[str]:
+    """Yield ``count`` strings of 0..FUZZ_LENGTHS-1 uniform random bytes.
 
-    The strings equal those of the scalar loop ``length =
-    rng.integers(0, FUZZ_LENGTHS)``, ``rng.integers(0, 256, size=length,
-    dtype=np.uint8)`` on the same words:
-
-    * numpy splits each word into two uint32 draws, low half first;
-    * a length is numpy's Lemire draw: ``m = u * FUZZ_LENGTHS``, rejected
-      while the low 32 bits of ``m`` are below ``2**32 % FUZZ_LENGTHS``,
-      else ``m >> 32``;
-    * the string's bytes are the next ``ceil(length / 4)`` draws in
-      little-endian byte order, truncated to ``length``.
+    Each chunk draws its lengths and a block of bytes with one call each;
+    string ``i`` of a chunk is the first ``length`` bytes of its own
+    ``FUZZ_LENGTHS - 1``-byte slot, read as latin-1.
     """
-    threshold = (1 << 32) % FUZZ_LENGTHS
-    # a length draw plus the draws of the longest string
-    longest = 1 + math.ceil((FUZZ_LENGTHS - 1) / 4)
-    chunks = iter(word_chunks)
-    data = b""
-    produced = 0
-    while produced < count:
-        while len(data) < 4 * longest:
-            # a word's little-endian bytes are its low uint32's little-endian
-            # bytes, then its high uint32's: the draw stream, on any host
-            data += np.asarray(next(chunks), dtype="<u8").tobytes()
-        m = np.frombuffer(data, dtype="<u4").astype(np.uint64) * np.uint64(FUZZ_LENGTHS)
-        # -1 marks a rejected length draw: numpy draws the length again
-        lengths = np.where(
-            (m & np.uint64(0xFFFFFFFF)) < threshold, -1, (m >> np.uint64(32)).astype(np.int64)
-        ).tolist()
-        text = data.decode("latin-1")
-        # draw k starts a string only if the longest one fits after it
-        last = len(lengths) - longest
-        k = 0
-        while k <= last and produced < count:
-            length = lengths[k]
-            if length < 0:
-                k += 1
-                continue
-            start = 4 * k + 4
-            yield text[start : start + length]
-            k += 1 + (length + 3) // 4
-            produced += 1
-        data = data[4 * k :]
+    width = FUZZ_LENGTHS - 1
+    for done in range(0, count, _FUZZ_CHUNK):
+        n = min(_FUZZ_CHUNK, count - done)
+        lengths = rng.integers(0, FUZZ_LENGTHS, size=n).tolist()
+        text = rng.bytes(n * width).decode("latin-1")
+        for i, length in enumerate(lengths):
+            yield text[i * width : i * width + length]
 
 
 def criterion_parser(seed: int) -> CriterionResult:
-    """Operator precedence is exact and random byte strings never crash the parser.
-
-    The ``FUZZ_COUNT`` inputs are drawn in bulk from the bit generator of
-    ``np.random.default_rng(seed)`` by ``_fuzz_sources``.  They equal, byte
-    for byte, the strings of numpy's ``Generator.integers`` sequence
-    ``integers(0, FUZZ_LENGTHS)`` then ``integers(0, 256, size=length,
-    dtype=np.uint8)``; ``tests/test_acceptance.py::TestFuzzSources`` pins
-    this against that scalar loop.
-    """
+    """Operator precedence is exact and random byte strings never crash the parser."""
     cases = {
         "2+3*4": 14.0,
         "2^3^2": 512.0,
@@ -337,10 +298,8 @@ def criterion_parser(seed: int) -> CriterionResult:
         got = evaluate(parse(source, 1), (0.25,))
         if got != expected:
             precedence_ok = False
-    bitgen = np.random.default_rng(seed).bit_generator
-    word_chunks = (bitgen.random_raw(_FUZZ_CHUNK_WORDS) for _ in itertools.count())
     crashes = 0
-    for source in _fuzz_sources(word_chunks, FUZZ_COUNT):
+    for source in _fuzz_sources(np.random.default_rng(seed), FUZZ_COUNT):
         try:
             parse(source, 3)
         except ParseError:

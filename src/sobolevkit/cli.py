@@ -31,7 +31,7 @@ from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, 
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump
 from .sobolev import DerivativeFamily, membership_report
-from .weakdiff import test_function_catalog, verify_weak_derivative
+from .weakdiff import test_function_catalog, validate_multi_index, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
 
@@ -96,7 +96,7 @@ def _parse_count(raw: str) -> int:
     return count
 
 
-def _parse_alpha(raw: str, dim: int) -> tuple[int, ...]:
+def _parse_alpha(raw: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
     try:
         alpha = tuple(int(part) for part in raw.split(","))
     except ValueError:
@@ -105,7 +105,7 @@ def _parse_alpha(raw: str, dim: int) -> tuple[int, ...]:
         raise CliError(f"--alpha has 1 entry for a {dim}-d grid; give one entry per axis")
     if len(alpha) != dim:
         raise CliError(f"--alpha {raw!r} has {len(alpha)} entries for a {dim}-d grid")
-    return alpha
+    return validate_multi_index(alpha, dim, min_order)
 
 
 @dataclass(frozen=True)
@@ -134,10 +134,8 @@ class RunConfig:
         grid = make_grid(box, resolution)
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
         for eps in eps_ladder:
-            # refuse an oversized convolution before any expression is sampled;
-            # other bad radii are refused where the kernel is built
-            if 0.0 < eps < min(box.widths) / 2.0:
-                check_convolution_shape(grid, eps)
+            # refuse a radius convolve cannot take before any expression is sampled
+            check_convolution_shape(grid, eps)
         tol = _parse_tol(args.tol) if getattr(args, "tol", None) else 1e-4
         return cls(grid, eps_ladder, tol)
 
@@ -189,8 +187,9 @@ def _single_eps(config: RunConfig) -> float:
 def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
+    eps = _single_eps(config)
     f = _sample_expression(args.f, grid)
-    smoothed, _ = convolve(f, standard_bump(grid.dim, _single_eps(config)))
+    smoothed, _ = convolve(f, standard_bump(grid.dim, eps))
     out = io.StringIO()
     write_grid_function_csv(smoothed, out)
     return out.getvalue(), EXIT_OK
@@ -198,9 +197,9 @@ def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
-    grid = config.grid
-    f = _sample_expression(args.f, grid)
-    table = convergence_study(f, _parse_p(args.p), config.eps_ladder)
+    p = _parse_p(args.p)
+    f = _sample_expression(args.f, config.grid)
+    table = convergence_study(f, p, config.eps_ladder)
     rows = [(r.eps, r.error, r.ratio) for r in table.rows]
     return _table(("eps", "error", "ratio"), rows), EXIT_OK
 
@@ -210,11 +209,11 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
 
     config = RunConfig.from_args(args)
     grid = config.grid
-    f = _sample_expression(args.f, grid)
-    u = _sample_expression(args.u, grid)
     alpha = _parse_alpha(args.alpha, grid.dim)
     eps = _single_eps(config)
     p = _parse_p(args.p)
+    f = _sample_expression(args.f, grid)
+    u = _sample_expression(args.u, grid)
     residual = commutation_residual(f, u, alpha, eps, p)
     return _table(("alpha", "eps", "p", "residual"), [(_alpha_label(alpha), eps, p, residual)]), EXIT_OK
 
@@ -222,10 +221,10 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
-    f = _sample_expression(args.f, grid)
-    u = _sample_expression(args.u, grid)
     alpha = _parse_alpha(args.alpha, grid.dim)
     tests = test_function_catalog(grid.box, _parse_count(args.count))
+    f = _sample_expression(args.f, grid)
+    u = _sample_expression(args.u, grid)
     result = verify_weak_derivative(f, u, alpha, tests, config.tol)
     verdict = "verified" if result.verdict else "not verified"
     print(
@@ -238,18 +237,21 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
-    f = _sample_expression(args.f, grid)
     k = _parse_int(args.k, "--k")
-    entries = {(0,) * grid.dim: f}
+    p = _parse_p(args.p)
+    tests = test_function_catalog(grid.box, _parse_count(args.count))
+    derivs = []
     for deriv_item in args.deriv or []:
         alpha_raw, sep, source = deriv_item.partition("=")
         if not sep:
             raise CliError(f"--deriv needs ALPHA=EXPR, got {deriv_item!r}")
-        alpha = _parse_alpha(alpha_raw.strip(), grid.dim)
-        entries[alpha] = _sample_expression(source.strip(), grid)
+        derivs.append((_parse_alpha(alpha_raw.strip(), grid.dim, min_order=0), source.strip()))
+    f = _sample_expression(args.f, grid)
+    entries = {(0,) * grid.dim: f}
+    for alpha, source in derivs:
+        entries[alpha] = _sample_expression(source, grid)
     family = DerivativeFamily(entries)
-    tests = test_function_catalog(grid.box, _parse_count(args.count))
-    report = membership_report(f, family, k, _parse_p(args.p), tests, config.tol)
+    report = membership_report(f, family, k, p, tests, config.tol)
     rows = [(_alpha_label(e.alpha), e.pairing_residual, e.lp_norm, e.verdict) for e in report.entries]
     rows.append(("overall", None, report.norm, report.member))
     return _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows), EXIT_OK
@@ -493,7 +495,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; keep the shutdown flush from raising again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -94,7 +94,15 @@ def _check_full_shape(shape: tuple[int, ...]) -> None:
 
 
 def check_convolution_shape(grid: Grid, eps: float) -> None:
-    """Refuse ``convolve``'s full shape for a radius-``eps`` kernel on ``grid`` above ``MAX_NODES`` nodes."""
+    """Refuse a radius ``eps`` that ``convolve`` cannot take on ``grid``.
+
+    ``eps`` must be positive and finite, below half the smallest box width,
+    and its full convolution shape at most ``MAX_NODES`` nodes.
+    """
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not eps < min(grid.box.widths) / 2.0:
+        raise ValueError(f"eps={eps} is too large for the box (needs eps < half the minimum width)")
     radii = _window_radii(grid, eps)
     _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, radii)))
 
@@ -141,25 +149,29 @@ def _pairless(a_nonzero: NDArray[np.bool_], b_nonzero: NDArray[np.bool_], nodes:
     return out
 
 
-def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Centred window of the full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets.
+def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64], scale: float = 1.0) -> NDArray[np.float64]:
+    """Centred window of the full linear convolution ``scale * a * b``, exactly ``0.0`` wherever no nonzero pair meets.
 
     Node ``i`` of the result, which has ``a``'s shape, is entry
     ``i + b.shape // 2`` of the full convolution.  The FFTs run on the
     full shape padded per axis to a 2*3*5-smooth length; the padding
     lies beyond the full shape, so it adds no wrapped-around terms.
+    ``scale`` multiplies ``a``'s spectrum before it meets ``b``'s, so no
+    sample of ``a`` underflows and the zero pattern stays that of ``a``.
     """
     full = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
     fast = _fft_shape(full)
     axes = tuple(range(a.ndim))
     window = tuple(slice(k // 2, k // 2 + n) for n, k in zip(a.shape, b.shape))
 
-    def fft_convolve(x: np.ndarray, y: np.ndarray) -> NDArray[np.float64]:
+    def fft_convolve(x: np.ndarray, y: np.ndarray, factor: float = 1.0) -> NDArray[np.float64]:
         spectrum = np.fft.rfftn(x, fast, axes)
+        if factor != 1.0:
+            spectrum *= factor
         spectrum *= np.fft.rfftn(y, fast, axes)
         return np.fft.irfftn(spectrum, fast, axes)[window].copy()
 
-    out = fft_convolve(a, b)
+    out = fft_convolve(a, b, scale)
     zeros = np.flatnonzero(a == 0)
     centre = b[tuple(k // 2 for k in b.shape)]
     size = math.prod(fast)
@@ -195,10 +207,6 @@ def convolve(
     grid = f.grid
     if m.dim != grid.dim:
         raise ValueError(f"kernel dimension {m.dim} does not match grid dimension {grid.dim}")
-    if not m.eps < min(grid.box.widths) / 2.0:
-        raise ValueError(
-            f"eps={m.eps} is too large for the box (needs eps < half the minimum width)"
-        )
     check_convolution_shape(grid, m.eps)
     kernel = _lattice_kernel(grid, m, deriv)
     if deriv is None:
@@ -342,9 +350,12 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     bv = b.value(pts).reshape(grid.node_shape)
     for m, samples in ((a, av), (b, bv)):
         _check_lattice_mass(m, float(samples.sum()) * grid.cell_volume)
-    # node i of the grid is entry i + resolution / 2 of the full convolution
+    # node i of the grid is entry i + resolution / 2 of the full convolution;
+    # the power-of-two part of the cell volume scales a's spectrum exactly, so
+    # a representable result cannot overflow on the way and keeps its bits
+    mantissa, exponent = math.frexp(grid.cell_volume)
     with np.errstate(over="ignore", invalid="ignore"):
-        cv = _full_convolution(av, bv) * grid.cell_volume
+        cv = _full_convolution(av, bv, math.ldexp(1.0, exponent)) * mantissa
     if not np.isfinite(cv).all():
         raise ValueError(
             f"kernels at eps={a.eps} and eps={b.eps} overflow float64 in their convolution:"

@@ -197,17 +197,25 @@ def exponential_flow(k: float, x0: float, s: float, t: float) -> FlowCheck:
     The RK4 error compares numerical integration of ``x' = k x`` over
     ``[0, t]`` against the closed form; it takes ``|t| / RK4_STEP``
     steps, so ``|t|`` above 1000 (``MAX_RK4_STEPS`` steps) raises
-    ``ValueError``.
+    ``ValueError``.  A flow whose values leave the float64 range raises
+    ``OverflowError`` naming its arguments.
     """
     k, x0, s, t = float(k), float(x0), float(s), float(t)
     for name, v in (("k", k), ("x0", x0), ("s", s), ("t", t)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
+    overflow = OverflowError(f"exponential flow at k={k}, x0={x0}, s={s}, t={t} leaves the float64 range")
     rk4 = _rk4_exponential(k, x0, t)
-    lhs = x0 * math.exp(k * (s + t))
-    rhs = (x0 * math.exp(k * s)) * math.exp(k * t)
-    exact_t = x0 * math.exp(k * t)
-    return FlowCheck(k, x0, s, t, lhs, rhs, abs(lhs - rhs), abs(rk4 - exact_t))
+    try:
+        lhs = x0 * math.exp(k * (s + t))
+        rhs = (x0 * math.exp(k * s)) * math.exp(k * t)
+        exact_t = x0 * math.exp(k * t)
+    except OverflowError:
+        raise overflow from None
+    check = FlowCheck(k, x0, s, t, lhs, rhs, abs(lhs - rhs), abs(rk4 - exact_t))
+    if not all(map(math.isfinite, (lhs, rhs, check.rk4_error))):
+        raise overflow
+    return check
 
 
 @dataclass(frozen=True)

@@ -198,18 +198,9 @@ class GridFunction:
         if self.grid != other.grid:
             raise ValueError("grid functions live on different grids")
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.grid, self.values + other.values)
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
         return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

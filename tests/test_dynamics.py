@@ -173,6 +173,15 @@ class TestExponentialFlow:
         with pytest.raises(ValueError, match="finite"):
             exponential_flow(math.nan, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "k,x0,s,t", [(1e300, 1.0, 7.0, 2.0), (1e200, 1e200, 0.0, 1e-250), (800.0, 1.0, 0.0, 1.0)]
+    )
+    def test_overflow_names_the_values(self, k, x0, s, t):
+        message = f"exponential flow at k={k}, x0={x0}, s={s}, t={t} leaves the float64 range"
+        with pytest.raises(OverflowError) as info:
+            exponential_flow(k, x0, s, t)
+        assert str(info.value) == message
+
     def test_rk4_step_limit(self):
         # |t| = 1000 is the longest control run; beyond it the step count is refused
         assert MAX_RK4_STEPS * RK4_STEP == 1000.0
