@@ -17,7 +17,7 @@ import numpy as np
 
 from .convolution import compose, convergence_study, convolve, orbit
 from .dynamics import exponential_flow, invertibility_check, newton_net
-from .expr import ParseError, evaluate, parse
+from .expr import _parse_or_error, evaluate, parse
 from .grid import Box, GridFunction, make_grid
 from .mollifier import standard_bump, verify_unit
 from .sobolev import DerivativeFamily, sobolev_norm
@@ -282,7 +282,12 @@ def _fuzz_sources(rng: np.random.Generator, count: int) -> Iterator[str]:
 
 
 def criterion_parser(seed: int) -> CriterionResult:
-    """Operator precedence is exact and random byte strings never crash the parser."""
+    """Operator precedence is exact and random byte strings never crash the parser.
+
+    Each of the ``FUZZ_COUNT`` strings goes once, in order, through the
+    parser's non-raising core, which returns the ``ParseError`` that
+    ``parse`` would raise; any exception that escapes it is a crash.
+    """
     cases = {
         "2+3*4": 14.0,
         "2^3^2": 512.0,
@@ -301,9 +306,7 @@ def criterion_parser(seed: int) -> CriterionResult:
     crashes = 0
     for source in _fuzz_sources(np.random.default_rng(seed), FUZZ_COUNT):
         try:
-            parse(source, 3)
-        except ParseError:
-            pass
+            _parse_or_error(source, 3)
         except Exception:
             crashes += 1
     ok = precedence_ok and crashes == 0

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import DEFAULT_SEED
-from .convolution import check_convolution_shape, compose, convergence_study, convolve
+from .convolution import _check_ladder, check_convolution_shape, compose, convergence_study, convolve
 from .dynamics import exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump
-from .sobolev import DerivativeFamily, membership_report
+from .sobolev import DerivativeFamily, _check_membership_request, membership_report
 from .weakdiff import test_function_catalog, validate_multi_index, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
@@ -198,6 +198,7 @@ def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     p = _parse_p(args.p)
+    _check_ladder(config.eps_ladder)
     f = _sample_expression(args.f, config.grid)
     table = convergence_study(f, p, config.eps_ladder)
     rows = [(r.eps, r.error, r.ratio) for r in table.rows]
@@ -246,6 +247,7 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
         if not sep:
             raise CliError(f"--deriv needs ALPHA=EXPR, got {deriv_item!r}")
         derivs.append((_parse_alpha(alpha_raw.strip(), grid.dim, min_order=0), source.strip()))
+    _check_membership_request(grid.dim, k, {(0,) * grid.dim, *(alpha for alpha, _ in derivs)})
     f = _sample_expression(args.f, grid)
     entries = {(0,) * grid.dim: f}
     for alpha, source in derivs:

@@ -349,7 +349,10 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     av = a.value(pts).reshape(grid.node_shape)
     bv = b.value(pts).reshape(grid.node_shape)
     for m, samples in ((a, av), (b, bv)):
-        _check_lattice_mass(m, float(samples.sum()) * grid.cell_volume)
+        # a sum beyond float64 is an infinite mass, which the check refuses
+        with np.errstate(over="ignore"):
+            total = float(samples.sum())
+        _check_lattice_mass(m, total * grid.cell_volume)
     # node i of the grid is entry i + resolution / 2 of the full convolution;
     # the power-of-two part of the cell volume scales a's spectrum exactly, so
     # a representable result cannot overflow on the way and keeps its bits

@@ -63,20 +63,29 @@ FUNCTION_ARITY = {
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-class ParseError(ValueError):
+class _LocatedError:
+    """Raised as ``cls(message, offset)``: those are its ``args``, so it pickles and copies.
+
+    The text, ``"<message> (at offset <offset>)"``, is built only by ``str``;
+    there is no ``__init__`` of its own, so an error that is returned and
+    dropped, as the parser fuzz does 100,000 times, costs one C-level call.
+    """
+
+    @property
+    def offset(self) -> int:
+        return self.args[1]
+
+    def __str__(self) -> str:
+        message, offset = self.args
+        return f"{message} (at offset {offset})"
+
+
+class ParseError(_LocatedError, ValueError):
     """Syntax or lexical error with the source offset where it occurred."""
 
-    def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
 
-
-class EvalError(ArithmeticError):
+class EvalError(_LocatedError, ArithmeticError):
     """Domain or overflow error, pointing at the offending subexpression."""
-
-    def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (at offset {offset})")
-        self.offset = offset
 
 
 # Longest stretch of source an error message quotes.
@@ -112,13 +121,18 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _tokens(source: str, end: int) -> list[Token]:
+    # the tokens of a source that lexes up to ``end == len(source)``
+    tokens = [Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(source)]
+    tokens.append(Token("eof", "", end))
+    return tokens
+
+
 def tokenize(source: str) -> list[Token]:
     end = _LEXABLE_RE.match(source).end()
     if end < len(source):
         raise ParseError(f"unexpected character {source[end]!r}", end)
-    tokens = [Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(source)]
-    tokens.append(Token("eof", "", end))
-    return tokens
+    return _tokens(source, end)
 
 
 @dataclass(frozen=True)
@@ -281,21 +295,39 @@ class _Parser:
         raise ParseError(f"expected a value, found {excerpt(shown)!r}", tok.offset)
 
 
-def parse(source: str, dim: int = 3) -> Ast:
-    """Parse ``source`` into an Ast; variables above ``x{dim}`` are rejected."""
+def _parse_or_error(source: str, dim: int) -> Ast | ParseError:
+    """The Ast of ``source``, or the ``ParseError`` that ``parse`` raises for it.
+
+    A lexical error, the common case for random input, is found by one
+    regex match and returned before any token exists; nothing is raised.
+    """
     if not isinstance(source, str):
-        raise ParseError("source must be a string", 0)
+        return ParseError("source must be a string", 0)
     dim = int(dim)
     if not 1 <= dim <= 3:
-        raise ParseError(f"dimension must be between 1 and 3, got {dim}", 0)
-    parser = _Parser(tokenize(source), dim)
-    node = parser.parse_expr()
+        return ParseError(f"dimension must be between 1 and 3, got {dim}", 0)
+    end = _LEXABLE_RE.match(source).end()
+    if end < len(source):
+        return ParseError(f"unexpected character {source[end]!r}", end)
+    parser = _Parser(_tokens(source, end), dim)
+    try:
+        node = parser.parse_expr()
+    except ParseError as exc:
+        return exc
     trailing = parser.peek()
     if trailing.kind != "eof":
-        raise ParseError(
+        return ParseError(
             f"unexpected trailing input {excerpt(trailing.lexeme)!r}", trailing.offset
         )
     return node
+
+
+def parse(source: str, dim: int = 3) -> Ast:
+    """Parse ``source`` into an Ast; variables above ``x{dim}`` are rejected."""
+    result = _parse_or_error(source, dim)
+    if isinstance(result, ParseError):
+        raise result
+    return result
 
 
 def _shown(node: Ast) -> str:

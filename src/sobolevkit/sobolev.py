@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .grid import GridFunction, Region, lp_norm
 from .weakdiff import (
@@ -53,6 +53,22 @@ def _check_max_order(k: int) -> None:
     # exists; refuse before enumerating its (k + 1)^dim candidates
     if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"order k must be at most {MAX_DERIVATIVE_ORDER}, got {k}")
+
+
+def _check_membership_request(dim: int, k: int, alphas: Container[MultiIndex]) -> int:
+    """Refuse an order ``k`` out of range, or candidates ``alphas`` missing an order up to ``k``.
+
+    The CLI calls this with the ``--deriv`` multi-indices before it samples
+    any expression; ``membership_report`` calls it with the family.
+    """
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"order k must be at least 1, got {k}")
+    _check_max_order(k)
+    missing = [a for a in enumerate_multi_indices(dim, k) if a not in alphas]
+    if missing:
+        raise ValueError(f"candidate family is missing derivatives {missing} for k={k}")
+    return k
 
 
 class DerivativeFamily:
@@ -168,15 +184,9 @@ def membership_report(
     higher entry must satisfy the integration-by-parts identity on the
     supplied test catalog within ``tol``.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"order k must be at least 1, got {k}")
-    _check_max_order(k)
     if candidates.grid != f.grid:
         raise ValueError("candidates live on a different grid than f")
-    missing = candidates.missing_up_to(k)
-    if missing:
-        raise ValueError(f"candidate family is missing derivatives {missing} for k={k}")
+    k = _check_membership_request(f.grid.dim, k, candidates)
 
     entries: list[MembershipEntry] = []
     all_ok = True

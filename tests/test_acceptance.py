@@ -96,3 +96,37 @@ class TestFuzzContract:
         sources = _sources(1, count)
         assert len(sources) == count
         assert all(len(s) < acceptance.FUZZ_LENGTHS for s in sources)
+
+
+class TestParserCriterion:
+    """Criterion 12 hands every fuzz string to the parser's non-raising core."""
+
+    def test_core_sees_each_fuzz_string_once_in_order(self, monkeypatch):
+        seen = []
+        core = acceptance._parse_or_error
+
+        def counting(source, dim):
+            seen.append((source, dim))
+            return core(source, dim)
+
+        monkeypatch.setattr(acceptance, "_parse_or_error", counting)
+        result = acceptance.criterion_parser(acceptance.DEFAULT_SEED)
+        assert result.passed
+        sources = _sources(acceptance.DEFAULT_SEED, acceptance.FUZZ_COUNT)
+        assert seen == [(source, 3) for source in sources]
+
+    def test_escaping_exception_is_a_crash(self, monkeypatch):
+        calls = 0
+        core = acceptance._parse_or_error
+
+        def crashing_once(source, dim):
+            nonlocal calls
+            calls += 1
+            if calls == 12_345:
+                raise RuntimeError("parser crashed")
+            return core(source, dim)
+
+        monkeypatch.setattr(acceptance, "_parse_or_error", crashing_once)
+        result = acceptance.criterion_parser(acceptance.DEFAULT_SEED)
+        assert not result.passed
+        assert result.detail.endswith("fuzz crashes 1/100000")

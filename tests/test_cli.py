@@ -399,6 +399,9 @@ class TestTinyKernels:
              "kernel at eps=1e-300 has lattice mass inf"),
             (["compose", "--dim", "2", "--res", "40", "--eps-a", "1e-153", "--eps-b", "1e-153"],
              "kernels at eps=1e-153 and eps=1e-153 overflow float64 in their convolution"),
+            # the lattice sum itself overflows; numpy's warning stays off stderr
+            (["compose", "--dim", "1", "--res", "40", "--eps-a", "3e-308", "--eps-b", "3e-308"],
+             "kernel at eps=3e-308 has lattice mass inf"),
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, message):
@@ -604,6 +607,9 @@ class TestValidationExits:
             ["sobolev", "--count", "0"],
             ["sobolev", "--deriv", "3=1"],
             ["sobolev", "--deriv", "1"],
+            ["converge", "--eps", "0.1,0.2"],
+            ["sobolev", "--k", "0"],
+            ["sobolev", "--k", "1"],
         ],
     )
     def test_bad_flag_refused_before_sampling(self, capsys, monkeypatch, argv):
@@ -615,6 +621,19 @@ class TestValidationExits:
         code, out, err = run(capsys, [*argv, "--lo", "0", "--hi", "1", "--res", "10", "--f", "log(x1)"])
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["converge", "--eps", "0.1,0.2"], "eps ladder must be strictly decreasing, got [0.1, 0.2]"),
+            (["sobolev", "--k", "0"], "order k must be at least 1, got 0"),
+            (["sobolev", "--k", "1"], "candidate family is missing derivatives [(1,)] for k=1"),
+        ],
+    )
+    def test_refusal_does_not_depend_on_the_expression(self, capsys, argv, message):
+        for f in ("x1", "log(x1)"):
+            code, out, err = run(capsys, [*argv, "--res", "20", "--f", f])
+            assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -16,6 +18,8 @@ from sobolevkit.expr import (
     Num,
     ParseError,
     Token,
+    _Parser,
+    _parse_or_error,
     evaluate,
     evaluate_many,
     excerpt,
@@ -302,6 +306,12 @@ def _assert_lexes_like_reference(sources):
         assert _lexed(tokenize, source) == want, f"source {source!r}"
 
 
+_EDGE_CASES = [
+    "", " ", "\t1\n", "1e+", "1e", "1e5e2", "1E+09x", "1..2", ".5.", "..", ".", ".e1",
+    "1.e3", "a.b", "x1.2", "_a1", "e", "2^-3", "1 .", "sin (x1 ,2)", "1\x852", "1$",
+]
+
+
 class TestTokenizeOracle:
     """``tokenize`` gives the reference loop's tokens, or its exact error."""
 
@@ -324,13 +334,7 @@ class TestTokenizeOracle:
         text = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=ends[-1]))
         _assert_lexes_like_reference(text[a:b] for a, b in zip([0] + ends, ends))
 
-    @pytest.mark.parametrize(
-        "source",
-        [
-            "", " ", "\t1\n", "1e+", "1e", "1e5e2", "1E+09x", "1..2", ".5.", "..", ".", ".e1",
-            "1.e3", "a.b", "x1.2", "_a1", "e", "2^-3", "1 .", "sin (x1 ,2)", "1\x852", "1$",
-        ],
-    )
+    @pytest.mark.parametrize("source", _EDGE_CASES)
     def test_edge_cases(self, source):
         _assert_lexes_like_reference([source])
 
@@ -341,6 +345,80 @@ class TestTokenizeOracle:
             tokenize(source)
         assert info.value.offset == 999_999
         assert str(info.value) == "unexpected character '.' (at offset 999999)"
+
+
+def _reference_parse(source, dim=3):
+    """The raising parser over the reference tokens, kept as the oracle for ``parse``."""
+    if not isinstance(source, str):
+        raise ParseError("source must be a string", 0)
+    dim = int(dim)
+    if not 1 <= dim <= 3:
+        raise ParseError(f"dimension must be between 1 and 3, got {dim}", 0)
+    parser = _Parser(_reference_tokenize(source), dim)
+    node = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "eof":
+        raise ParseError(
+            f"unexpected trailing input {excerpt(trailing.lexeme)!r}", trailing.offset
+        )
+    return node
+
+
+def _parsed(parser, source):
+    """The Ast, or the error message and offset."""
+    try:
+        return parser(source, 3)
+    except ParseError as err:
+        return str(err), err.offset
+
+
+def _assert_parses_like_reference(sources):
+    for source in sources:
+        want = _parsed(_reference_parse, source)
+        assert _parsed(parse, source) == want, f"source {source!r}"
+
+
+class TestParseOracle:
+    """``parse``, a wrapper of the non-raising core, raises the reference's error or returns its Ast."""
+
+    def test_default_seed_fuzz_strings(self):
+        rng = np.random.default_rng(acceptance.DEFAULT_SEED)
+        _assert_parses_like_reference(acceptance._fuzz_sources(rng, acceptance.FUZZ_COUNT))
+
+    def test_every_code_point_below_u3000(self):
+        chars = [chr(cp) for cp in range(0x3000)]
+        _assert_parses_like_reference(chars)
+        _assert_parses_like_reference(f"x1{ch}2" for ch in chars)
+
+    @pytest.mark.parametrize("source", _EDGE_CASES)
+    def test_edge_cases(self, source):
+        _assert_parses_like_reference([source])
+
+    @pytest.mark.parametrize("source", ["", "2+", "(1", "1)", "foo", "sin(1,2)", "x4", "1e999"])
+    def test_core_returns_the_error(self, source):
+        # the core returns, not raises, what parse raises
+        error = _parse_or_error(source, 3)
+        assert isinstance(error, ParseError)
+        assert (str(error), error.offset) == _parsed(_reference_parse, source)
+
+
+class TestErrorArgs:
+    """Both error classes carry ``(message, offset)`` as their args and build the text in ``str``."""
+
+    @pytest.mark.parametrize("cls", [ParseError, EvalError])
+    def test_args_and_text(self, cls):
+        err = cls("log of non-positive value in 'log(x1)'", 4)
+        assert err.args == ("log of non-positive value in 'log(x1)'", 4)
+        assert err.offset == 4
+        assert str(err) == "log of non-positive value in 'log(x1)' (at offset 4)"
+
+    @pytest.mark.parametrize("cls", [ParseError, EvalError])
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))])
+    def test_round_trip_keeps_text_and_offset(self, cls, clone):
+        err = cls("unexpected character '$'", 2)
+        twin = clone(err)
+        assert type(twin) is cls
+        assert (str(twin), twin.offset, twin.args) == (str(err), err.offset, err.args)
 
 
 class TestToSource:
