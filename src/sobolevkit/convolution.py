@@ -20,6 +20,9 @@ are flagged absent by the accompanying mask.  The full convolution
 shape, the grid widened by the kernel window, is refused above
 ``grid.MAX_NODES`` nodes like the grid itself; where padding would take
 an accepted shape past that limit, the FFTs keep its exact lengths.
+Each input is scaled by a power of two before its FFT, so a result that
+float64 holds never overflows on the way.  ``compose``, the product of
+two kernels, is this convolution of one kernel's samples with the other.
 """
 
 from __future__ import annotations
@@ -71,12 +74,14 @@ def _lattice_kernel(grid: Grid, m: Mollifier, deriv: tuple[int, ...] | None) -> 
     else:
         vals = m.derivative(deriv, pts)
     shape = tuple(2 * k + 1 for k in radii)
-    return vals.reshape(shape) * grid.cell_volume
+    # a sample beyond float64 is refused later: by the lattice mass, or by convolve's range check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return vals.reshape(shape) * grid.cell_volume
 
 
 def _check_lattice_mass(m: Mollifier, mass: float) -> None:
     """Refuse a value kernel whose samples have lost their unit mass on the lattice."""
-    if abs(mass - 1.0) > MASS_TOL:
+    if not abs(mass - 1.0) <= MASS_TOL:  # also refuses nan
         raise ValueError(
             f"kernel at eps={m.eps} has lattice mass {mass:.6g}, outside 1 +- {MASS_TOL}:"
             f" the grid is too coarse for this eps"
@@ -84,7 +89,7 @@ def _check_lattice_mass(m: Mollifier, mass: float) -> None:
 
 
 def _check_full_shape(shape: tuple[int, ...]) -> None:
-    # up to twice the grid per axis: refuse it before it exists (_fft_shape pads it only within the limit)
+    # the grid widened by the kernel window: refuse it before it exists (_fft_shape pads it only within the limit)
     count = math.prod(shape)
     if count > MAX_NODES:
         raise ValueError(
@@ -93,18 +98,28 @@ def _check_full_shape(shape: tuple[int, ...]) -> None:
         )
 
 
+def _check_window(grid: Grid, eps: float) -> None:
+    if not eps < min(grid.box.widths) / 2.0:
+        raise ValueError(f"eps={eps} is too large for the box (needs eps < half the minimum width)")
+    _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, _window_radii(grid, eps))))
+
+
 def check_convolution_shape(grid: Grid, eps: float) -> None:
     """Refuse a radius ``eps`` that ``convolve`` cannot take on ``grid``.
 
     ``eps`` must be positive and finite, below half the smallest box width,
-    and its full convolution shape at most ``MAX_NODES`` nodes.
+    and its full convolution shape at most ``MAX_NODES`` nodes; the lattice
+    mass of its value kernel must lie within ``MASS_TOL`` of 1.  A kernel
+    scale ``eps^-n`` beyond float64 is left to the first kernel ``convolve``
+    builds, which names the derivative order that overflows.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    if not eps < min(grid.box.widths) / 2.0:
-        raise ValueError(f"eps={eps} is too large for the box (needs eps < half the minimum width)")
-    radii = _window_radii(grid, eps)
-    _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, radii)))
+    m = standard_bump(grid.dim, eps)
+    _check_window(grid, eps)
+    try:
+        kernel = _lattice_kernel(grid, m, None)
+    except ValueError:
+        return
+    _check_lattice_mass(m, float(kernel.sum()))
 
 
 def _fast_length(n: int) -> int:
@@ -149,29 +164,32 @@ def _pairless(a_nonzero: NDArray[np.bool_], b_nonzero: NDArray[np.bool_], nodes:
     return out
 
 
-def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64], scale: float = 1.0) -> NDArray[np.float64]:
-    """Centred window of the full linear convolution ``scale * a * b``, exactly ``0.0`` wherever no nonzero pair meets.
+def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Centred window of the full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets.
 
     Node ``i`` of the result, which has ``a``'s shape, is entry
     ``i + b.shape // 2`` of the full convolution.  The FFTs run on the
     full shape padded per axis to a 2*3*5-smooth length; the padding
     lies beyond the full shape, so it adds no wrapped-around terms.
-    ``scale`` multiplies ``a``'s spectrum before it meets ``b``'s, so no
-    sample of ``a`` underflows and the zero pattern stays that of ``a``.
+    Each input is scaled by the power of two that brings its largest
+    magnitude below 1, and the result scaled back: exact in the normal
+    range, so no bit changes there, and nothing overflows on the way.  A
+    result beyond float64 reads ``inf`` (``nan`` for an infinite input).
     """
     full = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
     fast = _fft_shape(full)
     axes = tuple(range(a.ndim))
     window = tuple(slice(k // 2, k // 2 + n) for n, k in zip(a.shape, b.shape))
 
-    def fft_convolve(x: np.ndarray, y: np.ndarray, factor: float = 1.0) -> NDArray[np.float64]:
+    def fft_convolve(x: np.ndarray, y: np.ndarray) -> NDArray[np.float64]:
         spectrum = np.fft.rfftn(x, fast, axes)
-        if factor != 1.0:
-            spectrum *= factor
         spectrum *= np.fft.rfftn(y, fast, axes)
         return np.fft.irfftn(spectrum, fast, axes)[window].copy()
 
-    out = fft_convolve(a, b, scale)
+    ea, eb = (math.frexp(max(-x.min(), x.max()))[1] for x in (a, b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fft_convolve(np.ldexp(a, -ea), np.ldexp(b, -eb))
+        np.ldexp(out, ea + eb, out=out)
     zeros = np.flatnonzero(a == 0)
     centre = b[tuple(k // 2 for k in b.shape)]
     size = math.prod(fast)
@@ -203,24 +221,24 @@ def convolve(
     the grid has too few cells per kernel radius, and raises
     ``ValueError`` instead of returning a multiple of the smoothed
     function; so does a full convolution shape above ``MAX_NODES`` nodes.
+    A result that float64 cannot hold raises ``OverflowError``.
     """
     grid = f.grid
     if m.dim != grid.dim:
         raise ValueError(f"kernel dimension {m.dim} does not match grid dimension {grid.dim}")
-    check_convolution_shape(grid, m.eps)
+    _check_window(grid, m.eps)
     kernel = _lattice_kernel(grid, m, deriv)
     if deriv is None:
         _check_lattice_mass(m, float(kernel.sum()))
-    # node i of the grid is entry i + k of the full convolution, zero-extending f
-    vals = _full_convolution(f.values, kernel)
-    if zero_extend:
-        return GridFunction(grid, vals), Region.full(grid)
-
-    region = interior_region(grid, m.eps)
+    region = Region.full(grid) if zero_extend else interior_region(grid, m.eps)
     if region.is_empty:
         raise ValueError(f"interior region at eps={m.eps} contains no nodes")
+    # node i of the grid is entry i + k of the full convolution, zero-extending f;
     # the eps-interior lies inside the valid window, where no zero extension enters
+    vals = _full_convolution(f.values, kernel)
     vals[~region.mask] = 0.0
+    if not np.isfinite(vals).all():
+        raise OverflowError(f"convolution with the kernel at eps={m.eps} has values beyond the float64 range")
     return GridFunction(grid, vals), region
 
 
@@ -325,16 +343,14 @@ class KernelReport:
 def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelReport:
     """Convolve the kernels of ``a`` and ``b`` on a shared symmetric grid.
 
-    This is the lattice convolution of :func:`convolve`, read off on the
-    centred window of the full convolution, so nodes the two supports
-    cannot reach are exactly ``0.0``.  The result is supported in the
-    ball of radius ``eps_a + eps_b`` and keeps unit mass, mirroring
-    composition of smoothing steps.  The grid covers
-    ``[-(eps_a + eps_b), eps_a + eps_b]^n``; the resolution must be even
-    so the offset lattice is centered at the origin.  As in
-    :func:`convolve`, each kernel's samples must keep their unit mass
-    within ``MASS_TOL`` on that grid, and the full convolution shape must
-    stay within ``MAX_NODES`` nodes, or ``ValueError`` is raised.
+    The grid covers ``[-(eps_a + eps_b), eps_a + eps_b]^n``; the resolution
+    must be even so the offset lattice is centred at the origin.  The
+    result is :func:`convolve` of ``a``'s samples, extended by zero, with
+    ``b``: supported in the ball of radius ``eps_a + eps_b`` with unit mass,
+    mirroring composition of smoothing steps, and exactly ``0.0`` where the
+    two supports cannot reach.  Both kernels must keep their unit mass
+    within ``MASS_TOL`` on the grid, and ``b``'s full convolution shape
+    must stay within ``MAX_NODES`` nodes, or ``ValueError`` is raised.
     """
     if a.dim != b.dim:
         raise ValueError(f"kernel dimensions differ: {a.dim} vs {b.dim}")
@@ -344,29 +360,12 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     radius = a.eps + b.eps
     n = a.dim
     grid = make_grid(Box((-radius,) * n, (radius,) * n), grid_resolution)
-    _check_full_shape(tuple(2 * size - 1 for size in grid.node_shape))
+    check_convolution_shape(grid, b.eps)
+    _check_lattice_mass(a, float(_lattice_kernel(grid, a, None).sum()))
     pts = grid.points()
-    av = a.value(pts).reshape(grid.node_shape)
-    bv = b.value(pts).reshape(grid.node_shape)
-    for m, samples in ((a, av), (b, bv)):
-        # a sum beyond float64 is an infinite mass, which the check refuses
-        with np.errstate(over="ignore"):
-            total = float(samples.sum())
-        _check_lattice_mass(m, total * grid.cell_volume)
-    # node i of the grid is entry i + resolution / 2 of the full convolution;
-    # the power-of-two part of the cell volume scales a's spectrum exactly, so
-    # a representable result cannot overflow on the way and keeps its bits
-    mantissa, exponent = math.frexp(grid.cell_volume)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cv = _full_convolution(av, bv, math.ldexp(1.0, exponent)) * mantissa
-    if not np.isfinite(cv).all():
-        raise ValueError(
-            f"kernels at eps={a.eps} and eps={b.eps} overflow float64 in their convolution:"
-            f" eps is too small"
-        )
-    kernel = GridFunction(grid, cv)
-    support = np.sqrt(np.sum(pts * pts, axis=-1)).reshape(grid.node_shape)
-    hit = np.abs(cv) > 0.0
+    kernel, _ = convolve(GridFunction(grid, a.value(pts).reshape(grid.node_shape)), b, zero_extend=True)
+    # node distances in units of the box half-width, so no square under- or overflows
+    support = radius * np.sqrt(np.sum((pts / radius) ** 2, axis=-1)).reshape(grid.node_shape)
+    hit = kernel.values != 0.0
     support_radius = float(support[hit].max()) if hit.any() else 0.0
-    mass = quadrature(kernel)
-    return KernelReport(support_radius, mass, kernel)
+    return KernelReport(support_radius, quadrature(kernel), kernel)

@@ -34,12 +34,13 @@ __all__ = [
     "bump_raw_derivatives",
 ]
 
-# Gauss-Legendre nodes for the radial normalization integral over [0, 1].
-# The bump is flat to all orders at r = 1, so the rule converges faster
-# than any power of the node count; 128 nodes are at machine accuracy.
-_RADIAL_NODES = 128
-
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
+# C per dimension n: 1 / (|S^(n-1)| * int_0^1 r^(n-1) exp(1/(r^2-1)) dr), as the
+# bump is radial.  These are the values of a 128-node Gauss-Legendre rule, at
+# machine accuracy since the bump is flat to all orders at r = 1;
+# tests/test_mollifier.py recomputes them bit for bit.  Literals keep
+# numpy.polynomial, which the rule needs, out of every run: the grid commands
+# build a kernel before they sample, and importing it there raised their peak RSS.
+_NORMALIZATION = {1: 2.2522836210435835, 2: 2.14356577579225, 3: 2.267116739608341}
 
 
 def _points_2d(points: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
@@ -115,15 +116,6 @@ def bump_raw_derivative(alpha: tuple[int, ...], points: NDArray[np.float64]) -> 
     return bump_raw_derivatives([alpha], points)[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _normalization_constant(dim: int) -> float:
-    # the bump is radial: its mass is |S^(dim-1)| * int_0^1 r^(dim-1) exp(1/(r^2-1)) dr
-    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_NODES)
-    r = 0.5 * (nodes + 1.0)
-    radial = 0.5 * np.sum(weights * r ** (dim - 1) * np.exp(1.0 / (r * r - 1.0)))
-    return float(1.0 / (_SPHERE_AREA[dim] * radial))
-
-
 @dataclass(frozen=True)
 class Mollifier:
     """Scaled standard bump ``phi_eps(x) = eps^(-n) phi(x/eps)`` supported on ``|x| <= eps``.
@@ -147,7 +139,7 @@ class Mollifier:
 
     @property
     def normalization(self) -> float:
-        return _normalization_constant(self.dim)
+        return _NORMALIZATION[self.dim]
 
     def _scaled(
         self,
@@ -159,10 +151,13 @@ class Mollifier:
         try:
             scale = self.eps ** (-self.dim - order)
         except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            where, flows, eps_is = ("beyond", "overflows", "small") if scale else ("below", "underflows", "large")
             raise ValueError(
-                f"kernel at eps={self.eps} has values beyond the float64 range"
-                f" (eps^-{self.dim + order} overflows): eps is too small"
-            ) from None
+                f"kernel at eps={self.eps} has values {where} the float64 range"
+                f" (eps^-{self.dim + order} {flows}): eps is too {eps_is}"
+            )
         with np.errstate(over="ignore"):  # a point too far out to scale or square is outside the ball
             unit = raw(pts / self.eps)
         return scale * (self.normalization * unit)

@@ -206,16 +206,30 @@ class TestCompose:
         assert err.count("\n") == 1
 
     def test_tiny_kernels_compose_like_unit_ones(self, capsys):
-        # the composed kernel peaks near eps^-3 = 1e300, which float64 holds;
-        # multiplying the two kernels before scaling overflowed on the way
-        masses = []
-        for eps in ("1e-100", "1"):
-            code, out, err = run(
-                capsys, ["compose", "--dim", "3", "--res", "10", "--eps-a", eps, "--eps-b", eps]
-            )
+        # the composed kernels peak near eps^-dim (1e300, 1e306, 3e307), which float64
+        # holds; multiplying the two kernels before scaling overflowed on the way, and
+        # the last two were refused for a product of whole-grid samples
+        for dim, res, eps in (("3", "10", "1e-100"), ("2", "40", "1e-153"), ("1", "40", "3e-308")):
+            masses = []
+            for e in (eps, "1"):
+                code, out, err = run(
+                    capsys, ["compose", "--dim", dim, "--res", res, "--eps-a", e, "--eps-b", e]
+                )
+                assert (code, err) == (EXIT_OK, "")
+                masses.append(float(out.splitlines()[1].split(",")[1]))
+            assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
+
+    def test_support_radius_scales_with_the_kernels(self, capsys):
+        # the squared node distances under- or overflowed: 1e-200 printed radius 0,
+        # 1e300 printed inf after a numpy warning
+        def radius(eps):
+            code, out, err = run(capsys, ["compose", "--res", "40", "--eps-a", eps, "--eps-b", eps])
             assert (code, err) == (EXIT_OK, "")
-            masses.append(float(out.splitlines()[1].split(",")[1]))
-        assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
+            return float(out.splitlines()[1].split(",")[0])
+
+        unit = radius("1")
+        for eps in ("1e-200", "1e300"):
+            assert radius(eps) == pytest.approx(unit * float(eps), rel=1e-12, abs=0)
 
     def test_odd_resolution(self, capsys):
         code, _, err = run(
@@ -296,6 +310,21 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def run_measured(argv, timeout=60):
+    """Like ``run_subprocess``, but the child then prints its peak resident set (Linux ``VmHWM``, kB) to stdout.
+
+    ``ru_maxrss`` would not do: a child's starts from its parent's resident set at fork.
+    """
+    script = (
+        "import sys\nfrom sobolevkit.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=_child_env(), capture_output=True, timeout=timeout
+    )
+
+
 def run_subprocess(argv, timeout=60):
     """The CLI in a child process; a hang fails the test at ``timeout`` seconds."""
     return subprocess.run(
@@ -323,7 +352,7 @@ class TestRefusedBeforeWork:
              "test function count 1000000000 is above the limit of 1000"),
             # a grid of 255^3 nodes is under MAX_NODES, its full convolution shape is not
             (["compose", "--dim", "3", "--res", "254", "--eps-a", "0.1", "--eps-b", "0.1"],
-             f"full convolution of 509x509x509 = {509**3} nodes is above the limit of {MAX_NODES} nodes"),
+             f"full convolution of 381x381x381 = {381**3} nodes is above the limit of {MAX_NODES} nodes"),
         ],
     )
     def test_exit_two_with_short_error(self, argv, message):
@@ -336,14 +365,17 @@ class TestRefusedBeforeWork:
         assert stderr.count("\n") == 1
         assert len(result.stderr) < 300
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_full_shape_just_above_limit(self):
-        # 257^3 nodes are refused with the exact full shape, not its padded FFT shape
-        result = run_subprocess(["compose", "--dim", "3", "--res", "128", "--eps-a", "0.1", "--eps-b", "0.1"])
+        # the 173^3 grid widened by b's window is 259^3 nodes: refused with that exact
+        # shape, not its padded FFT shape, before any array over the grid exists
+        result = run_measured(["compose", "--dim", "3", "--res", "172", "--eps-a", "0.1", "--eps-b", "0.1"])
         assert result.returncode == EXIT_VALIDATION
-        assert result.stdout == b""
         assert result.stderr.decode() == (
-            f"error: full convolution of 257x257x257 = {257**3} nodes is above the limit of {MAX_NODES} nodes\n"
+            f"error: full convolution of 259x259x259 = {259**3} nodes is above the limit of {MAX_NODES} nodes\n"
         )
+        # the only stdout line is the child's peak RSS in kB; the grid's samples alone are 40 MB
+        assert int(result.stdout) < 60 * 1024
 
     @pytest.mark.parametrize(
         "argv",
@@ -367,7 +399,7 @@ class TestRefusedBeforeWork:
         )
 
     def test_largest_3d_compose_still_runs(self):
-        # full convolution shape 201^3, just under MAX_NODES
+        # the 101^3 grid widened by b's window is 151^3 nodes
         result = run_subprocess(["compose", "--dim", "3", "--res", "100", "--eps-a", "0.1", "--eps-b", "0.1"])
         assert result.returncode == EXIT_OK
         assert result.stdout.startswith(b"support_radius,mass\n")
@@ -379,8 +411,8 @@ class TestRefusedBeforeWork:
 
 
 class TestTinyKernels:
-    # eps^-dim overflowed Python's float power (exit 3 with an errno tuple),
-    # and squaring points scaled by 1e300 printed numpy overflow warnings
+    # kernels float64 cannot hold: eps^-dim overflowed Python's float power (exit 3
+    # with an errno tuple), and squaring points scaled by 1e300 printed numpy warnings
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -397,11 +429,22 @@ class TestTinyKernels:
              "kernel at eps=1e-300 has lattice mass 1.65714e+297"),
             (["compose", "--dim", "1", "--res", "100", "--eps-a", "1e300", "--eps-b", "1e-300"],
              "kernel at eps=1e-300 has lattice mass inf"),
-            (["compose", "--dim", "2", "--res", "40", "--eps-a", "1e-153", "--eps-b", "1e-153"],
-             "kernels at eps=1e-153 and eps=1e-153 overflow float64 in their convolution"),
-            # the lattice sum itself overflows; numpy's warning stays off stderr
-            (["compose", "--dim", "1", "--res", "40", "--eps-a", "3e-308", "--eps-b", "3e-308"],
-             "kernel at eps=3e-308 has lattice mass inf"),
+            # a kernel far narrower than a cell: its one sample times the cell volume
+            # overflowed with a numpy warning, or its FFT ended in a traceback (exit 1)
+            (["mollify", "--lo", "0", "--hi", "1e300", "--res", "100", "--eps", "1e-300", "--f", "1"],
+             "kernel at eps=1e-300 has lattice mass inf,"),
+            (["commute", "--lo", "0", "--hi", "1e300", "--res", "100", "--eps", "1e-4", "--alpha", "2",
+              "--f", "1", "--u", "0"],
+             "kernel at eps=0.0001 has lattice mass 8.28569e+301,"),
+            # eps^-2 underflowed to 0.0: compose blamed an eps too small, mollify printed
+            # a warning and "grid function values must be finite"
+            (["compose", "--dim", "2", "--eps-a", "1e200", "--eps-b", "1e200"],
+             "kernel at eps=1e+200 has values below the float64 range (eps^-2 underflows): eps is too large\n"),
+            (["mollify", "--lo", "0,0", "--hi", "1e200,1e200", "--res", "40", "--eps", "1e199", "--f", "1"],
+             "kernel at eps=1e+199 has values below the float64 range (eps^-2 underflows): eps is too large\n"),
+            # an infinite cell volume times the zero corner samples is a nan mass
+            (["mollify", "--lo", "0,0", "--hi", "6e155,6e155", "--res", "40", "--eps", "1.5e154", "--f", "1"],
+             "kernel at eps=1.5e+154 has lattice mass nan,"),
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, message):
@@ -411,6 +454,37 @@ class TestTinyKernels:
         stderr = result.stderr.decode()
         assert stderr.startswith("error: " + message)
         assert stderr.count("\n") == 1
+
+
+class TestBeyondFloat64:
+    def test_huge_values_float64_holds_are_smoothed(self):
+        # the FFT of 1e307 samples overflowed on the way: four numpy warnings, then
+        # "grid function values must be finite"
+        columns = []
+        for f in ("1", "1e307"):
+            result = run_subprocess(["mollify", "--res", "40", "--eps", "0.1", "--f", f])
+            assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+            rows = result.stdout.decode().splitlines()[1:]
+            columns.append([[float(v) for v in row.split(",")] for row in rows])
+        unit, huge = columns
+        assert [x for x, _ in huge] == [x for x, _ in unit]
+        for (_, want), (_, got) in zip(unit, huge):
+            assert got == pytest.approx(1e307 * want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "argv,eps",
+        [
+            (["mollify", "--res", "40", "--eps", "0.075", "--f", "1.79e308"], "0.075"),
+            (["commute", "--res", "40", "--eps", "0.1", "--f", "1.79e308*x1", "--u", "1.79e308"], "0.1"),
+        ],
+    )
+    def test_result_beyond_float64_exits_three(self, argv, eps):
+        # a lattice mass just above 1 takes 1.79e308 past the largest float64
+        result = run_subprocess(argv)
+        assert (result.returncode, result.stdout) == (EXIT_NUMERICAL, b"")
+        assert result.stderr.decode() == (
+            f"error: convolution with the kernel at eps={eps} has values beyond the float64 range\n"
+        )
 
 
 class TestOutputHandling:
@@ -610,6 +684,8 @@ class TestValidationExits:
             ["converge", "--eps", "0.1,0.2"],
             ["sobolev", "--k", "0"],
             ["sobolev", "--k", "1"],
+            ["mollify", "--eps", "0.001"],
+            ["converge", "--res", "40"],
         ],
     )
     def test_bad_flag_refused_before_sampling(self, capsys, monkeypatch, argv):
@@ -618,7 +694,9 @@ class TestValidationExits:
             raise AssertionError("an expression was sampled")
 
         monkeypatch.setattr(cli, "evaluate_many", no_sampling)
-        code, out, err = run(capsys, [*argv, "--lo", "0", "--hi", "1", "--res", "10", "--f", "log(x1)"])
+        # argv's own flags come last, so they override the defaults here
+        command, *flags = argv
+        code, out, err = run(capsys, [command, "--lo", "0", "--hi", "1", "--res", "10", *flags, "--f", "log(x1)"])
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -628,11 +706,16 @@ class TestValidationExits:
             (["converge", "--eps", "0.1,0.2"], "eps ladder must be strictly decreasing, got [0.1, 0.2]"),
             (["sobolev", "--k", "0"], "order k must be at least 1, got 0"),
             (["sobolev", "--k", "1"], "candidate family is missing derivatives [(1,)] for k=1"),
+            # a value kernel that has lost its unit mass on the lattice (the default ladder ends at 0.025)
+            (["mollify", "--res", "10", "--eps", "0.001"],
+             "kernel at eps=0.001 has lattice mass 82.8569, outside 1 +- 0.05: the grid is too coarse for this eps"),
+            (["converge", "--res", "40"],
+             "kernel at eps=0.025 has lattice mass 0.828569, outside 1 +- 0.05: the grid is too coarse for this eps"),
         ],
     )
     def test_refusal_does_not_depend_on_the_expression(self, capsys, argv, message):
         for f in ("x1", "log(x1)"):
-            code, out, err = run(capsys, [*argv, "--res", "20", "--f", f])
+            code, out, err = run(capsys, [argv[0], "--res", "20", *argv[1:], "--f", f])
             assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("count", ["0", "-5"])

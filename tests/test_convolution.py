@@ -8,6 +8,7 @@ from sobolevkit.convolution import (
     OrbitEntry,
     OrbitNet,
     _check_full_shape,
+    _check_lattice_mass,
     _fast_length,
     _fft_shape,
     _full_convolution,
@@ -438,6 +439,28 @@ class TestAgainstDirectSum:
         got = _full_convolution(a, b)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+
+class TestRange:
+    @pytest.mark.parametrize("k", [1000, -1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # magnitudes 2^-8 to 2^17: times 2^1000, unscaled spectra overflow float64;
+        # times 2^-1000, every sample stays normal, so both sides are exact
+        rng = np.random.default_rng(700)
+        a = rng.choice([-1.0, 1.0], (20, 17)) * rng.uniform(1.0, 2.0, (20, 17)) * 2.0 ** rng.integers(-8, 17, (20, 17))
+        a[rng.random(a.shape) < 0.2] = 0.0
+        b = rng.uniform(0.0, 1.0, (7, 5))
+        np.testing.assert_array_equal(_full_convolution(a * 2.0**k, b), _full_convolution(a, b) * 2.0**k)
+
+    def test_result_beyond_float64_names_the_eps(self):
+        # the lattice mass 1.019 takes 1.79e308 past the largest float64
+        f = GridFunction(unit_grid(40), np.full(41, 1.79e308))
+        with pytest.raises(OverflowError, match="kernel at eps=0.075 has values beyond the float64 range"):
+            convolve(f, standard_bump(1, 0.075))
+
+    def test_nan_lattice_mass_is_refused(self):
+        with pytest.raises(ValueError, match="lattice mass nan"):
+            _check_lattice_mass(standard_bump(1, 0.1), math.nan)
 
 
 def is_smooth(n):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,14 @@ class TestNormalization:
         bump = standard_bump(dim)
         assert bump.normalization == pytest.approx(radial_oracle_constant(dim), abs=1e-13)
         assert bump.normalization == pytest.approx(FROZEN_C[dim], abs=1e-13)
+
+    def test_constants_are_the_radial_rule_bit_for_bit(self):
+        # 128 Gauss-Legendre nodes on [0, 1] for |S^(n-1)| * int_0^1 r^(n-1) exp(1/(r^2-1)) dr
+        nodes, weights = np.polynomial.legendre.leggauss(128)
+        r = 0.5 * (nodes + 1.0)
+        for dim, sphere_area in ((1, 2.0), (2, 2.0 * math.pi), (3, 4.0 * math.pi)):
+            radial = 0.5 * np.sum(weights * r ** (dim - 1) * np.exp(1.0 / (r * r - 1.0)))
+            assert standard_bump(dim).normalization == float(1.0 / (sphere_area * radial))
 
     def test_raw_mass_1d(self):
         mass, _ = quad(lambda r: 2.0 * math.exp(1.0 / (r * r - 1.0)), 0.0, 1.0)
@@ -181,6 +190,16 @@ class TestScaling:
         for dim in (0, 4):
             with pytest.raises(ValueError, match="dimension"):
                 standard_bump(dim, 0.5)
+
+    def test_scale_outside_float64_is_refused(self):
+        # eps^-2 of 1e200 underflowed to 0.0 and gave an all-zero kernel
+        for eps, side in ((1e-200, "beyond"), (1e200, "below")):
+            with pytest.raises(ValueError, match=re.escape(f"kernel at eps={eps} has values {side} the float64 range")):
+                standard_bump(2, eps).value(np.zeros((1, 2)))
+        # the first derivative needs eps^-2 in 1-d, which 1e-160 overflows; the value does not
+        assert standard_bump(1, 1e-160).value(np.zeros((1, 1)))[0] > 0.0
+        with pytest.raises(ValueError, match=r"\(eps\^-2 overflows\): eps is too small"):
+            standard_bump(1, 1e-160).derivative((1,), np.zeros((1, 1)))
 
     def test_value_scaling_identity(self):
         bump = standard_bump(1)
