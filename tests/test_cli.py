@@ -206,18 +206,16 @@ class TestCompose:
         assert err.count("\n") == 1
 
     def test_tiny_kernels_compose_like_unit_ones(self, capsys):
-        # the composed kernels peak near eps^-dim (1e300, 1e306, 3e307), which float64
-        # holds; multiplying the two kernels before scaling overflowed on the way, and
-        # the last two were refused for a product of whole-grid samples
-        for dim, res, eps in (("3", "10", "1e-100"), ("2", "40", "1e-153"), ("1", "40", "3e-308")):
-            masses = []
-            for e in (eps, "1"):
-                code, out, err = run(
-                    capsys, ["compose", "--dim", dim, "--res", res, "--eps-a", e, "--eps-b", e]
-                )
-                assert (code, err) == (EXIT_OK, "")
-                masses.append(float(out.splitlines()[1].split(",")[1]))
-            assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
+        # the composed kernel peaks near eps^-3 = 1e300, which float64 holds;
+        # multiplying the two kernels before scaling overflowed on the way
+        masses = []
+        for eps in ("1e-100", "1"):
+            code, out, err = run(
+                capsys, ["compose", "--dim", "3", "--res", "10", "--eps-a", eps, "--eps-b", eps]
+            )
+            assert (code, err) == (EXIT_OK, "")
+            masses.append(float(out.splitlines()[1].split(",")[1]))
+        assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
 
     def test_support_radius_scales_with_the_kernels(self, capsys):
         # the squared node distances under- or overflowed: 1e-200 printed radius 0,
@@ -454,6 +452,18 @@ class TestTinyKernels:
         stderr = result.stderr.decode()
         assert stderr.startswith("error: " + message)
         assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("dim,eps", [("2", "1e-153"), ("1", "3e-308")])
+    def test_compose_kernels_float64_holds(self, capsys, dim, eps):
+        # the composed kernels peak near eps^-dim (1e306, 3e307), which float64 holds;
+        # both were refused for a product of whole-grid samples, the 1-d one for an
+        # overflowing lattice sum
+        masses = []
+        for e in (eps, "1"):
+            code, out, err = run(capsys, ["compose", "--dim", dim, "--res", "40", "--eps-a", e, "--eps-b", e])
+            assert (code, err) == (EXIT_OK, "")
+            masses.append(float(out.splitlines()[1].split(",")[1]))
+        assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
 
 
 class TestBeyondFloat64:
