@@ -1,5 +1,13 @@
 """Smoothing kernels, weak-derivative verification, and Sobolev norms on sampled grids."""
 
+import os
+
+# The package makes no BLAS or LAPACK call: its work is FFTs, ufuncs and
+# pure Python.  OpenBLAS would start one worker per CPU when numpy loads,
+# and those workers only spin.  Ask for one thread before the first import
+# below loads numpy; a value the user has set is left alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .grid import (
     Box,
     Grid,

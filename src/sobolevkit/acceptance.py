@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import compose, convergence_study, convolve, orbit
-from .dynamics import exponential_flow, invertibility_check, newton_net
+from .dynamics import _group_law, exponential_flow, invertibility_check, newton_net
 from .expr import _parse_or_error, evaluate, parse
 from .grid import Box, GridFunction, make_grid
 from .mollifier import standard_bump, verify_unit
@@ -228,10 +228,12 @@ def criterion_flow(seed: int) -> CriterionResult:
     """Group law holds to 1e-12 over a random sweep; RK4 matches the closed form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    # the sweep reads only the group law, so it runs no RK4 control
     for _ in range(100):
-        k, s, t = rng.uniform(-1.0, 1.0, size=3)
-        x0 = rng.uniform(-5.0, 5.0)
-        worst = max(worst, exponential_flow(k, x0, s, t).residual)
+        k, s, t = rng.uniform(-1.0, 1.0, size=3).tolist()
+        x0 = float(rng.uniform(-5.0, 5.0))
+        lhs, rhs = _group_law(k, x0, s, t)
+        worst = max(worst, abs(lhs - rhs))
     rk4 = exponential_flow(1.0, 1.0, 0.0, 1.0).rk4_error
     ok = worst <= 1e-12 and rk4 <= 1e-8
     return CriterionResult(

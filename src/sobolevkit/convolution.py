@@ -98,10 +98,15 @@ def _check_full_shape(shape: tuple[int, ...]) -> None:
         )
 
 
+def _full_shape(grid: Grid, eps: float) -> tuple[int, ...]:
+    # the grid widened by the kernel window at eps on each side
+    return tuple(n + 2 * k for n, k in zip(grid.node_shape, _window_radii(grid, eps)))
+
+
 def _check_window(grid: Grid, eps: float) -> None:
     if not eps < min(grid.box.widths) / 2.0:
         raise ValueError(f"eps={eps} is too large for the box (needs eps < half the minimum width)")
-    _check_full_shape(tuple(n + 2 * k for n, k in zip(grid.node_shape, _window_radii(grid, eps))))
+    _check_full_shape(_full_shape(grid, eps))
 
 
 def check_convolution_shape(grid: Grid, eps: float) -> None:
@@ -360,8 +365,12 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     radius = a.eps + b.eps
     n = a.dim
     grid = make_grid(Box((-radius,) * n, (radius,) * n), grid_resolution)
-    check_convolution_shape(grid, b.eps)
+    # b's full shape is refused before any array over the grid exists; a's
+    # mass comes next, ahead of b's box check: when a.eps is below half an
+    # ulp of b.eps, the box is b's own and that check would blame b for a's fault
+    _check_full_shape(_full_shape(grid, b.eps))
     _check_lattice_mass(a, float(_lattice_kernel(grid, a, None).sum()))
+    check_convolution_shape(grid, b.eps)
     pts = grid.points()
     kernel, _ = convolve(GridFunction(grid, a.value(pts).reshape(grid.node_shape)), b, zero_extend=True)
     # node distances in units of the box half-width, so no square under- or overflows

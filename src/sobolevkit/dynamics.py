@@ -175,9 +175,12 @@ def _rk4_exponential(k: float, x0: float, t: float, step: float = RK4_STEP) -> f
     """Integrate ``x' = k x`` from 0 to ``t`` with classical RK4 at fixed step."""
     if t == 0.0:
         return x0
+    # bounded before the step count: for a huge |t| it has hundreds of digits, or is inf
+    if not abs(t) <= MAX_RK4_STEPS * step:
+        raise ValueError(
+            f"t={t} needs more than {MAX_RK4_STEPS} RK4 steps of {step}: |t| must be at most {MAX_RK4_STEPS * step:g}"
+        )
     n = max(1, math.ceil(abs(t) / step))
-    if n > MAX_RK4_STEPS:
-        raise ValueError(f"t={t} needs {n} RK4 steps of {step}, above the limit of {MAX_RK4_STEPS}")
     h = t / n
     x = x0
     for _ in range(n):
@@ -187,6 +190,26 @@ def _rk4_exponential(k: float, x0: float, t: float, step: float = RK4_STEP) -> f
         k4 = k * (x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return x
+
+
+def _flow_overflow(k: float, x0: float, s: float, t: float) -> OverflowError:
+    return OverflowError(f"exponential flow at k={k}, x0={x0}, s={s}, t={t} leaves the float64 range")
+
+
+def _group_law(k: float, x0: float, s: float, t: float) -> tuple[float, float]:
+    """``phi_{s+t}(x0)`` evaluated directly and as ``phi_t(phi_s(x0))``.
+
+    Either value leaving the float64 range raises ``OverflowError``
+    naming the arguments.
+    """
+    try:
+        lhs = x0 * math.exp(k * (s + t))
+        rhs = (x0 * math.exp(k * s)) * math.exp(k * t)
+    except OverflowError:
+        raise _flow_overflow(k, x0, s, t) from None
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise _flow_overflow(k, x0, s, t)
+    return lhs, rhs
 
 
 def exponential_flow(k: float, x0: float, s: float, t: float) -> FlowCheck:
@@ -204,18 +227,13 @@ def exponential_flow(k: float, x0: float, s: float, t: float) -> FlowCheck:
     for name, v in (("k", k), ("x0", x0), ("s", s), ("t", t)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    overflow = OverflowError(f"exponential flow at k={k}, x0={x0}, s={s}, t={t} leaves the float64 range")
     rk4 = _rk4_exponential(k, x0, t)
-    try:
-        lhs = x0 * math.exp(k * (s + t))
-        rhs = (x0 * math.exp(k * s)) * math.exp(k * t)
-        exact_t = x0 * math.exp(k * t)
-    except OverflowError:
-        raise overflow from None
-    check = FlowCheck(k, x0, s, t, lhs, rhs, abs(lhs - rhs), abs(rk4 - exact_t))
-    if not all(map(math.isfinite, (lhs, rhs, check.rk4_error))):
-        raise overflow
-    return check
+    lhs, rhs = _group_law(k, x0, s, t)
+    # e^{kt} is finite: the group law's rhs computed it
+    rk4_error = abs(rk4 - x0 * math.exp(k * t))
+    if not math.isfinite(rk4_error):
+        raise _flow_overflow(k, x0, s, t)
+    return FlowCheck(k, x0, s, t, lhs, rhs, abs(lhs - rhs), rk4_error)
 
 
 @dataclass(frozen=True)

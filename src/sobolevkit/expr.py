@@ -369,7 +369,9 @@ def evaluate(node: Ast, point: Sequence[float]) -> float:
         if node.op == "^":
             try:
                 return _check_finite(math.pow(left, right), node)
-            except (ValueError, OverflowError):
+            except OverflowError:
+                raise EvalError(f"overflow in {_shown(node)}", node.offset) from None
+            except ValueError:
                 raise EvalError(f"invalid power in {_shown(node)}", node.offset) from None
         raise EvalError(f"unknown operator {node.op!r}", node.offset)
     if isinstance(node, Call):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sobolevkit import acceptance
+from sobolevkit.dynamics import exponential_flow
 
 
 def _seed() -> int:
@@ -62,6 +63,19 @@ def test_invertibility_after_smoothing():
 
 def test_exponential_flow_group_law():
     _check(acceptance.criterion_flow, _seed())
+
+
+@pytest.mark.parametrize("seed", [11, acceptance.DEFAULT_SEED])
+def test_flow_sweep_reads_the_full_checks_residuals(seed):
+    # the sweep runs only the group law, not the RK4 control; its worst residual
+    # is the one the full flow check gives on the same draws
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        k, s, t = rng.uniform(-1.0, 1.0, size=3)
+        x0 = rng.uniform(-5.0, 5.0)
+        worst = max(worst, exponential_flow(k, x0, s, t).residual)
+    assert acceptance.criterion_flow(seed).detail.startswith(f"max group-law residual {worst:.3e} (tol 1e-12);")
 
 
 def test_distributional_shadow():

@@ -265,6 +265,19 @@ class TestNewton:
         assert code == EXIT_NUMERICAL
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "f,x0,message",
+        [
+            # both errors of math.pow used to read "invalid power"
+            ("x1^2", "1e200", "overflow in 'x1^2'"),
+            ("(-1)^0.5", "1", "invalid power in '(-1)^0.5'"),
+        ],
+    )
+    def test_power_errors_are_named(self, capsys, f, x0, message):
+        code, out, err = run(capsys, ["newton", "--f", f, "--a", "1", "--y", "2", "--x0", x0])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == f"error: evaluating {f!r}: {message} (at offset {f.index('^')})\n"
+
 
 class TestFlow:
     def test_group_law_row(self, capsys):
@@ -351,6 +364,12 @@ class TestRefusedBeforeWork:
             # a grid of 255^3 nodes is under MAX_NODES, its full convolution shape is not
             (["compose", "--dim", "3", "--res", "254", "--eps-a", "0.1", "--eps-b", "0.1"],
              f"full convolution of 381x381x381 = {381**3} nodes is above the limit of {MAX_NODES} nodes"),
+            # |t| is bounded before the step count: ceil(1e306 / step) raised "cannot convert
+            # float infinity to integer" (exit 3), and 1e305 printed a 300-digit count
+            (["flow", "--k", "1", "--x0", "1", "--s", "0", "--t", "1e306"],
+             "t=1e+306 needs more than 1000000 RK4 steps of 0.001: |t| must be at most 1000"),
+            (["flow", "--k", "0", "--x0", "1", "--s", "0", "--t", "1e305"],
+             "t=1e+305 needs more than 1000000 RK4 steps of 0.001: |t| must be at most 1000"),
         ],
     )
     def test_exit_two_with_short_error(self, argv, message):
@@ -443,6 +462,10 @@ class TestTinyKernels:
             # an infinite cell volume times the zero corner samples is a nan mass
             (["mollify", "--lo", "0,0", "--hi", "6e155,6e155", "--res", "40", "--eps", "1.5e154", "--f", "1"],
              "kernel at eps=1.5e+154 has lattice mass nan,"),
+            # eps_a below half an ulp of eps_b: a + b rounds to b, and b was blamed
+            # as "too large for the box" for a's fault
+            (["compose", "--eps-a", "1e-20", "--eps-b", "1"], "kernel at eps=1e-20 has lattice mass 6.47319e+17,"),
+            (["compose", "--eps-a", "1e-20", "--eps-b", "0.1"], "kernel at eps=1e-20 has lattice mass 6.47319e+16,"),
         ],
     )
     def test_exit_two_with_one_error_line(self, argv, message):

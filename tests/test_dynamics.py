@@ -189,6 +189,15 @@ class TestExponentialFlow:
             with pytest.raises(ValueError, match="RK4 steps"):
                 exponential_flow(0.0, 1.0, 0.0, t)
 
+    def test_rk4_limit_checked_before_the_step_count(self):
+        # ceil(|t| / step) of a huge t is a 300-digit integer, or no integer at all
+        for t in (1e305, -1e306, 1.7e308):
+            with pytest.raises(ValueError) as info:
+                exponential_flow(1.0, 1.0, 0.0, t)
+            assert str(info.value) == (
+                f"t={t} needs more than {MAX_RK4_STEPS} RK4 steps of {RK4_STEP}: |t| must be at most 1000"
+            )
+
     @given(
         k=st.floats(-2.0, 2.0),
         x0=st.floats(-10.0, 10.0),
