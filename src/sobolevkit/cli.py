@@ -25,7 +25,7 @@ import numpy as np
 
 from . import acceptance
 from .acceptance import DEFAULT_SEED
-from .convolution import _check_ladder, check_convolution_shape, compose, convergence_study, convolve
+from .convolution import _admit, _check_ladder, compose, convergence_study, convolve
 from .dynamics import exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
@@ -110,7 +110,7 @@ def _parse_alpha(raw: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated grid and ladder settings shared by the grid-based commands."""
+    """The validated grid and tolerance, and the parsed ``--eps`` values, of the grid-based commands."""
 
     grid: Grid
     eps_ladder: tuple[float, ...]
@@ -133,11 +133,7 @@ class RunConfig:
         # refuses a grid above MAX_NODES nodes; nothing is allocated yet
         grid = make_grid(box, resolution)
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
-        for eps in eps_ladder:
-            # refuse a radius convolve cannot take before any expression is sampled
-            check_convolution_shape(grid, eps)
-        tol = _parse_tol(args.tol) if getattr(args, "tol", None) else 1e-4
-        return cls(grid, eps_ladder, tol)
+        return cls(grid, eps_ladder, _parse_tol(args.tol))
 
 
 def _expression_error(source: str, exc: ParseError | EvalError) -> CliError:
@@ -187,9 +183,12 @@ def _single_eps(config: RunConfig) -> float:
 def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
-    eps = _single_eps(config)
+    m = standard_bump(grid.dim, _single_eps(config))
+    # each command admits its convolutions before it samples, so a refused
+    # kernel exits 2 with convolve's own message whatever the expression
+    _admit(grid, m)
     f = _sample_expression(args.f, grid)
-    smoothed, _ = convolve(f, standard_bump(grid.dim, eps))
+    smoothed, _ = convolve(f, m)
     out = io.StringIO()
     write_grid_function_csv(smoothed, out)
     return out.getvalue(), EXIT_OK
@@ -197,6 +196,8 @@ def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
+    for eps in config.eps_ladder:
+        _admit(config.grid, standard_bump(config.grid.dim, eps))
     p = _parse_p(args.p)
     _check_ladder(config.eps_ladder)
     f = _sample_expression(args.f, config.grid)
@@ -212,6 +213,10 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
     grid = config.grid
     alpha = _parse_alpha(args.alpha, grid.dim)
     eps = _single_eps(config)
+    # commutation_residual smooths f with the alpha-derivative kernel, then u with the value kernel
+    m = standard_bump(grid.dim, eps)
+    _admit(grid, m, alpha)
+    _admit(grid, m)
     p = _parse_p(args.p)
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
@@ -266,8 +271,11 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     dim = _parse_int(args.dim, "--dim")
     report = compose(standard_bump(dim, eps_a), standard_bump(dim, eps_b), res)
     if args.kernel_out:
-        with open(args.kernel_out, "w") as fh:
-            write_grid_function_csv(report.kernel, fh)
+        try:
+            with open(args.kernel_out, "w") as fh:
+                write_grid_function_csv(report.kernel, fh)
+        except OSError as exc:
+            raise CliError(f"cannot write kernel output: {exc}") from None
     return _table(("support_radius", "mass"), [(report.support_radius, report.mass)]), EXIT_OK
 
 
@@ -309,16 +317,16 @@ def _cmd_flow(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def resolve_seed(raw: str | None = None) -> int:
-    """Seed for randomized sweeps: flag value, else SOBOLEVKIT_SEED, else a fixed default."""
-    if raw is not None:
-        return _parse_int(raw, "--seed")
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    """Non-negative seed for randomized sweeps: flag value, else SOBOLEVKIT_SEED, else a fixed default."""
+    what = "--seed"
+    if raw is None:
+        raw, what = os.environ.get(SEED_ENV_VAR), SEED_ENV_VAR
+        if raw is None:
+            return DEFAULT_SEED
+    seed = _parse_int(raw, what)
+    if seed < 0:
+        raise CliError(f"{what} must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _cmd_suite(args: argparse.Namespace) -> tuple[str, int]:

@@ -23,6 +23,9 @@ an accepted shape past that limit, the FFTs keep its exact lengths.
 Each input is scaled by a power of two before its FFT, so a result that
 float64 holds never overflows on the way.  ``compose``, the product of
 two kernels, is this convolution of one kernel's samples with the other.
+Where the convolution exists is decided in one place, ``_admit``: it
+makes every refusal of ``convolve`` from the grid and kernel alone, so
+``compose`` and the command line run it before they sample anything.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "ConvergenceTable",
     "KernelReport",
     "convolve",
-    "check_convolution_shape",
     "orbit",
     "convergence_study",
     "compose",
@@ -101,30 +103,6 @@ def _check_full_shape(shape: tuple[int, ...]) -> None:
 def _full_shape(grid: Grid, eps: float) -> tuple[int, ...]:
     # the grid widened by the kernel window at eps on each side
     return tuple(n + 2 * k for n, k in zip(grid.node_shape, _window_radii(grid, eps)))
-
-
-def _check_window(grid: Grid, eps: float) -> None:
-    if not eps < min(grid.box.widths) / 2.0:
-        raise ValueError(f"eps={eps} is too large for the box (needs eps < half the minimum width)")
-    _check_full_shape(_full_shape(grid, eps))
-
-
-def check_convolution_shape(grid: Grid, eps: float) -> None:
-    """Refuse a radius ``eps`` that ``convolve`` cannot take on ``grid``.
-
-    ``eps`` must be positive and finite, below half the smallest box width,
-    and its full convolution shape at most ``MAX_NODES`` nodes; the lattice
-    mass of its value kernel must lie within ``MASS_TOL`` of 1.  A kernel
-    scale ``eps^-n`` beyond float64 is left to the first kernel ``convolve``
-    builds, which names the derivative order that overflows.
-    """
-    m = standard_bump(grid.dim, eps)
-    _check_window(grid, eps)
-    try:
-        kernel = _lattice_kernel(grid, m, None)
-    except ValueError:
-        return
-    _check_lattice_mass(m, float(kernel.sum()))
 
 
 def _fast_length(n: int) -> int:
@@ -208,6 +186,33 @@ def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray
     return out
 
 
+def _admit(
+    grid: Grid,
+    m: Mollifier,
+    deriv: tuple[int, ...] | None = None,
+    zero_extend: bool = False,
+) -> tuple[NDArray[np.float64], Region]:
+    """The lattice kernel and result region of ``convolve`` on ``grid``, or its refusal.
+
+    Every ``ValueError`` of ``convolve`` is raised here, in this order: the
+    kernel's dimension, ``eps`` below half the smallest box width, the full
+    shape within ``MAX_NODES`` (checked before any array exists), a kernel
+    scale float64 holds, a value kernel's lattice mass, a nonempty region.
+    """
+    if m.dim != grid.dim:
+        raise ValueError(f"kernel dimension {m.dim} does not match grid dimension {grid.dim}")
+    if not m.eps < min(grid.box.widths) / 2.0:
+        raise ValueError(f"eps={m.eps} is too large for the box (needs eps < half the minimum width)")
+    _check_full_shape(_full_shape(grid, m.eps))
+    kernel = _lattice_kernel(grid, m, deriv)
+    if deriv is None:
+        _check_lattice_mass(m, float(kernel.sum()))
+    region = Region.full(grid) if zero_extend else interior_region(grid, m.eps)
+    if region.is_empty:
+        raise ValueError(f"interior region at eps={m.eps} contains no nodes")
+    return kernel, region
+
+
 def convolve(
     f: GridFunction,
     m: Mollifier,
@@ -221,30 +226,19 @@ def convolve(
     mask flags which nodes carry data.  With ``zero_extend=True``, ``f``
     is extended by zero outside the box and every node gets a value.
 
-    A value kernel (``deriv=None``) must keep its unit mass on the
-    lattice: a lattice mass farther than ``MASS_TOL`` (0.05) from 1 means
-    the grid has too few cells per kernel radius, and raises
-    ``ValueError`` instead of returning a multiple of the smoothed
-    function; so does a full convolution shape above ``MAX_NODES`` nodes.
-    A result that float64 cannot hold raises ``OverflowError``.
+    A kernel the grid cannot take raises ``ValueError`` (see ``_admit``),
+    such as a value kernel (``deriv=None``) whose lattice mass is farther
+    than ``MASS_TOL`` (0.05) from 1: too few cells per kernel radius.  A
+    result that float64 cannot hold raises ``OverflowError``.
     """
-    grid = f.grid
-    if m.dim != grid.dim:
-        raise ValueError(f"kernel dimension {m.dim} does not match grid dimension {grid.dim}")
-    _check_window(grid, m.eps)
-    kernel = _lattice_kernel(grid, m, deriv)
-    if deriv is None:
-        _check_lattice_mass(m, float(kernel.sum()))
-    region = Region.full(grid) if zero_extend else interior_region(grid, m.eps)
-    if region.is_empty:
-        raise ValueError(f"interior region at eps={m.eps} contains no nodes")
+    kernel, region = _admit(f.grid, m, deriv, zero_extend)
     # node i of the grid is entry i + k of the full convolution, zero-extending f;
     # the eps-interior lies inside the valid window, where no zero extension enters
     vals = _full_convolution(f.values, kernel)
     vals[~region.mask] = 0.0
     if not np.isfinite(vals).all():
         raise OverflowError(f"convolution with the kernel at eps={m.eps} has values beyond the float64 range")
-    return GridFunction(grid, vals), region
+    return GridFunction(f.grid, vals), region
 
 
 @dataclass(frozen=True)
@@ -323,8 +317,6 @@ def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> C
     """Tabulate ``||f_eps - f||_p`` on the interior at ``max(eps_list)``."""
     epses = _check_ladder(eps_list)
     comparison = interior_region(f.grid, epses[0])
-    if comparison.is_empty:
-        raise ValueError(f"comparison region at eps={epses[0]} contains no nodes")
     rows: list[ConvergenceRow] = []
     prev: float | None = None
     for eps in epses:
@@ -370,7 +362,7 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     # ulp of b.eps, the box is b's own and that check would blame b for a's fault
     _check_full_shape(_full_shape(grid, b.eps))
     _check_lattice_mass(a, float(_lattice_kernel(grid, a, None).sum()))
-    check_convolution_shape(grid, b.eps)
+    _admit(grid, b, zero_extend=True)
     pts = grid.points()
     kernel, _ = convolve(GridFunction(grid, a.value(pts).reshape(grid.node_shape)), b, zero_extend=True)
     # node distances in units of the box half-width, so no square under- or overflows

@@ -258,7 +258,8 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     takes the p-th root; ``p = inf`` takes the max of ``|f|`` over the
     region's nodes (the grid stand-in for the essential supremum).  When
     ``|f|^p`` overflows, the sum is redone on ``|f| / max|f|`` and the
-    root scaled back, so a finite norm is never reported as ``inf``.
+    root scaled back, so a finite norm is never reported as ``inf``; a
+    norm beyond float64 raises ``OverflowError``.
     """
     mask = _resolve_region(f, region)
     if p == math.inf:  # -inf falls through to the refusal below
@@ -275,32 +276,30 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
         return total ** (1.0 / p)
     top = float(np.max(np.abs(f.values), where=mask, initial=0.0))
     total = float(np.sum(w * (np.abs(f.values) / top) ** p, where=mask))
-    return top * total ** (1.0 / p)
+    return _finite_norm(top * total ** (1.0 / p), "L^p", p)
 
 
-def boundary_distances(grid: Grid) -> NDArray[np.float64]:
-    """Distance of every node to the boundary of the grid's box.
-
-    The distance is ``min_i min(x_i - lo_i, hi_i - x_i)``; it is zero on
-    the boundary faces and maximal at the center.
-    """
-    dist = None
-    for axis in range(grid.dim):
-        x = grid.axis_nodes(axis)
-        d = np.minimum(x - grid.box.lo[axis], grid.box.hi[axis] - x)
-        shape = [1] * grid.dim
-        shape[axis] = x.size
-        d = d.reshape(shape)
-        dist = d if dist is None else np.minimum(dist, d)
-    return np.broadcast_to(dist, grid.node_shape).copy()
+def _finite_norm(norm: float, what: str, p: float) -> float:
+    """``norm``, or an ``OverflowError`` naming ``p`` when float64 cannot hold it."""
+    if not math.isfinite(norm):
+        raise OverflowError(f"{what} norm at p={format_float(p)} is beyond the float64 range")
+    return norm
 
 
 def interior_region(grid: Grid, eps: float) -> Region:
-    """Nodes at distance strictly greater than ``eps`` from the box boundary."""
+    """Nodes at distance strictly greater than ``eps`` from the box boundary.
+
+    The distance is ``min_i min(x_i - lo_i, hi_i - x_i)``, so a node is
+    interior when it is interior along every axis.
+    """
     eps = float(eps)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    return Region(grid, boundary_distances(grid) > eps)
+    masks = []
+    for axis in range(grid.dim):
+        x = grid.axis_nodes(axis)
+        masks.append(np.minimum(x - grid.box.lo[axis], grid.box.hi[axis] - x) > eps)
+    return Region(grid, reduce(np.logical_and.outer, masks))
 
 
 def _format_axis_floats(xs: Sequence[float]) -> str:

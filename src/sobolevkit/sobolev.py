@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Container, Mapping, Sequence
 
-from .grid import GridFunction, Region, lp_norm
+from .grid import GridFunction, Region, _finite_norm, lp_norm
 from .weakdiff import (
     MAX_DERIVATIVE_ORDER,
     MultiIndex,
@@ -137,7 +137,7 @@ def sobolev_norm(
 def _combine_norms(norms: Sequence[float], p: float) -> float:
     """``W^{k,p}`` norm from the derivatives' ``L^p`` norms: their sum, or the root of their p-th powers."""
     if p == math.inf:
-        return sum(norms)
+        return _finite_norm(sum(norms), "W^{k,p}", p)
     try:
         total = sum(x**p for x in norms)
     except OverflowError:
@@ -146,9 +146,7 @@ def _combine_norms(norms: Sequence[float], p: float) -> float:
         return total ** (1.0 / p)
     # combine the per-alpha norms relative to the largest, as lp_norm does
     top = max(norms)
-    if math.isinf(top):
-        return top
-    return top * sum((x / top) ** p for x in norms) ** (1.0 / p)
+    return _finite_norm(top * sum((x / top) ** p for x in norms) ** (1.0 / p), "W^{k,p}", p)
 
 
 @dataclass(frozen=True)

@@ -569,6 +569,15 @@ class TestOutputHandling:
         _, err = child.communicate(timeout=60)
         assert (child.returncode, err) == (EXIT_OK, b"")
 
+    def test_unwritable_kernel_out(self, capsys, tmp_path):
+        # an open() error ended in a traceback with exit 1
+        target = tmp_path / "missing" / "k.csv"
+        argv = ["compose", "--eps-a", "0.1", "--eps-b", "0.1", "--kernel-out", str(target)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: cannot write kernel output: ") and str(target) in err
+        assert err.count("\n") == 1
+
     def test_output_matches_stdout(self, capsys, tmp_path):
         argv = ["mollify", "--f", "x1^2", "--eps", "0.1", "--res", "50"]
         _, direct, _ = run(capsys, argv)
@@ -719,6 +728,11 @@ class TestValidationExits:
             ["sobolev", "--k", "1"],
             ["mollify", "--eps", "0.001"],
             ["converge", "--res", "40"],
+            # an empty eps-interior, and kernel scales eps^-2 and eps^-3 beyond float64:
+            # each was refused only by the convolution, after sampling
+            ["mollify", "--res", "11", "--eps", "0.49"],
+            ["mollify", "--lo", "0,0", "--hi", "1,1", "--eps", "1e-200"],
+            ["commute", "--lo", "0,0", "--hi", "1,1", "--u", "1", "--eps", "1e-200", "--alpha", "1,0"],
         ],
     )
     def test_bad_flag_refused_before_sampling(self, capsys, monkeypatch, argv):
@@ -744,6 +758,11 @@ class TestValidationExits:
              "kernel at eps=0.001 has lattice mass 82.8569, outside 1 +- 0.05: the grid is too coarse for this eps"),
             (["converge", "--res", "40"],
              "kernel at eps=0.025 has lattice mass 0.828569, outside 1 +- 0.05: the grid is too coarse for this eps"),
+            (["mollify", "--res", "11", "--eps", "0.49"], "interior region at eps=0.49 contains no nodes"),
+            (["mollify", "--lo", "0,0", "--hi", "1,1", "--eps", "1e-200"],
+             "kernel at eps=1e-200 has values beyond the float64 range (eps^-2 overflows): eps is too small"),
+            (["commute", "--lo", "0,0", "--hi", "1,1", "--u", "1", "--eps", "1e-200", "--alpha", "1,0"],
+             "kernel at eps=1e-200 has values beyond the float64 range (eps^-3 overflows): eps is too small"),
         ],
     )
     def test_refusal_does_not_depend_on_the_expression(self, capsys, argv, message):
@@ -812,6 +831,12 @@ class TestValidationExits:
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"error: --tol must be >= 0, got {tol!r}\n"
 
+    @pytest.mark.parametrize("argv", TOL_COMMANDS)
+    def test_empty_tol(self, capsys, argv):
+        # weak-verify and sobolev read an empty --tol as the default 1e-4
+        code, out, err = run(capsys, argv + ["--tol="])
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: --tol must be a number, got ''\n")
+
     @pytest.mark.parametrize("tol", ["inf", "0"])
     @pytest.mark.parametrize("argv", TOL_COMMANDS)
     def test_inf_and_zero_tol_accepted(self, capsys, argv, tol):
@@ -851,6 +876,13 @@ class TestOverflow:
             assert float(row[2]) == pytest.approx(1e200 * float(unit[2]), rel=1e-12)
         # sqrt(4/3) up to the trapezoid error of x^2 at 50 cells
         assert float(rows[-1][2]) == pytest.approx(1e200 * math.sqrt(4.0 / 3.0), rel=1e-4)
+
+    def test_norm_beyond_float64_exits_three(self, capsys):
+        # the integral of |f| on a box 1e300 wide is near 1e600: this printed inf with exit 0
+        argv = ["sobolev", "--lo=-1", "--hi=1e300", "--res", "10", "--k", "1", "--p", "1",
+                "--f", "abs(x1-0.5)", "--deriv", "1=2*step(x1-0.5)-1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (EXIT_NUMERICAL, "", "error: L^p norm at p=1 is beyond the float64 range\n")
 
     def test_pairing_overflow_is_one_error_line(self, capsys):
         code, out, err = run(capsys, ["weak-verify", "--res", "50", "--f", "1e308", "--u", "0"])
@@ -916,6 +948,31 @@ class TestSeed:
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
         with pytest.raises(CliError):
             resolve_seed()
+
+    def test_negative_flag(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "12345")
+        with pytest.raises(CliError, match=r"^--seed must be a non-negative integer, got '-1'$"):
+            resolve_seed("-1")
+
+    def test_negative_env(self, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "-5")
+        with pytest.raises(CliError, match=rf"^{SEED_ENV_VAR} must be a non-negative integer, got '-5'$"):
+            resolve_seed()
+
+    @pytest.mark.parametrize("argv,env", [(["suite", "--seed", "-1"], None), (["suite"], "-5")])
+    def test_negative_seed_refused_before_any_criterion(self, capsys, monkeypatch, argv, env):
+        # numpy refused it only after criteria 1-9 had run, with "expected non-negative integer"
+        def no_criteria(*_, **__):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(cli.acceptance, "run_all", no_criteria)
+        if env is None:
+            monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("error: ") and "must be a non-negative integer" in err and err.count("\n") == 1
 
 
 class TestSuite:

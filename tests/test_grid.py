@@ -12,7 +12,6 @@ from sobolevkit.grid import (
     Grid,
     GridFunction,
     Region,
-    boundary_distances,
     interior_region,
     lp_norm,
     make_grid,
@@ -185,6 +184,15 @@ class TestLpNorm:
             expected = 1e300 * lp_norm(GridFunction(grid, x), p)
             assert lp_norm(GridFunction(grid, 1e300 * x), p) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("p,name", [(1.0, "1"), (2.0, "2"), (2.5, "2.5")])
+    def test_norm_beyond_float64_names_p(self, p, name):
+        # the rescaled norm of 1e300 on a box 1e300 wide is still near 1e300 * 1e300^(1/p)
+        grid = make_grid(Box((0.0,), (1e300,)), 10)
+        f = GridFunction(grid, np.full(11, 1e300))
+        with pytest.raises(OverflowError, match=rf"^L\^p norm at p={name} is beyond the float64 range$"):
+            lp_norm(f, p)
+        assert lp_norm(f, math.inf) == 1e300
+
     def test_empty_region_is_zero(self):
         grid = unit_grid(4)
         f = GridFunction(grid, np.ones(5))
@@ -208,11 +216,11 @@ class TestInteriorRegion:
         np.testing.assert_allclose(kept, [0.3, 0.4, 0.5, 0.6, 0.7])
 
     def test_2d_distances(self):
+        # a node's distance to the boundary is its least distance along any axis
         grid = make_grid(Box((0.0, 0.0), (1.0, 1.0)), 4)
-        d = boundary_distances(grid)
-        assert d[0, 2] == 0.0
-        assert d[2, 2] == pytest.approx(0.5)
-        assert d[1, 2] == pytest.approx(0.25)
+        assert not interior_region(grid, 0.0).mask[0, 2]
+        assert interior_region(grid, 0.49).mask[2, 2] and not interior_region(grid, 0.5).mask[2, 2]
+        assert interior_region(grid, 0.24).mask[1, 2] and not interior_region(grid, 0.25).mask[1, 2]
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -128,6 +128,14 @@ class TestSobolevNorm:
         for p in (2.0, 3.0):
             assert sobolev_norm(big, 1, p) == pytest.approx(1e200 * sobolev_norm(fam, 1, p), rel=1e-12)
 
+    @pytest.mark.parametrize("p,name", [(1.0, "1"), (2.0, "2"), (math.inf, "inf")])
+    def test_norm_beyond_float64_names_p(self, p, name):
+        # each per-alpha norm is 1.5e308; their combination is not a float64
+        grid = unit_grid(10)
+        big = GridFunction(grid, np.full(11, 1.5e308))
+        with pytest.raises(OverflowError, match=rf"^W\^\{{k,p\}} norm at p={name} is beyond the float64 range$"):
+            sobolev_norm(DerivativeFamily({(0,): big, (1,): big}), 1, p)
+
     def test_missing_derivative(self):
         fam = affine_family(unit_grid(100))
         with pytest.raises(ValueError, match=r"missing derivatives \[\(2,\)\]"):
