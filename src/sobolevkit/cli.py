@@ -207,20 +207,20 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
-    from .weakdiff import commutation_residual
+    from .weakdiff import _commutation_gap
 
     config = RunConfig.from_args(args)
     grid = config.grid
     alpha = _parse_alpha(args.alpha, grid.dim)
     eps = _single_eps(config)
-    # commutation_residual smooths f with the alpha-derivative kernel, then u with the value kernel
+    # commutation_residual's admissions, in its order: the alpha-derivative kernel, then the value kernel
     m = standard_bump(grid.dim, eps)
-    _admit(grid, m, alpha)
-    _admit(grid, m)
+    derivative = _admit(grid, m, alpha)
+    value = _admit(grid, m)
     p = _parse_p(args.p)
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
-    residual = commutation_residual(f, u, alpha, eps, p)
+    residual = _commutation_gap(f, u, m, derivative, value, p)
     return _table(("alpha", "eps", "p", "residual"), [(_alpha_label(alpha), eps, p, residual)]), EXIT_OK
 
 

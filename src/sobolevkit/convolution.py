@@ -25,7 +25,9 @@ float64 holds never overflows on the way.  ``compose``, the product of
 two kernels, is this convolution of one kernel's samples with the other.
 Where the convolution exists is decided in one place, ``_admit``: it
 makes every refusal of ``convolve`` from the grid and kernel alone, so
-``compose`` and the command line run it before they sample anything.
+``compose`` and the command line run it before they sample anything,
+and ``compose`` and ``commute`` then convolve with the kernel and region
+it returned instead of admitting them again.
 """
 
 from __future__ import annotations
@@ -231,7 +233,13 @@ def convolve(
     than ``MASS_TOL`` (0.05) from 1: too few cells per kernel radius.  A
     result that float64 cannot hold raises ``OverflowError``.
     """
-    kernel, region = _admit(f.grid, m, deriv, zero_extend)
+    return _convolve_admitted(f, m, *_admit(f.grid, m, deriv, zero_extend))
+
+
+def _convolve_admitted(
+    f: GridFunction, m: Mollifier, kernel: NDArray[np.float64], region: Region
+) -> tuple[GridFunction, Region]:
+    """``convolve`` after ``_admit``: ``kernel`` and ``region`` are what ``_admit`` returned for ``m`` on ``f.grid``."""
     # node i of the grid is entry i + k of the full convolution, zero-extending f;
     # the eps-interior lies inside the valid window, where no zero extension enters
     vals = _full_convolution(f.values, kernel)
@@ -313,19 +321,32 @@ class ConvergenceTable:
         return all(b < a for a, b in zip(errs, errs[1:]))
 
 
-def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> ConvergenceTable:
-    """Tabulate ``||f_eps - f||_p`` on the interior at ``max(eps_list)``."""
+def _convergence_tables(f: GridFunction, ps: Sequence[float], eps_list: Sequence[float]) -> tuple[ConvergenceTable, ...]:
+    """``convergence_study`` of ``f`` for each ``p`` of ``ps``, from one pass over the ladder.
+
+    Each rung's ``f_eps - f`` is computed once and read in every ``p``;
+    only one rung is held at a time.
+    """
     epses = _check_ladder(eps_list)
     comparison = interior_region(f.grid, epses[0])
-    rows: list[ConvergenceRow] = []
-    prev: float | None = None
+    errors: list[tuple[float, ...]] = []
     for eps in epses:
-        f_eps, _ = convolve(f, standard_bump(f.grid.dim, eps))
-        err = lp_norm(f_eps - f, p, comparison)
-        ratio = None if prev is None else (math.inf if err == 0.0 else prev / err)
-        rows.append(ConvergenceRow(eps, err, ratio))
-        prev = err
-    return ConvergenceTable(float(p), tuple(rows))
+        diff = convolve(f, standard_bump(f.grid.dim, eps))[0] - f
+        errors.append(tuple(lp_norm(diff, p, comparison) for p in ps))
+        # free this rung before the next convolution allocates its own
+        del diff
+    tables = []
+    for p, errs in zip(ps, zip(*errors)):
+        rows = [ConvergenceRow(epses[0], errs[0], None)]
+        for eps, prev, err in zip(epses[1:], errs, errs[1:]):
+            rows.append(ConvergenceRow(eps, err, math.inf if err == 0.0 else prev / err))
+        tables.append(ConvergenceTable(float(p), tuple(rows)))
+    return tuple(tables)
+
+
+def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> ConvergenceTable:
+    """Tabulate ``||f_eps - f||_p`` on the interior at ``max(eps_list)``."""
+    return _convergence_tables(f, (p,), eps_list)[0]
 
 
 @dataclass(frozen=True)
@@ -362,9 +383,11 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     # ulp of b.eps, the box is b's own and that check would blame b for a's fault
     _check_full_shape(_full_shape(grid, b.eps))
     _check_lattice_mass(a, float(_lattice_kernel(grid, a, None).sum()))
-    _admit(grid, b, zero_extend=True)
+    admitted = _admit(grid, b, zero_extend=True)
     pts = grid.points()
-    kernel, _ = convolve(GridFunction(grid, a.value(pts).reshape(grid.node_shape)), b, zero_extend=True)
+    kernel = _convolve_admitted(GridFunction(grid, a.value(pts).reshape(grid.node_shape)), b, *admitted)[0]
+    # b's lattice kernel and region: freed before the support radius allocates its temporaries
+    del admitted
     # node distances in units of the box half-width, so no square under- or overflows
     support = radius * np.sqrt(np.sum((pts / radius) ** 2, axis=-1)).reshape(grid.node_shape)
     hit = kernel.values != 0.0

@@ -296,16 +296,21 @@ class _Parser:
 
 
 def _parse_or_error(source: str, dim: int) -> Ast | ParseError:
-    """The Ast of ``source``, or the ``ParseError`` that ``parse`` raises for it.
-
-    A lexical error, the common case for random input, is found by one
-    regex match and returned before any token exists; nothing is raised.
-    """
+    """The Ast of ``source``, or the ``ParseError`` that ``parse`` raises for it."""
     if not isinstance(source, str):
         return ParseError("source must be a string", 0)
     dim = int(dim)
     if not 1 <= dim <= 3:
         return ParseError(f"dimension must be between 1 and 3, got {dim}", 0)
+    return _parse_core(source, dim)
+
+
+def _parse_core(source: str, dim: int) -> Ast | ParseError:
+    """``_parse_or_error`` past its argument checks: ``source`` is a ``str`` and ``dim`` an int in 1..3.
+
+    A lexical error, the common case for random input, is found by one
+    regex match and returned before any token exists; nothing is raised.
+    """
     end = _LEXABLE_RE.match(source).end()
     if end < len(source):
         return ParseError(f"unexpected character {source[end]!r}", end)

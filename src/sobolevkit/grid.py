@@ -228,9 +228,6 @@ class Region:
     def is_empty(self) -> bool:
         return not bool(self.mask.any())
 
-    def node_count(self) -> int:
-        return int(self.mask.sum())
-
 
 def _resolve_region(f: GridFunction, region: Region | None) -> NDArray[np.bool_]:
     if region is None:

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .convolution import convolve
-from .grid import Box, Grid, GridFunction, lp_norm
-from .mollifier import bump_raw, bump_raw_derivatives, standard_bump
+from .convolution import _admit, _convolve_admitted
+from .grid import Box, Grid, GridFunction, Region, lp_norm
+from .mollifier import Mollifier, bump_raw, bump_raw_derivatives, standard_bump
 
 __all__ = [
     "MultiIndex",
@@ -327,6 +327,18 @@ def commutation_residual(
     f._check_same_grid(u)
     alpha = validate_multi_index(alpha, f.grid.dim, min_order=1)
     m = standard_bump(f.grid.dim, eps)
-    left, region = convolve(f, m, deriv=alpha)
-    right, _ = convolve(u, m)
+    return _commutation_gap(f, u, m, _admit(f.grid, m, alpha), _admit(f.grid, m), p)
+
+
+def _commutation_gap(
+    f: GridFunction,
+    u: GridFunction,
+    m: Mollifier,
+    derivative: tuple[NDArray[np.float64], Region],
+    value: tuple[NDArray[np.float64], Region],
+    p: float,
+) -> float:
+    """``commutation_residual`` from ``_admit``'s kernel and region for ``m``'s alpha-derivative and for ``m``."""
+    left, region = _convolve_admitted(f, m, *derivative)
+    right, _ = _convolve_admitted(u, m, *value)
     return lp_norm(left - right, p, region)

@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines; each test fails if its criterion misses the pinned tolerance.
 """
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from sobolevkit import acceptance
+from sobolevkit import acceptance, convolution
 from sobolevkit.dynamics import exponential_flow
 
 
@@ -31,6 +32,35 @@ def test_mollifier_unit_properties():
 
 def test_approximate_identity():
     _check(acceptance.criterion_approximate_identity)
+
+
+class TestApproximateIdentityLoop:
+    """Criterion 2 reads each function's three tables off one pass over the eps ladder."""
+
+    @pytest.mark.parametrize("sample", [acceptance._sin, acceptance._kink, acceptance._smooth_bump])
+    def test_tables_equal_convergence_study(self, sample):
+        f = sample(2000)
+        ps = (1.0, 2.0, math.inf)
+        tables = convolution._convergence_tables(f, ps, acceptance.EPS_LADDER)
+        assert len(tables) == len(ps)
+        for p, table in zip(ps, tables):
+            study = convolution.convergence_study(f, p, acceptance.EPS_LADDER)
+            assert table.p == study.p
+            assert table.rows == study.rows
+
+    def test_twelve_convolutions(self, monkeypatch):
+        calls = 0
+        convolve = convolution.convolve
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(convolution, "convolve", counting)
+        assert acceptance.criterion_approximate_identity().passed
+        # three test functions times four rungs, shared by p = 1, 2 and inf
+        assert calls == 3 * len(acceptance.EPS_LADDER) == 12
 
 
 def test_affine_exactness():
@@ -87,7 +117,7 @@ def test_expression_parser():
 
 
 def _sources(seed: int, count: int) -> list:
-    return list(acceptance._fuzz_sources(np.random.default_rng(seed), count))
+    return [s for chunk in acceptance._fuzz_chunks(np.random.default_rng(seed), count) for s in chunk]
 
 
 class TestFuzzContract:
@@ -110,20 +140,24 @@ class TestFuzzContract:
         sources = _sources(1, count)
         assert len(sources) == count
         assert all(len(s) < acceptance.FUZZ_LENGTHS for s in sources)
+        # full chunks, then the remainder
+        sizes = [len(chunk) for chunk in acceptance._fuzz_chunks(np.random.default_rng(1), count)]
+        full, rest = divmod(count, acceptance._FUZZ_CHUNK)
+        assert sizes == [acceptance._FUZZ_CHUNK] * full + ([rest] if rest else [])
 
 
 class TestParserCriterion:
-    """Criterion 12 hands every fuzz string to the parser's non-raising core."""
+    """Criterion 12 hands every fuzz string to the parser's non-raising core, past its argument checks."""
 
     def test_core_sees_each_fuzz_string_once_in_order(self, monkeypatch):
         seen = []
-        core = acceptance._parse_or_error
+        core = acceptance._parse_core
 
         def counting(source, dim):
             seen.append((source, dim))
             return core(source, dim)
 
-        monkeypatch.setattr(acceptance, "_parse_or_error", counting)
+        monkeypatch.setattr(acceptance, "_parse_core", counting)
         result = acceptance.criterion_parser(acceptance.DEFAULT_SEED)
         assert result.passed
         sources = _sources(acceptance.DEFAULT_SEED, acceptance.FUZZ_COUNT)
@@ -131,7 +165,7 @@ class TestParserCriterion:
 
     def test_escaping_exception_is_a_crash(self, monkeypatch):
         calls = 0
-        core = acceptance._parse_or_error
+        core = acceptance._parse_core
 
         def crashing_once(source, dim):
             nonlocal calls
@@ -140,7 +174,7 @@ class TestParserCriterion:
                 raise RuntimeError("parser crashed")
             return core(source, dim)
 
-        monkeypatch.setattr(acceptance, "_parse_or_error", crashing_once)
+        monkeypatch.setattr(acceptance, "_parse_core", crashing_once)
         result = acceptance.criterion_parser(acceptance.DEFAULT_SEED)
         assert not result.passed
         assert result.detail.endswith("fuzz crashes 1/100000")

@@ -8,7 +8,7 @@ import pytest
 
 import sobolevkit
 
-from sobolevkit import cli
+from sobolevkit import cli, convolution
 from sobolevkit.cli import (
     DEFAULT_SEED,
     EXIT_NUMERICAL,
@@ -235,6 +235,38 @@ class TestCompose:
         )
         assert code == EXIT_VALIDATION
         assert "even" in err
+
+
+class TestKernelBuilds:
+    """How many lattice kernels each convolving command builds."""
+
+    @pytest.mark.parametrize(
+        "argv,builds",
+        [
+            # a's mass check, then b's admission, whose kernel the convolution uses
+            (["compose", "--eps-a", "0.1", "--eps-b", "0.2", "--res", "40"], 2),
+            # the alpha-derivative and value kernels, each admitted once before sampling
+            (["commute", "--f", "x1", "--u", "1", "--alpha", "1", "--eps", "0.1", "--res", "40"], 2),
+            # admitted before sampling, then again by convolve itself, which the
+            # benchmark's traced run must see called for each of mollify's convolutions
+            (["mollify", "--f", "x1", "--eps", "0.1", "--res", "40"], 2),
+            # each rung admitted before sampling, then again by convergence_study's convolve
+            (["converge", "--f", "x1", "--eps", "0.2,0.1,0.05", "--res", "40"], 6),
+        ],
+    )
+    def test_lattice_kernel_calls(self, capsys, monkeypatch, argv, builds):
+        calls = 0
+        lattice_kernel = convolution._lattice_kernel
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return lattice_kernel(*args)
+
+        monkeypatch.setattr(convolution, "_lattice_kernel", counting)
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert calls == builds
 
 
 class TestNewton:

@@ -293,6 +293,12 @@ def _reference_tokenize(source):
     return tokens
 
 
+def _fuzz_strings():
+    """Criterion 12's strings at the default seed, its chunks flattened in order."""
+    rng = np.random.default_rng(acceptance.DEFAULT_SEED)
+    return itertools.chain.from_iterable(acceptance._fuzz_chunks(rng, acceptance.FUZZ_COUNT))
+
+
 def _lexed(tokenizer, source):
     """The tokens, or the error message and offset."""
     try:
@@ -317,8 +323,7 @@ class TestTokenizeOracle:
     """``tokenize`` gives the reference loop's tokens, or its exact error."""
 
     def test_default_seed_fuzz_strings(self):
-        rng = np.random.default_rng(acceptance.DEFAULT_SEED)
-        _assert_lexes_like_reference(acceptance._fuzz_sources(rng, acceptance.FUZZ_COUNT))
+        _assert_lexes_like_reference(_fuzz_strings())
 
     def test_every_code_point_below_u3000(self):
         # alone, between tokens, and after a number it might extend
@@ -383,8 +388,7 @@ class TestParseOracle:
     """``parse``, a wrapper of the non-raising core, raises the reference's error or returns its Ast."""
 
     def test_default_seed_fuzz_strings(self):
-        rng = np.random.default_rng(acceptance.DEFAULT_SEED)
-        _assert_parses_like_reference(acceptance._fuzz_sources(rng, acceptance.FUZZ_COUNT))
+        _assert_parses_like_reference(_fuzz_strings())
 
     def test_every_code_point_below_u3000(self):
         chars = [chr(cp) for cp in range(0x3000)]
