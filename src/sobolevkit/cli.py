@@ -31,7 +31,7 @@ from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, 
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump
 from .sobolev import DerivativeFamily, _check_membership_request, membership_report
-from .weakdiff import test_function_catalog, validate_multi_index, verify_weak_derivative
+from .weakdiff import _commutation_gap, test_function_catalog, validate_multi_index, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
 
@@ -136,6 +136,14 @@ class RunConfig:
         return cls(grid, eps_ladder, _parse_tol(args.tol))
 
 
+def _check_cell_volume(grid: Grid) -> None:
+    """Refuse a grid whose cell volume float64 rounds to 0 or inf: every quadrature weight on it is off."""
+    volume = grid.cell_volume
+    if volume == 0.0 or volume == math.inf:
+        flows, size = ("underflows", "small") if volume == 0.0 else ("overflows", "large")
+        raise CliError(f"grid cell volume {flows} to {format_float(volume)} in float64: the cells are too {size}")
+
+
 def _expression_error(source: str, exc: ParseError | EvalError) -> CliError:
     # quote only an excerpt around the offset: the source may be kilobytes long
     shown = repr(excerpt(source, exc.offset))
@@ -207,8 +215,6 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
-    from .weakdiff import _commutation_gap
-
     config = RunConfig.from_args(args)
     grid = config.grid
     alpha = _parse_alpha(args.alpha, grid.dim)
@@ -229,6 +235,7 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     grid = config.grid
     alpha = _parse_alpha(args.alpha, grid.dim)
     tests = test_function_catalog(grid.box, _parse_count(args.count))
+    _check_cell_volume(grid)
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
     result = verify_weak_derivative(f, u, alpha, tests, config.tol)
@@ -253,12 +260,13 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
             raise CliError(f"--deriv needs ALPHA=EXPR, got {deriv_item!r}")
         derivs.append((_parse_alpha(alpha_raw.strip(), grid.dim, min_order=0), source.strip()))
     _check_membership_request(grid.dim, k, {(0,) * grid.dim, *(alpha for alpha, _ in derivs)})
+    _check_cell_volume(grid)
     f = _sample_expression(args.f, grid)
     entries = {(0,) * grid.dim: f}
     for alpha, source in derivs:
         entries[alpha] = _sample_expression(source, grid)
     family = DerivativeFamily(entries)
-    report = membership_report(f, family, k, p, tests, config.tol)
+    report = membership_report(family, k, p, tests, config.tol)
     rows = [(_alpha_label(e.alpha), e.pairing_residual, e.lp_norm, e.verdict) for e in report.entries]
     rows.append(("overall", None, report.norm, report.member))
     return _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows), EXIT_OK

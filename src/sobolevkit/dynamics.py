@@ -126,33 +126,24 @@ class InvertibilityReport:
 
     min_abs_df_eps: float
     invertible: bool
-    path_gap: float | None = None
 
 
-def invertibility_check(f: GridFunction, u: GridFunction | None, eps: float) -> InvertibilityReport:
+def invertibility_check(f: GridFunction, eps: float) -> InvertibilityReport:
     """Check that the derivative of the smoothed 1-d function never vanishes.
 
     ``D f_eps`` is computed with the analytic kernel derivative; the
     function is declared invertible when its derivative keeps one sign
-    and stays away from zero on the interior region.  When the verified
-    weak derivative ``u`` is supplied, the report also carries the sup
-    gap between ``D f_eps`` and the smoothing of ``u`` (the two routes
-    agree up to discretization).
+    and stays away from zero on the interior region.  How far ``D f_eps``
+    is from smoothing a weak derivative ``u`` of ``f`` is
+    ``commutation_residual(f, u, (1,), eps, math.inf)``.
     """
     if f.grid.dim != 1:
         raise ValueError("invertibility check applies to 1-d grid functions")
-    m = standard_bump(1, eps)
-    df_eps, region = convolve(f, m, deriv=(1,))
+    df_eps, region = convolve(f, standard_bump(1, eps), deriv=(1,))
     vals = df_eps.values[region.mask]
     min_abs = float(np.min(np.abs(vals)))
     sign_change = bool(vals.min() < 0.0 < vals.max())
-    invertible = min_abs > 0.0 and not sign_change
-
-    path_gap = None
-    if u is not None:
-        u_eps, _ = convolve(u, m)
-        path_gap = float(np.max(np.abs(df_eps.values - u_eps.values), where=region.mask, initial=0.0))
-    return InvertibilityReport(min_abs, invertible, path_gap)
+    return InvertibilityReport(min_abs, min_abs > 0.0 and not sign_change)
 
 
 @dataclass(frozen=True)

@@ -135,14 +135,10 @@ class Grid:
     def axis_nodes(self, axis: int) -> NDArray[np.float64]:
         return np.linspace(self.box.lo[axis], self.box.hi[axis], self.resolution[axis] + 1)
 
-    def meshes(self) -> tuple[NDArray[np.float64], ...]:
-        """Coordinate arrays of shape ``node_shape``, one per axis (ij indexing)."""
-        axes = [self.axis_nodes(i) for i in range(self.dim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
     def points(self) -> NDArray[np.float64]:
-        """All node coordinates as an array of shape ``(node_count, dim)``."""
-        return np.stack([m.ravel() for m in self.meshes()], axis=-1)
+        """All node coordinates as an array of shape ``(node_count, dim)``, row-major over the axes."""
+        axes = [self.axis_nodes(i) for i in range(self.dim)]
+        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
     def axis_weights(self, axis: int) -> NDArray[np.float64]:
         """Trapezoid weights along one axis: ``h/2`` at the two end nodes, ``h`` inside."""
@@ -222,30 +218,17 @@ class Region:
 
     @classmethod
     def full(cls, grid: Grid) -> "Region":
-        return cls(grid, np.ones(grid.node_shape, dtype=bool))
+        # a read-only view: the copy __post_init__ takes is the only full-grid array
+        return cls(grid, np.broadcast_to(True, grid.node_shape))
 
     @property
     def is_empty(self) -> bool:
         return not bool(self.mask.any())
 
 
-def _resolve_region(f: GridFunction, region: Region | None) -> NDArray[np.bool_]:
-    if region is None:
-        return np.ones(f.grid.node_shape, dtype=bool)
-    if region.grid != f.grid:
-        raise ValueError("region and grid function live on different grids")
-    return region.mask
-
-
-def quadrature(f: GridFunction, region: Region | None = None) -> float:
-    """Tensor-product trapezoid approximation of the integral of ``f``.
-
-    Nodes outside ``region`` contribute zero weight; ``region=None``
-    integrates over the whole box.
-    """
-    mask = _resolve_region(f, region)
-    w = f.grid.trapezoid_weights()
-    return float(np.sum(w * f.values, where=mask))
+def quadrature(f: GridFunction) -> float:
+    """Tensor-product trapezoid approximation of the integral of ``f`` over the grid box."""
+    return float(np.sum(f.grid.trapezoid_weights() * f.values))
 
 
 def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
@@ -256,9 +239,14 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     region's nodes (the grid stand-in for the essential supremum).  When
     ``|f|^p`` overflows, the sum is redone on ``|f| / max|f|`` and the
     root scaled back, so a finite norm is never reported as ``inf``; a
-    norm beyond float64 raises ``OverflowError``.
+    norm beyond float64 raises ``OverflowError``.  ``region=None`` is the
+    whole grid.
     """
-    mask = _resolve_region(f, region)
+    if region is None:
+        region = Region.full(f.grid)
+    elif region.grid != f.grid:
+        raise ValueError("region and grid function live on different grids")
+    mask = region.mask
     if p == math.inf:  # -inf falls through to the refusal below
         if not mask.any():
             return 0.0

@@ -14,10 +14,8 @@ a kernel's sign, support and mass on a grid over its support box.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,8 +27,6 @@ __all__ = [
     "UnitReport",
     "standard_bump",
     "verify_unit",
-    "bump_raw",
-    "bump_raw_derivative",
     "bump_raw_derivatives",
 ]
 
@@ -82,11 +78,6 @@ def _raw_closed_form(pts: NDArray[np.float64], axes_list: list[tuple[int, ...]])
     return outs
 
 
-def bump_raw(points: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Unnormalized bump ``exp(1/(|x|^2 - 1))`` with an exact-zero branch outside ``|x| < 1``."""
-    return _raw_closed_form(np.asarray(points, dtype=np.float64), [()])[0]
-
-
 def bump_raw_derivatives(
     alphas: list[tuple[int, ...]], points: NDArray[np.float64]
 ) -> list[NDArray[np.float64]]:
@@ -106,14 +97,6 @@ def bump_raw_derivatives(
         axes_list.append(axes)
         pts = _points_2d(points, len(alpha))  # also checks alpha's dimension
     return _raw_closed_form(pts, axes_list)
-
-
-def bump_raw_derivative(alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Partial derivative ``d^alpha`` of the unnormalized bump, in closed form.
-
-    Only orders 0 to 2 are supported; a higher order raises ``ValueError``.
-    """
-    return bump_raw_derivatives([alpha], points)[0]
 
 
 @dataclass(frozen=True)
@@ -141,13 +124,9 @@ class Mollifier:
     def normalization(self) -> float:
         return _NORMALIZATION[self.dim]
 
-    def _scaled(
-        self,
-        order: int,
-        raw: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-        pts: NDArray[np.float64],
-    ) -> NDArray[np.float64]:
-        # eps^(-n-order) * C * raw(pts / eps): the order-|alpha| samples of phi_eps
+    def _scaled(self, alpha: tuple[int, ...], pts: NDArray[np.float64]) -> NDArray[np.float64]:
+        # eps^(-n-|alpha|) * C * (d^alpha raw)(pts / eps): the d^alpha phi_eps samples
+        order = sum(alpha)
         try:
             scale = self.eps ** (-self.dim - order)
         except OverflowError:
@@ -159,17 +138,17 @@ class Mollifier:
                 f" (eps^-{self.dim + order} {flows}): eps is too {eps_is}"
             )
         with np.errstate(over="ignore"):  # a point too far out to scale or square is outside the ball
-            unit = raw(pts / self.eps)
+            [unit] = bump_raw_derivatives([alpha], pts / self.eps)
         return scale * (self.normalization * unit)
 
     def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self._scaled(0, bump_raw, _points_2d(points, self.dim))
+        return self._scaled((0,) * self.dim, _points_2d(points, self.dim))
 
     def derivative(self, alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
         pts = _points_2d(points, self.dim)
         if len(alpha) != self.dim:
             raise ValueError(f"multi-index {alpha} does not match dimension {self.dim}")
-        return self._scaled(sum(alpha), functools.partial(bump_raw_derivative, alpha), pts)
+        return self._scaled(alpha, pts)
 
 
 def standard_bump(dim: int, eps: float = 1.0) -> Mollifier:

@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 
 from .convolution import _admit, _convolve_admitted
 from .grid import Box, Grid, GridFunction, Region, lp_norm
-from .mollifier import Mollifier, bump_raw, bump_raw_derivatives, standard_bump
+from .mollifier import Mollifier, bump_raw_derivatives, standard_bump
 
 __all__ = [
     "MultiIndex",
@@ -132,7 +132,9 @@ class TestFunction:
 
     def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         z = self._scaled(points)
-        return math.e * bump_raw(z) * self._poly_part((0,) * self.dim, z)
+        zero = (0,) * self.dim
+        [bump] = bump_raw_derivatives([zero], z)
+        return math.e * bump * self._poly_part(zero, z)
 
     def derivative(self, alpha: Sequence[int], points: NDArray[np.float64]) -> NDArray[np.float64]:
         alpha = validate_multi_index(alpha, self.dim)
@@ -237,15 +239,6 @@ def _window_sum(f: GridFunction, window, fn: Callable[[NDArray[np.float64]], NDA
     return float(np.sum(weights * product))
 
 
-def _pair(
-    f: GridFunction,
-    phi: TestFunction,
-    fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-) -> float:
-    """Quadrature of ``f * fn``, where ``fn`` is ``phi.value`` or one of its derivatives."""
-    return _window_sum(f, _window(f.grid, phi), fn)
-
-
 def pair(f: GridFunction, phi: TestFunction) -> float:
     """Quadrature of ``f * phi`` over the grid box.
 
@@ -254,7 +247,7 @@ def pair(f: GridFunction, phi: TestFunction) -> float:
     of the support ball are evaluated, so the cost is proportional to
     the support window, not to the grid.
     """
-    return _pair(f, phi, phi.value)
+    return _window_sum(f, _window(f.grid, phi), phi.value)
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,13 @@ class TestSobolev:
         assert summary[3] == "true"
         assert float(summary[2]) == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-4)
 
+    def test_order_zero_deriv_is_the_function_verified(self, capsys):
+        # "--deriv 0=2*x1" replaces f in the family; 1 was verified against
+        # --f x1 instead, and the family {2x, 1} printed member true
+        code, out, _ = run(capsys, ["sobolev", "--f", "x1", "--deriv", "0=2*x1", "--deriv", "1=1"])
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "overall,,,false"
+
     def test_missing_deriv_flag(self, capsys):
         code, _, err = run(capsys, ["sobolev", "--f", "x1", "--k", "1"])
         assert code == EXIT_VALIDATION
@@ -519,6 +526,32 @@ class TestTinyKernels:
             assert (code, err) == (EXIT_OK, "")
             masses.append(float(out.splitlines()[1].split(",")[1]))
         assert masses[0] == pytest.approx(masses[1], rel=0, abs=1e-12)
+
+
+class TestCellVolume:
+    # a cell volume float64 rounds to inf or 0 made every trapezoid weight wrong:
+    # weak-verify printed 3 numpy warnings and nan residuals with exit 0, sobolev
+    # printed a warning and blamed an overflowing norm (exit 3) for a norm of 1e300,
+    # and the 3-d box of side 1e-120 read an lp_norm of 0 for a norm of 1e-180
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["weak-verify", "--lo=0,0", "--hi=1e300,1e300", "--res", "40", "--alpha", "1,0",
+              "--f", "1", "--u", "0"],
+             "grid cell volume overflows to inf in float64: the cells are too large\n"),
+            (["sobolev", "--lo=0,0", "--hi=1e300,1e300", "--res", "40", "--f", "1",
+              "--deriv", "1,0=0", "--deriv", "0,1=0"],
+             "grid cell volume overflows to inf in float64: the cells are too large\n"),
+            (["sobolev", "--lo=0,0,0", "--hi=1e-120,1e-120,1e-120", "--res", "10", "--f", "1",
+              "--deriv", "1,0,0=0", "--deriv", "0,1,0=0", "--deriv", "0,0,1=0"],
+             "grid cell volume underflows to 0 in float64: the cells are too small\n"),
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, argv, message):
+        result = run_subprocess(argv)
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stdout == b""
+        assert result.stderr.decode() == "error: " + message
 
 
 class TestBeyondFloat64:

@@ -17,7 +17,7 @@ from sobolevkit.dynamics import (
 )
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
-from sobolevkit.weakdiff import TestFunction
+from sobolevkit.weakdiff import TestFunction, commutation_residual
 
 SQRT2 = 1.4142135623730951
 
@@ -115,9 +115,10 @@ class TestInvertibility:
         f = sample(grid, lambda x: x + 0.1 * np.sin(2 * math.pi * x))
         u = sample(grid, lambda x: 1.0 + 0.2 * math.pi * np.cos(2 * math.pi * x))
         eps = 0.1
-        report = invertibility_check(f, u, eps)
+        report = invertibility_check(f, eps)
         assert report.invertible
-        assert report.path_gap is not None and report.path_gap <= 1e-3
+        # differentiating the kernel and smoothing the weak derivative agree
+        assert commutation_residual(f, u, (1,), eps, math.inf) <= 1e-3
 
         # the smoothed slope is 1 + 0.2 pi A(eps) cos(2 pi x) on the interior
         a = attenuation(eps)
@@ -125,24 +126,22 @@ class TestInvertibility:
         predicted = np.min(np.abs(1.0 + 0.2 * math.pi * a * np.cos(2 * math.pi * x)))
         assert report.min_abs_df_eps == pytest.approx(predicted, abs=1e-4)
 
-    def test_path_gap_optional(self):
+    def test_identity_is_invertible(self):
         grid = unit_grid(200)
         f = sample(grid, lambda x: x)
-        report = invertibility_check(f, None, 0.1)
-        assert report.path_gap is None
-        assert report.invertible
+        assert invertibility_check(f, 0.1).invertible
 
     def test_sign_change_is_rejected(self):
         grid = unit_grid()
         f = sample(grid, lambda x: np.sin(2 * math.pi * x))
-        report = invertibility_check(f, None, 0.1)
+        report = invertibility_check(f, 0.1)
         assert not report.invertible
 
     def test_requires_1d(self):
         grid = make_grid(Box((0.0, 0.0), (1.0, 1.0)), 32)
         f = GridFunction(grid, np.zeros(grid.node_count))
         with pytest.raises(ValueError, match="1-d"):
-            invertibility_check(f, None, 0.1)
+            invertibility_check(f, 0.1)
 
 
 class TestExponentialFlow:

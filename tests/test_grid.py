@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,18 +134,6 @@ class TestQuadrature:
         f = GridFunction(grid, np.ones(grid.node_count))
         assert quadrature(f) == pytest.approx(6.0, abs=1e-12)
 
-    def test_region_masks_out_nodes(self):
-        grid = unit_grid(10)
-        f = GridFunction(grid, np.ones(11))
-        none = Region(grid, np.zeros(11, dtype=bool))
-        assert quadrature(f, none) == 0.0
-
-    def test_region_grid_mismatch(self):
-        f = GridFunction(unit_grid(10), np.ones(11))
-        region = Region.full(unit_grid(5))
-        with pytest.raises(ValueError, match="different grids"):
-            quadrature(f, region)
-
 
 class TestLpNorm:
     def test_constant_all_p(self):
@@ -199,6 +188,27 @@ class TestLpNorm:
         empty = Region(grid, np.zeros(5, dtype=bool))
         assert lp_norm(f, math.inf, empty) == 0.0
         assert lp_norm(f, 2.0, empty) == 0.0
+
+    def test_region_grid_mismatch(self):
+        f = GridFunction(unit_grid(10), np.ones(11))
+        region = Region.full(unit_grid(5))
+        with pytest.raises(ValueError, match="different grids"):
+            lp_norm(f, 2.0, region)
+
+
+class TestRegion:
+    def test_full_holds_one_full_grid_mask_while_built(self):
+        # the region's own read-only copy is the only full-grid array: building
+        # an all-True array first and copying it held two
+        grid = make_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 99)
+        tracemalloc.start()
+        try:
+            mask = Region.full(grid).mask
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.shape == grid.node_shape and mask.all() and not mask.flags.writeable
+        assert grid.node_count <= peak < 1.5 * grid.node_count
 
 
 class TestInteriorRegion:

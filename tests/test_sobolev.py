@@ -160,7 +160,7 @@ class TestMembershipReport:
         grid = unit_grid()
         fam = sine_family(grid)
         cat = test_function_catalog(grid.box)
-        report = membership_report(fam.function, fam, 1, 2.0, cat, 1e-4)
+        report = membership_report(fam, 1, 2.0, cat, 1e-4)
         assert report.member
         assert report.norm == pytest.approx(sobolev_norm(fam, 1, 2.0), rel=1e-12)
         zero_entry = report.entries[0]
@@ -173,7 +173,7 @@ class TestMembershipReport:
         f = sample(grid, lambda x: (x >= 0.5).astype(float))
         fam = DerivativeFamily({(0,): f, (1,): GridFunction(grid, np.zeros(401))})
         cat = test_function_catalog(grid.box)
-        report = membership_report(f, fam, 1, 2.0, cat, 1e-4)
+        report = membership_report(fam, 1, 2.0, cat, 1e-4)
         assert not report.member
         assert report.norm is None
         assert not report.entries[1].verdict
@@ -184,14 +184,19 @@ class TestMembershipReport:
         fam = affine_family(grid)
         cat = test_function_catalog(grid.box)
         with pytest.raises(ValueError, match="at least 1"):
-            membership_report(fam.function, fam, 0, 2.0, cat, 1e-4)
+            membership_report(fam, 0, 2.0, cat, 1e-4)
 
-    def test_grid_mismatch(self):
-        fam = affine_family(unit_grid(100))
-        other = sample(unit_grid(50), lambda x: x)
-        cat = test_function_catalog(unit_grid(50).box)
-        with pytest.raises(ValueError, match="different grid"):
-            membership_report(other, fam, 1, 2.0, cat, 1e-4)
+    @pytest.mark.parametrize("slope, member", [(1.0, False), (2.0, True)])
+    def test_verifies_against_the_family_function(self, slope, member):
+        # the family holds f = 2x, so only the slope 2 is its derivative
+        grid = unit_grid()
+        fam = DerivativeFamily({
+            (0,): sample(grid, lambda x: 2.0 * x),
+            (1,): sample(grid, lambda x: np.full_like(x, slope)),
+        })
+        report = membership_report(fam, 1, 2.0, test_function_catalog(grid.box), 1e-4)
+        assert report.member == member
+        assert report.entries[1].verdict == member
 
     def test_csv_format(self):
         rows = [
