@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -39,6 +40,10 @@ FUZZ_COUNT = 100_000
 FUZZ_LENGTHS = 24
 # strings drawn per bulk call; a small chunk keeps peak RSS flat
 _FUZZ_CHUNK = 4096
+# a random byte b below 240 gives the length b % FUZZ_LENGTHS; the 16 bytes
+# from 240 up are dropped, so each length has exactly 10 of the 240 kept bytes
+_LENGTH_OF_BYTE = bytes(b % FUZZ_LENGTHS for b in range(256))
+_REJECTED_BYTES = bytes(range(256 - 256 % FUZZ_LENGTHS, 256))
 
 
 @dataclass(frozen=True)
@@ -226,12 +231,12 @@ def criterion_invertibility() -> CriterionResult:
 
 def criterion_flow(seed: int) -> CriterionResult:
     """Group law holds to 1e-12 over a random sweep; RK4 matches the closed form."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     # the sweep reads only the group law, so it runs no RK4 control
     for _ in range(100):
-        k, s, t = rng.uniform(-1.0, 1.0, size=3).tolist()
-        x0 = float(rng.uniform(-5.0, 5.0))
+        k, s, t = (rng.uniform(-1.0, 1.0) for _ in range(3))
+        x0 = rng.uniform(-5.0, 5.0)
         lhs, rhs = _group_law(k, x0, s, t)
         worst = max(worst, abs(lhs - rhs))
     rk4 = exponential_flow(1.0, 1.0, 0.0, 1.0).rk4_error
@@ -267,18 +272,26 @@ def criterion_shadow() -> CriterionResult:
     )
 
 
-def _fuzz_chunks(rng: np.random.Generator, count: int) -> Iterator[list[str]]:
+def _fuzz_lengths(rng: random.Random, n: int) -> bytes:
+    """``n`` lengths, one per byte, from random bytes mapped and rejected by ``bytes.translate``."""
+    lengths = b""
+    while len(lengths) < n:
+        lengths += rng.randbytes(n - len(lengths)).translate(_LENGTH_OF_BYTE, _REJECTED_BYTES)
+    return lengths
+
+
+def _fuzz_chunks(rng: random.Random, count: int) -> Iterator[list[str]]:
     """Yield ``count`` strings of 0..FUZZ_LENGTHS-1 uniform random bytes, one list per chunk.
 
     Each chunk of up to ``_FUZZ_CHUNK`` strings draws its lengths and a
-    block of bytes with one call each; string ``i`` of a chunk is the first
+    block of bytes with ``randbytes``; string ``i`` of a chunk is the first
     ``length`` bytes of its own ``FUZZ_LENGTHS - 1``-byte slot, read as latin-1.
     """
     width = FUZZ_LENGTHS - 1
     for done in range(0, count, _FUZZ_CHUNK):
         n = min(_FUZZ_CHUNK, count - done)
-        lengths = rng.integers(0, FUZZ_LENGTHS, size=n).tolist()
-        text = rng.bytes(n * width).decode("latin-1")
+        lengths = _fuzz_lengths(rng, n)
+        text = rng.randbytes(n * width).decode("latin-1")
         yield [text[start : start + length] for start, length in zip(range(0, n * width, width), lengths)]
 
 
@@ -307,7 +320,7 @@ def criterion_parser(seed: int) -> CriterionResult:
         if got != expected:
             precedence_ok = False
     crashes = 0
-    for chunk in _fuzz_chunks(np.random.default_rng(seed), FUZZ_COUNT):
+    for chunk in _fuzz_chunks(random.Random(seed), FUZZ_COUNT):
         for source in chunk:
             try:
                 _parse_core(source, 3)

@@ -158,7 +158,7 @@ def _sample_expression(source: str, grid) -> GridFunction:
         values = evaluate_many(ast, grid.points())
     except (ParseError, EvalError) as exc:
         raise _expression_error(source, exc) from None
-    return GridFunction(grid, np.array(values))
+    return GridFunction(grid, values)
 
 
 def _cell(value: object) -> str:
@@ -253,17 +253,22 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
     k = _parse_int(args.k, "--k")
     p = _parse_p(args.p)
     tests = test_function_catalog(grid.box, _parse_count(args.count))
-    derivs = []
+    # --f is the family's order-zero entry; each --deriv gives one other multi-index, once
+    derivs: dict[tuple[int, ...], str] = {}
     for deriv_item in args.deriv or []:
-        alpha_raw, sep, source = deriv_item.partition("=")
+        alpha_raw, sep, source = (part.strip() for part in deriv_item.partition("="))
         if not sep:
             raise CliError(f"--deriv needs ALPHA=EXPR, got {deriv_item!r}")
-        derivs.append((_parse_alpha(alpha_raw.strip(), grid.dim, min_order=0), source.strip()))
-    _check_membership_request(grid.dim, k, {(0,) * grid.dim, *(alpha for alpha, _ in derivs)})
+        alpha = _parse_alpha(alpha_raw, grid.dim, min_order=0)
+        if not any(alpha):
+            raise CliError(f"--deriv {alpha_raw!r} has order 0; give the function itself with --f")
+        if alpha in derivs:
+            raise CliError(f"--deriv {alpha_raw!r} is given twice")
+        derivs[alpha] = source
+    _check_membership_request(grid.dim, k, {(0,) * grid.dim, *derivs})
     _check_cell_volume(grid)
-    f = _sample_expression(args.f, grid)
-    entries = {(0,) * grid.dim: f}
-    for alpha, source in derivs:
+    entries = {(0,) * grid.dim: _sample_expression(args.f, grid)}
+    for alpha, source in derivs.items():
         entries[alpha] = _sample_expression(source, grid)
     family = DerivativeFamily(entries)
     report = membership_report(family, k, p, tests, config.tol)

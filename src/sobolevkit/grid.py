@@ -138,7 +138,8 @@ class Grid:
     def points(self) -> NDArray[np.float64]:
         """All node coordinates as an array of shape ``(node_count, dim)``, row-major over the axes."""
         axes = [self.axis_nodes(i) for i in range(self.dim)]
-        return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        # the meshgrid arrays are broadcast views, so the stack is the one allocation
+        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, self.dim)
 
     def axis_weights(self, axis: int) -> NDArray[np.float64]:
         """Trapezoid weights along one axis: ``h/2`` at the two end nodes, ``h`` inside."""
@@ -217,6 +218,19 @@ class Region:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
+    def _adopt(cls, grid: Grid, mask: NDArray[np.bool_]) -> "Region":
+        """A region that keeps ``mask``, a fresh bool array of shape ``grid.node_shape`` no one else holds.
+
+        The public constructor copies its mask; this path makes the fresh
+        array read-only and keeps it, so one full-grid mask exists.
+        """
+        mask.setflags(write=False)
+        region = object.__new__(cls)
+        object.__setattr__(region, "grid", grid)
+        object.__setattr__(region, "mask", mask)
+        return region
+
+    @classmethod
     def full(cls, grid: Grid) -> "Region":
         # a read-only view: the copy __post_init__ takes is the only full-grid array
         return cls(grid, np.broadcast_to(True, grid.node_shape))
@@ -284,7 +298,7 @@ def interior_region(grid: Grid, eps: float) -> Region:
     for axis in range(grid.dim):
         x = grid.axis_nodes(axis)
         masks.append(np.minimum(x - grid.box.lo[axis], grid.box.hi[axis] - x) > eps)
-    return Region(grid, reduce(np.logical_and.outer, masks))
+    return Region._adopt(grid, reduce(np.logical_and.outer, masks))
 
 
 def _format_axis_floats(xs: Sequence[float]) -> str:

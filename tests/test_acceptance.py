@@ -6,8 +6,8 @@ lines; each test fails if its criterion misses the pinned tolerance.
 
 import math
 import os
+import random
 
-import numpy as np
 import pytest
 
 from sobolevkit import acceptance, convolution
@@ -99,10 +99,10 @@ def test_exponential_flow_group_law():
 def test_flow_sweep_reads_the_full_checks_residuals(seed):
     # the sweep runs only the group law, not the RK4 control; its worst residual
     # is the one the full flow check gives on the same draws
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(100):
-        k, s, t = rng.uniform(-1.0, 1.0, size=3)
+        k, s, t = (rng.uniform(-1.0, 1.0) for _ in range(3))
         x0 = rng.uniform(-5.0, 5.0)
         worst = max(worst, exponential_flow(k, x0, s, t).residual)
     assert acceptance.criterion_flow(seed).detail.startswith(f"max group-law residual {worst:.3e} (tol 1e-12);")
@@ -117,7 +117,7 @@ def test_expression_parser():
 
 
 def _sources(seed: int, count: int) -> list:
-    return [s for chunk in acceptance._fuzz_chunks(np.random.default_rng(seed), count) for s in chunk]
+    return [s for chunk in acceptance._fuzz_chunks(random.Random(seed), count) for s in chunk]
 
 
 class TestFuzzContract:
@@ -131,6 +131,16 @@ class TestFuzzContract:
         chars = set("".join(sources))
         assert len(chars) == 256 and max(chars) == "\xff"
 
+    def test_lengths_exactly_uniform(self):
+        # each length is the image of exactly 10 of the 240 byte values kept
+        kept = [b for b in range(256) if b not in acceptance._REJECTED_BYTES]
+        images = [acceptance._LENGTH_OF_BYTE[b] for b in kept]
+        assert all(images.count(n) == 10 for n in range(acceptance.FUZZ_LENGTHS))
+        assert len(kept) == 240
+        # rejected bytes are redrawn, so a chunk has exactly its count of lengths
+        lengths = acceptance._fuzz_lengths(random.Random(5), 10_000)
+        assert len(lengths) == 10_000 and set(lengths) == set(range(acceptance.FUZZ_LENGTHS))
+
     def test_same_seed_same_strings(self):
         assert _sources(7, 10_000) == _sources(7, 10_000)
         assert _sources(7, 10_000) != _sources(8, 10_000)
@@ -141,7 +151,7 @@ class TestFuzzContract:
         assert len(sources) == count
         assert all(len(s) < acceptance.FUZZ_LENGTHS for s in sources)
         # full chunks, then the remainder
-        sizes = [len(chunk) for chunk in acceptance._fuzz_chunks(np.random.default_rng(1), count)]
+        sizes = [len(chunk) for chunk in acceptance._fuzz_chunks(random.Random(1), count)]
         full, rest = divmod(count, acceptance._FUZZ_CHUNK)
         assert sizes == [acceptance._FUZZ_CHUNK] * full + ([rest] if rest else [])
 

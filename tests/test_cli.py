@@ -159,12 +159,25 @@ class TestSobolev:
         assert summary[3] == "true"
         assert float(summary[2]) == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-4)
 
-    def test_order_zero_deriv_is_the_function_verified(self, capsys):
-        # "--deriv 0=2*x1" replaces f in the family; 1 was verified against
-        # --f x1 instead, and the family {2x, 1} printed member true
-        code, out, _ = run(capsys, ["sobolev", "--f", "x1", "--deriv", "0=2*x1", "--deriv", "1=1"])
-        assert code == EXIT_OK
-        assert out.splitlines()[-1] == "overall,,,false"
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # an order-zero --deriv replaced --f without a word: the table reported on 2x
+            (["--res", "400", "--f", "x1", "--deriv", "0=2*x1", "--deriv", "1=1"],
+             "error: --deriv '0' has order 0; give the function itself with --f\n"),
+            # ... and an --f it never used still had to sample: log(0) exited 3
+            (["--f", "log(x1)", "--deriv", "0=x1", "--deriv", "1=1"],
+             "error: --deriv '0' has order 0; give the function itself with --f\n"),
+            # the second of two --deriv 1 was used quietly
+            (["--res", "100", "--f", "x1", "--deriv", "1=5", "--deriv", "1=1"],
+             "error: --deriv '1' is given twice\n"),
+        ],
+        ids=["order-zero", "order-zero-unused-f", "repeated"],
+    )
+    def test_order_zero_or_repeated_deriv_refused(self, argv, message):
+        result = run_subprocess(["sobolev", *argv])
+        assert (result.returncode, result.stdout) == (EXIT_VALIDATION, b"")
+        assert result.stderr.decode() == message
 
     def test_missing_deriv_flag(self, capsys):
         code, _, err = run(capsys, ["sobolev", "--f", "x1", "--k", "1"])
@@ -788,6 +801,8 @@ class TestValidationExits:
             ["sobolev", "--count", "0"],
             ["sobolev", "--deriv", "3=1"],
             ["sobolev", "--deriv", "1"],
+            ["sobolev", "--deriv", "0=x1", "--deriv", "1=1"],
+            ["sobolev", "--deriv", "1=5", "--deriv", "1=1"],
             ["converge", "--eps", "0.1,0.2"],
             ["sobolev", "--k", "0"],
             ["sobolev", "--k", "1"],
@@ -1050,6 +1065,20 @@ class TestSuite:
         assert len(lines) == 13
         for line in lines[1:]:
             assert line.startswith("PASS,")
+
+    def test_full_run_leaves_numpy_random_out(self):
+        # the flow draws and the fuzz bytes come from the stdlib random module;
+        # numpy.random, with secrets and hashlib, added about 5 MB to the peak
+        script = (
+            "import sys\nfrom sobolevkit.cli import main\ncode = main(['suite'])\n"
+            "print('numpy.random' in sys.modules, file=sys.stderr)\nsys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stdout.count("\nPASS,") == 12
+        assert result.stderr == "False\n"
 
 
 @pytest.mark.parametrize("op", ["+", "*"])

@@ -2,7 +2,9 @@ import copy
 import itertools
 import math
 import pickle
+import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobolevkit import acceptance
+from sobolevkit.grid import Box, make_grid
 from sobolevkit.expr import (
     GRAMMAR_HELP,
     BinOp,
@@ -86,7 +89,24 @@ class TestValues:
 
     def test_evaluate_many(self):
         node = parse("x1^2", dim=1)
-        assert evaluate_many(node, [(1.0,), (2.0,), (3.0,)]) == [1.0, 4.0, 9.0]
+        values = evaluate_many(node, [(1.0,), (2.0,), (3.0,)])
+        assert values.dtype == np.float64
+        assert values.tolist() == [1.0, 4.0, 9.0]
+
+    def test_evaluate_many_holds_only_its_result(self):
+        # each value goes straight into the float64 array: no list of Python floats
+        points = make_grid(Box((0.0, 0.0), (1.0, 1.0)), 300).points()
+        node = parse("exp(x1)*log(x2+1)+sin(x1*x2)", dim=2)
+        tracemalloc.start()
+        try:
+            values = evaluate_many(node, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (len(points),)
+        assert peak <= 1.1 * 8 * len(points)
+        # the per-point walk's values, bit for bit
+        assert values.tolist() == [evaluate(node, row) for row in points]
 
 
 class TestParseErrors:
@@ -295,7 +315,7 @@ def _reference_tokenize(source):
 
 def _fuzz_strings():
     """Criterion 12's strings at the default seed, its chunks flattened in order."""
-    rng = np.random.default_rng(acceptance.DEFAULT_SEED)
+    rng = random.Random(acceptance.DEFAULT_SEED)
     return itertools.chain.from_iterable(acceptance._fuzz_chunks(rng, acceptance.FUZZ_COUNT))
 
 

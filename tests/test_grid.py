@@ -76,6 +76,22 @@ class TestGrid:
         np.testing.assert_allclose(pts[0], [0.0, 0.0])
         np.testing.assert_allclose(pts[1], [0.0, 1.0 / 3.0])
 
+    # in 1-d the axis's own node array is as large as the result, so 2-d and 3-d show the bound
+    @pytest.mark.parametrize("dim,res", [(2, 300), (3, 60)])
+    def test_points_built_in_one_allocation(self, dim, res):
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
+        tracemalloc.start()
+        try:
+            pts = grid.points()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * pts.nbytes == 1.1 * 8 * dim * grid.node_count
+        # the same array as raveling each meshgrid axis and stacking the copies
+        axes = [grid.axis_nodes(i) for i in range(dim)]
+        reference = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        assert pts.shape == reference.shape and np.array_equal(pts, reference)
+
     def test_rejects_zero_resolution(self):
         with pytest.raises(ValueError, match=">= 1"):
             make_grid(Box((0.0,), (1.0,)), 0)
@@ -235,6 +251,21 @@ class TestInteriorRegion:
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError, match="nonnegative"):
             interior_region(unit_grid(4), -0.1)
+
+    def test_holds_one_full_grid_mask(self):
+        # the mask built from the per-axis masks is the region's own; copying it held two
+        grid = make_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 99)
+        tracemalloc.start()
+        try:
+            region = interior_region(grid, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * grid.node_count
+        assert region.mask.shape == grid.node_shape and not region.mask.flags.writeable
+        # the public constructor still copies what it is given
+        mask = np.array(region.mask)
+        assert not np.shares_memory(Region(grid, mask).mask, mask)
 
     @given(eps_small=st.floats(0.0, 0.2), gap=st.floats(0.0, 0.2))
     @settings(max_examples=50, deadline=None)
