@@ -8,11 +8,10 @@ full linear convolution by FFT, each axis zero-padded to the next
 than a prime one; only the centred window, one value per grid node, is
 kept.  Every node whose window holds no nonzero pair of samples is set
 to exactly ``0.0``, as the direct sum would give, so supports and the
-boundary collar carry no round-off.  When the kernel's centre sample is
-nonzero, a node with a nonzero sample always has a pair, so only the
-zero samples' windows are checked, directly; otherwise, or when that
-check would cost more than an FFT, a second FFT of the nonzero masks
-counts the pairs of every node.  Because the kernel vanishes outside the
+boundary collar carry no round-off.  When the kernel's centre sample and
+every sample of the function are nonzero, every node has a pair and
+nothing is zeroed; otherwise a second FFT, of the nonzero masks, counts
+the pairs of every node.  Because the kernel vanishes outside the
 ball of radius ``eps``, the value at a node whose distance to the box
 boundary exceeds ``eps`` uses only in-box data, so results are reported
 on that interior region; nodes outside it carry a zero placeholder and
@@ -39,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import MAX_NODES, Box, Grid, GridFunction, Region, interior_region, lp_norm, make_grid, quadrature
+from .grid import MAX_NODES, Box, Grid, GridFunction, Region, _lattice_points, interior_region, lp_norm, make_grid, quadrature
 from .mollifier import Mollifier, standard_bump
 
 __all__ = [
@@ -70,9 +69,7 @@ def _window_radii(grid: Grid, eps: float) -> tuple[int, ...]:
 def _lattice_kernel(grid: Grid, m: Mollifier, deriv: tuple[int, ...] | None) -> NDArray[np.float64]:
     """Kernel samples on the offset lattice, scaled by the cell volume."""
     radii = _window_radii(grid, m.eps)
-    axes = [np.arange(-k, k + 1, dtype=np.float64) * h for k, h in zip(radii, grid.spacing)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    pts = _lattice_points([np.arange(-k, k + 1, dtype=np.float64) * h for k, h in zip(radii, grid.spacing)])
     if deriv is None:
         vals = m.value(pts)
     else:
@@ -130,25 +127,6 @@ def _fft_shape(full: tuple[int, ...]) -> tuple[int, ...]:
     return fast if math.prod(fast) <= MAX_NODES else full
 
 
-def _pairless(a_nonzero: NDArray[np.bool_], b_nonzero: NDArray[np.bool_], nodes: NDArray[np.intp]) -> NDArray[np.bool_]:
-    """Which of the flat ``nodes`` of ``a`` meet no nonzero pair in the centred window of ``a * b``."""
-    k = b_nonzero.shape
-    # node i + c of the full convolution pairs a[i - d] with b[c + d]; padded, that is
-    # the window padded[i : i + k] against b flipped
-    padded = np.pad(a_nonzero, [(n - 1 - n // 2, n // 2) for n in k])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
-    flipped = b_nonzero[(slice(None, None, -1),) * b_nonzero.ndim]
-    index = np.unravel_index(nodes, a_nonzero.shape)
-    inner = tuple(range(1, b_nonzero.ndim + 1))
-    # chunks of about 2^22 window samples bound the gathered copy
-    chunk = max(1, 2**22 // b_nonzero.size)
-    out = np.empty(nodes.size, dtype=bool)
-    for start in range(0, nodes.size, chunk):
-        part = tuple(i[start : start + chunk] for i in index)
-        out[start : start + chunk] = ~np.any(windows[part] & flipped, axis=inner)
-    return out
-
-
 def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
     """Centred window of the full linear convolution ``a * b``, exactly ``0.0`` wherever no nonzero pair meets.
 
@@ -175,16 +153,11 @@ def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray
     with np.errstate(over="ignore", invalid="ignore"):
         out = fft_convolve(np.ldexp(a, -ea), np.ldexp(b, -eb))
         np.ldexp(out, ea + eb, out=out)
-    zeros = np.flatnonzero(a == 0)
-    centre = b[tuple(k // 2 for k in b.shape)]
-    size = math.prod(fast)
-    if centre != 0 and zeros.size * b.size <= size * math.log2(size):
-        # a nonzero sample pairs with the nonzero kernel centre, so only the zero
-        # samples need their windows checked, which here costs less than an FFT
-        out.flat[zeros[_pairless(a != 0, b != 0, zeros)]] = 0.0
-    else:
-        # the masks' convolution counts nonzero pairs per node: integers up to round-off
-        out[fft_convolve(a != 0, b != 0) < 0.5] = 0.0
+    if b[tuple(k // 2 for k in b.shape)] != 0 and a.all():
+        # every node pairs its own nonzero sample with the nonzero kernel centre
+        return out
+    # the masks' convolution counts nonzero pairs per node: integers up to round-off
+    out[fft_convolve(a != 0, b != 0) < 0.5] = 0.0
     return out
 
 

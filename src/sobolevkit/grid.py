@@ -137,9 +137,7 @@ class Grid:
 
     def points(self) -> NDArray[np.float64]:
         """All node coordinates as an array of shape ``(node_count, dim)``, row-major over the axes."""
-        axes = [self.axis_nodes(i) for i in range(self.dim)]
-        # the meshgrid arrays are broadcast views, so the stack is the one allocation
-        return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, self.dim)
+        return _lattice_points([self.axis_nodes(i) for i in range(self.dim)])
 
     def axis_weights(self, axis: int) -> NDArray[np.float64]:
         """Trapezoid weights along one axis: ``h/2`` at the two end nodes, ``h`` inside."""
@@ -155,6 +153,12 @@ class Grid:
         rule is exact for affine integrands.
         """
         return reduce(np.multiply.outer, [self.axis_weights(i) for i in range(self.dim)])
+
+
+def _lattice_points(axes: Sequence[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """Every point of the tensor lattice of ``axes``, shape ``(N, len(axes))``, row-major over the axes."""
+    # the meshgrid arrays are broadcast views, so the stack is the one allocation
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
 def make_grid(box: Box, resolution: int | Sequence[int]) -> Grid:
@@ -256,14 +260,12 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     norm beyond float64 raises ``OverflowError``.  ``region=None`` is the
     whole grid.
     """
-    if region is None:
-        region = Region.full(f.grid)
-    elif region.grid != f.grid:
+    if region is not None and region.grid != f.grid:
         raise ValueError("region and grid function live on different grids")
-    mask = region.mask
+    # no region: every node, with no mask array built
+    mask = True if region is None else region.mask
     if p == math.inf:  # -inf falls through to the refusal below
-        if not mask.any():
-            return 0.0
+        # an empty region gives the initial 0.0
         return float(np.max(np.abs(f.values), where=mask, initial=0.0))
     p = float(p)
     if not p >= 1.0:  # also refuses nan
@@ -280,9 +282,14 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
 
 def _finite_norm(norm: float, what: str, p: float) -> float:
     """``norm``, or an ``OverflowError`` naming ``p`` when float64 cannot hold it."""
-    if not math.isfinite(norm):
-        raise OverflowError(f"{what} norm at p={format_float(p)} is beyond the float64 range")
-    return norm
+    return _finite(norm, f"{what} norm at p={format_float(p)}")
+
+
+def _finite(value: float, what: str) -> float:
+    """``value``, or an ``OverflowError`` naming ``what`` when float64 cannot hold it."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{what} is beyond the float64 range")
+    return value
 
 
 def interior_region(grid: Grid, eps: float) -> Region:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .convolution import _admit, _convolve_admitted
-from .grid import Box, Grid, GridFunction, Region, lp_norm
+from .grid import Box, Grid, GridFunction, Region, _finite, _lattice_points, lp_norm
 from .mollifier import Mollifier, bump_raw_derivatives, standard_bump
 
 __all__ = [
@@ -200,7 +200,7 @@ def test_function_catalog(box: Box, count: int = 8) -> list[TestFunction]:
 
 def _window(grid: Grid, phi: TestFunction):
     """The node slices of ``phi``'s support box, its trapezoid weights, the mask
-    of its nodes inside the support ball and those nodes' coordinates."""
+    of its nodes inside the support ball, those nodes' coordinates and ``phi``'s label."""
     if phi.dim != grid.dim:
         raise ValueError(f"test function dimension {phi.dim} does not match grid {grid.dim}")
     if phi.support_margin(grid.box) <= 0:
@@ -212,13 +212,13 @@ def _window(grid: Grid, phi: TestFunction):
         slices.append(s)
         axes.append(nodes[s])
         weights.append(grid.axis_weights(axis)[s])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    points = _lattice_points(axes)
     # the bump's own scaling and test, so the nodes left out are exactly
     # those where phi and its derivatives are 0.0
     z = phi._scaled(points)
     inside = np.sum(z * z, axis=-1) < 1.0
-    return tuple(slices), reduce(np.multiply.outer, weights), inside.reshape(mesh[0].shape), points[inside]
+    box_weights = reduce(np.multiply.outer, weights)
+    return tuple(slices), box_weights, inside.reshape(box_weights.shape), points[inside], phi.label
 
 
 def _window_sum(f: GridFunction, window, fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]) -> float:
@@ -228,15 +228,17 @@ def _window_sum(f: GridFunction, window, fn: Callable[[NDArray[np.float64]], NDA
     ``0.0`` outside the support ball, so ``fn`` is evaluated only at the
     nodes inside it, and the sum over the box, with the grid's trapezoid
     weights restricted to it, is the quadrature over the whole grid box.
+    A sum beyond float64 raises ``OverflowError`` naming the test function.
     """
-    slices, weights, inside, points = window
+    slices, weights, inside, points, label = window
     phi_vals = np.zeros(inside.shape)
     phi_vals[inside] = fn(points)
     with np.errstate(over="ignore"):
         product = f.values[slices] * phi_vals
     if not np.all(np.isfinite(product)):
         raise ValueError("grid function values must be finite")
-    return float(np.sum(weights * product))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(np.sum(weights * product)), f"pairing with {label}")
 
 
 def pair(f: GridFunction, phi: TestFunction) -> float:
@@ -245,7 +247,8 @@ def pair(f: GridFunction, phi: TestFunction) -> float:
     ``phi``'s support must sit strictly inside the box, so the pairing
     sees the whole support and no boundary terms arise.  Only the nodes
     of the support ball are evaluated, so the cost is proportional to
-    the support window, not to the grid.
+    the support window, not to the grid.  A pairing beyond float64
+    raises ``OverflowError`` naming ``phi``.
     """
     return _window_sum(f, _window(f.grid, phi), phi.value)
 
@@ -280,7 +283,9 @@ def verify_weak_derivative(
     Each residual is ``|pair(u, phi) - (-1)^|alpha| pair(f, d^alpha phi)|``;
     the verdict requires the maximum over the catalog to stay within ``tol``.
     A test function listed more than once (same type, center, radius and
-    polynomial) is evaluated once, and its residual repeated.
+    polynomial) is evaluated once, and its residual repeated.  A pairing
+    or residual beyond float64 raises ``OverflowError`` naming the test
+    function.
     """
     f._check_same_grid(u)
     alpha = validate_multi_index(alpha, f.grid.dim, min_order=1)
@@ -296,7 +301,7 @@ def verify_weak_derivative(
             window = _window(f.grid, phi)
             lhs = _window_sum(u, window, phi.value)
             rhs = sign * _window_sum(f, window, partial(phi.derivative, alpha))
-            seen[key] = abs(lhs - rhs)
+            seen[key] = _finite(abs(lhs - rhs), f"residual at {phi.label}")
         ids.append(phi.label)
         residuals.append(seen[key])
     return PairingResidual(alpha, float(tol), tuple(ids), tuple(residuals))

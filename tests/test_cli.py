@@ -597,6 +597,14 @@ class TestBeyondFloat64:
             f"error: convolution with the kernel at eps={eps} has values beyond the float64 range\n"
         )
 
+    def test_pairing_beyond_float64_exits_three(self):
+        # u = x1 near -1e300 on trapezoid weights of 2.5e299 and 5e299 pairs to about 1e600: this
+        # printed a numpy overflow warning and inf residuals, and exited 0
+        argv = ["weak-verify", "--lo=-1e300", "--hi=0", "--res", "2", "--f", "1e-300*x1", "--u", "x1"]
+        result = run_subprocess(argv)
+        assert (result.returncode, result.stdout) == (EXIT_NUMERICAL, b"")
+        assert result.stderr.decode() == "error: pairing with t00 is beyond the float64 range\n"
+
 
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):

@@ -396,27 +396,30 @@ class TestAgainstDirectSum:
         centre = (slice(start + 3, start + block - 3),) * dim
         first = tuple(int(i == 0) for i in range(dim))
         shapes = count_forward_ffts(monkeypatch)
-        for deriv, ffts in ((None, 2), (first, 4)):
+        for deriv in (None, first):
             shapes.clear()
             got = self._matches_direct_sum(f, m, deriv)
             assert got[centre].size > 0
             assert np.all(got[centre] == 0.0)
-            # the value kernel's centre is nonzero and the block is small: its zeros are
-            # found by the window check; the derivative's centre is zero: by the mask FFT
-            assert len(shapes) == ffts
+            # f has zeros, so with either kernel the mask FFT finds the pairless nodes
+            assert len(shapes) == 4
 
-    def test_value_kernel_on_few_zeros_skips_mask_fft(self, monkeypatch):
+    def test_only_zero_free_f_skips_mask_fft(self, monkeypatch):
         rng = np.random.default_rng(500)
         grid, values, m = zero_set_case(rng, 3, 16)
-        values.flat[rng.choice(values.size, 5, replace=False)] = 0.0
-        f = GridFunction(grid, values)
         shapes = count_forward_ffts(monkeypatch)
-        convolve(f, m)
-        # f and the kernel, at the 2*3*5-smooth lengths of the full shape 23^3
-        assert shapes == [(24, 24, 24)] * 2
-        shapes.clear()
-        convolve(f, m, deriv=(1, 0, 0))
-        assert len(shapes) == 4
+        for zeros, ffts in ((0, 2), (1, 4), (5, 4)):
+            values.flat[rng.choice(values.size, zeros, replace=False)] = 0.0
+            f = GridFunction(grid, values)
+            shapes.clear()
+            self._matches_direct_sum(f, m, None)
+            # f and the kernel, and once f has a zero their nonzero masks, at the
+            # 2*3*5-smooth lengths of the full shape 23^3
+            assert shapes == [(24, 24, 24)] * ffts
+            # the derivative kernel's centre is zero: its masks are always convolved
+            shapes.clear()
+            self._matches_direct_sum(f, m, (1, 0, 0))
+            assert len(shapes) == 4
 
 
     @pytest.mark.parametrize("kshape", [(5, 4), (3, 6), (1, 7)])

@@ -205,6 +205,22 @@ class TestLpNorm:
         assert lp_norm(f, math.inf, empty) == 0.0
         assert lp_norm(f, 2.0, empty) == 0.0
 
+    @pytest.mark.parametrize("p,temporaries", [(math.inf, 1), (2.0, 3)])
+    def test_no_region_builds_no_mask(self, p, temporaries):
+        # beyond its float64 temporaries (|f|; the weights, |f|^p and their product),
+        # the whole-grid norm allocates well under one byte per node: a full-grid bool
+        # mask, copied from Region.full, took one
+        grid = make_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 99)
+        f = GridFunction(grid, np.ones(grid.node_shape))
+        tracemalloc.start()
+        try:
+            norm = lp_norm(f, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(1.0, rel=1e-12)
+        assert peak - 8 * temporaries * grid.node_count < grid.node_count / 2
+
     def test_region_grid_mismatch(self):
         f = GridFunction(unit_grid(10), np.ones(11))
         region = Region.full(unit_grid(5))

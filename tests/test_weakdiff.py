@@ -327,6 +327,25 @@ class TestWindowedPairing:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             wd.verify_weak_derivative(f, f, (1,), [phi], 1e-4)
 
+    def test_pairing_beyond_float64_names_the_test_function(self):
+        # every product 1e308 * phi is finite, but their integral is near 4.8e308
+        grid = make_grid(Box((0.0,), (10.0,)), 100)
+        f = GridFunction(grid, np.full(101, 1e308))
+        phi = wd.TestFunction((5.0,), 4.0, label="wide")
+        with pytest.raises(OverflowError, match=r"^pairing with wide is beyond the float64 range$"):
+            wd.pair(f, phi)
+
+    def test_residual_beyond_float64_names_the_test_function(self):
+        # both sides of the identity are finite, near 1.09e308 with opposite signs
+        grid = make_grid(Box((-1.0,), (1.0,)), 400)
+        x = grid.axis_nodes(0)
+        f = GridFunction(grid, -1e308 * x)
+        u = GridFunction(grid, np.full(401, 1e308))
+        phi = wd.TestFunction((0.0,), 0.9, label="centred")
+        assert 1e308 < wd.pair(u, phi) < 1.2e308
+        with pytest.raises(OverflowError, match=r"^residual at centred is beyond the float64 range$"):
+            wd.verify_weak_derivative(f, u, (1,), [phi], 1e-4)
+
 
 class TestVerifyWeakDerivative:
     def setup_method(self):
