@@ -158,7 +158,7 @@ def _sample_expression(source: str, grid) -> GridFunction:
         values = evaluate_many(ast, grid.points())
     except (ParseError, EvalError) as exc:
         raise _expression_error(source, exc) from None
-    return GridFunction(grid, values)
+    return GridFunction._adopt(grid, values)
 
 
 def _cell(value: object) -> str:

@@ -219,6 +219,7 @@ def _convolve_admitted(
     vals[~region.mask] = 0.0
     if not np.isfinite(vals).all():
         raise OverflowError(f"convolution with the kernel at eps={m.eps} has values beyond the float64 range")
+    # copied, not adopted: adopting raised sample-write-2d's own peak RSS by 2.3-2.5 MB (allocator layout)
     return GridFunction(f.grid, vals), region
 
 

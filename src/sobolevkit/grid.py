@@ -161,6 +161,17 @@ def _lattice_points(axes: Sequence[NDArray[np.float64]]) -> NDArray[np.float64]:
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
 
 
+# Nodes per slab of a slab-wise pass over a grid array: each slab's
+# temporaries are a few times this, whatever the grid's size.
+_SLAB_NODES = 8192
+
+
+def _row_slabs(node_shape: Sequence[int]) -> Iterable[slice]:
+    """Consecutive runs of first-axis rows, each of about ``_SLAB_NODES`` nodes and at least one row."""
+    rows = max(1, _SLAB_NODES // math.prod(node_shape[1:]))
+    return (slice(i, i + rows) for i in range(0, node_shape[0], rows))
+
+
 def make_grid(box: Box, resolution: int | Sequence[int]) -> Grid:
     """Build a uniform grid over ``box`` with ``resolution`` cells per axis."""
     if isinstance(resolution, (int, np.integer)):
@@ -183,11 +194,7 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.grid.node_count} values, got {vals.size}"
             )
-        vals = vals.reshape(self.grid.node_shape).copy()
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid function values must be finite")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        self._keep(vals.reshape(self.grid.node_shape).copy())
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]) -> "GridFunction":
@@ -195,13 +202,32 @@ class GridFunction:
         vals = np.asarray(fn(grid.points()), dtype=np.float64)
         return cls(grid, vals.reshape(grid.node_shape))
 
+    @classmethod
+    def _adopt(cls, grid: Grid, vals: NDArray[np.float64]) -> "GridFunction":
+        """A grid function that keeps ``vals``, a fresh float64 array of ``grid.node_count`` values no one else holds.
+
+        The public constructor copies its values; this path keeps the fresh
+        array itself, so the values exist once.
+        """
+        f = object.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        f._keep(vals.reshape(grid.node_shape))
+        return f
+
+    def _keep(self, vals: NDArray[np.float64]) -> None:
+        # checked finite, then read-only: the one array this function holds
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("grid function values must be finite")
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
     def _check_same_grid(self, other: "GridFunction") -> None:
         if self.grid != other.grid:
             raise ValueError("grid functions live on different grids")
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check_same_grid(other)
-        return GridFunction(self.grid, self.values - other.values)
+        return GridFunction._adopt(self.grid, self.values - other.values)
 
 
 @dataclass(frozen=True)
@@ -270,14 +296,30 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     p = float(p)
     if not p >= 1.0:  # also refuses nan
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    w = f.grid.trapezoid_weights()
-    with np.errstate(over="ignore"):
-        total = float(np.sum(w * np.abs(f.values) ** p, where=mask))
+    total = _weighted_power_sum(f, p, mask)
     if math.isfinite(total):
         return total ** (1.0 / p)
     top = float(np.max(np.abs(f.values), where=mask, initial=0.0))
-    total = float(np.sum(w * (np.abs(f.values) / top) ** p, where=mask))
+    total = _weighted_power_sum(f, p, mask, top)
     return _finite_norm(top * total ** (1.0 / p), "L^p", p)
+
+
+def _weighted_power_sum(f: GridFunction, p: float, mask: NDArray[np.bool_] | bool, top: float = 1.0) -> float:
+    """The trapezoid sum of ``(|f| / top)^p`` over ``mask``, holding one full-grid float64 array.
+
+    Each slab's weights are formed as :meth:`Grid.trapezoid_weights` forms
+    them, and float64 multiply commutes bit for bit, so every product, and
+    the pairwise sum over them, has the bits of ``np.sum(w * (|f| / top) ** p)``.
+    """
+    a = np.abs(f.values)
+    if top != 1.0:
+        a /= top
+    ws = [f.grid.axis_weights(i) for i in range(f.grid.dim)]
+    with np.errstate(over="ignore"):
+        a **= p  # the same fast scalar-power path as ``a ** p``
+        for rows in _row_slabs(a.shape):
+            a[rows] *= reduce(np.multiply.outer, [ws[0][rows], *ws[1:]])
+    return float(np.sum(a, where=mask))
 
 
 def _finite_norm(norm: float, what: str, p: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Box, GridFunction, make_grid, quadrature
+from .grid import Box, GridFunction, _lattice_points, _row_slabs, make_grid, quadrature
 
 __all__ = [
     "Mollifier",
@@ -178,17 +178,22 @@ def verify_unit(m: Mollifier, grid_resolution: int, tol: float = 1e-3) -> UnitRe
     """Check the defining kernel properties on a grid over ``[-eps, eps]^n``.
 
     Verifies nonnegativity and the exact-zero branch outside the support
-    ball, and measures ``|quadrature - 1|`` against ``tol``.
+    ball, and measures ``|quadrature - 1|`` against ``tol``.  The kernel
+    is sampled slab by slab into one value array, so the points and their
+    temporaries exist one slab at a time.
     """
     n = m.dim
     box = Box((-m.eps,) * n, (m.eps,) * n)
     grid = make_grid(box, int(grid_resolution))
-    pts = grid.points()
-    vals = m.value(pts)
-
-    nonneg = bool(np.min(vals) >= 0.0)
-    radii = np.sqrt(np.sum(pts * pts, axis=-1))
-    outside = radii > m.eps
-    support_ok = bool(np.all(vals[outside] == 0.0))
-    mass = quadrature(GridFunction(grid, vals.reshape(grid.node_shape)))
+    axes = [grid.axis_nodes(i) for i in range(n)]
+    vals = np.empty(grid.node_shape)
+    nonneg = support_ok = True
+    for rows in _row_slabs(grid.node_shape):
+        pts = _lattice_points([axes[0][rows], *axes[1:]])
+        slab = m.value(pts)
+        nonneg = nonneg and bool(np.min(slab) >= 0.0)
+        radii = np.sqrt(np.sum(pts * pts, axis=-1))
+        support_ok = support_ok and bool(np.all(slab[radii > m.eps] == 0.0))
+        vals[rows] = slab.reshape(-1, *grid.node_shape[1:])
+    mass = quadrature(GridFunction._adopt(grid, vals))
     return UnitReport(nonneg, support_ok, abs(mass - 1.0), float(tol))

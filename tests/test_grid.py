@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sobolevkit.grid import (
     MAX_NODES,
+    _SLAB_NODES,
     Box,
     Grid,
     GridFunction,
@@ -129,6 +130,31 @@ class TestGridFunction:
         with pytest.raises(ValueError, match="different grids"):
             _ = f - g
 
+    def test_adopt_keeps_the_fresh_array_read_only(self):
+        vals = np.array([1.0, 2.0, 3.0])
+        f = GridFunction._adopt(unit_grid(2), vals)
+        assert np.shares_memory(f.values, vals)
+        with pytest.raises(ValueError):
+            f.values[0] = 5.0
+
+    def test_adopt_rejects_non_finite_values(self):
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction._adopt(unit_grid(2), np.array([0.0, math.inf, 1.0]))
+
+    def test_difference_holds_one_new_array(self):
+        # the difference plus the finiteness check's bool per node; copying it held two
+        grid = make_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 99)
+        f = GridFunction(grid, np.ones(grid.node_shape))
+        g = GridFunction(grid, np.full(grid.node_shape, 0.5))
+        tracemalloc.start()
+        try:
+            d = f - g
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(d.values == 0.5) and not d.values.flags.writeable
+        assert peak - 8 * grid.node_count < 1.5 * grid.node_count
+
 
 class TestQuadrature:
     def test_constant_is_exact(self):
@@ -205,10 +231,11 @@ class TestLpNorm:
         assert lp_norm(f, math.inf, empty) == 0.0
         assert lp_norm(f, 2.0, empty) == 0.0
 
-    @pytest.mark.parametrize("p,temporaries", [(math.inf, 1), (2.0, 3)])
+    @pytest.mark.parametrize("p,temporaries", [(math.inf, 1), (2.0, 1)])
     def test_no_region_builds_no_mask(self, p, temporaries):
-        # beyond its float64 temporaries (|f|; the weights, |f|^p and their product),
-        # the whole-grid norm allocates well under one byte per node: a full-grid bool
+        # beyond its one float64 temporary (|f|, raised to p and weighted in place,
+        # where the weights, |f|^p and their product once took three), the
+        # whole-grid norm allocates well under one byte per node: a full-grid bool
         # mask, copied from Region.full, took one
         grid = make_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 99)
         f = GridFunction(grid, np.ones(grid.node_shape))
@@ -226,6 +253,30 @@ class TestLpNorm:
         region = Region.full(unit_grid(5))
         with pytest.raises(ValueError, match="different grids"):
             lp_norm(f, 2.0, region)
+
+    # each first axis spans several slabs of _SLAB_NODES nodes
+    @pytest.mark.parametrize("res", [(20000,), (499, 40), (19, 29, 29)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 100.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_one_pass_formula_bit_for_bit(self, res, p, scale, masked):
+        grid = make_grid(Box((0.0,) * len(res), (1.3,) * len(res)), res)
+        assert grid.node_count > 2 * _SLAB_NODES and grid.node_shape[0] > 1
+        rng = np.random.default_rng(len(res))
+        v = scale * rng.standard_normal(grid.node_shape)
+        mask = rng.random(grid.node_shape) < 0.5 if masked else True
+        w = grid.trapezoid_weights()
+        with np.errstate(over="ignore"):
+            total = float(np.sum(w * np.abs(v) ** p, where=mask))
+        if math.isfinite(total):
+            expected = total ** (1 / p)
+        else:
+            # the overflow fallback: the same sum of |v| / max|v|, scaled back
+            assert p > 1.0 and scale == 1e300
+            top = float(np.max(np.abs(v), where=mask, initial=0.0))
+            expected = top * float(np.sum(w * (np.abs(v) / top) ** p, where=mask)) ** (1 / p)
+        region = Region(grid, mask) if masked else None
+        assert lp_norm(GridFunction(grid, v), p, region) == expected
 
 
 class TestRegion:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import sobolevkit
-from sobolevkit.grid import Box, GridFunction, make_grid, quadrature
+from sobolevkit.grid import _SLAB_NODES, Box, GridFunction, make_grid, quadrature
 from sobolevkit.mollifier import (
     Mollifier,
     UnitReport,
@@ -243,6 +244,62 @@ class TestVerifyUnit:
     def test_report_fails_on_sign(self):
         report = UnitReport(False, True, 0.0, 1e-3)
         assert not report.passed
+
+
+def one_pass_unit(m, res, tol=1e-3):
+    """``verify_unit`` as one pass over every node: the oracle for the slab-wise version."""
+    grid = make_grid(Box((-m.eps,) * m.dim, (m.eps,) * m.dim), res)
+    pts = grid.points()
+    vals = m.value(pts)
+    radii = np.sqrt(np.sum(pts * pts, axis=-1))
+    mass = float(np.sum(grid.trapezoid_weights() * vals.reshape(grid.node_shape)))
+    return UnitReport(bool(np.min(vals) >= 0.0), bool(np.all(vals[radii > m.eps] == 0.0)), abs(mass - 1.0), tol)
+
+
+class _LateFault:
+    """The standard bump plus ``c`` where ``x1 > 0.9 eps``: a fault only the last slabs hold."""
+
+    def __init__(self, dim, c):
+        self.dim, self.eps, self.c = dim, 1.0, c
+        self._bump = standard_bump(dim)
+
+    def value(self, pts):
+        return self._bump.value(pts) + np.where(pts[:, 0] > 0.9, self.c, 0.0)
+
+
+class TestSlabwiseVerifyUnit:
+    # each first axis here spans several slabs of grid._SLAB_NODES nodes
+    @pytest.mark.parametrize("dim,res", [(1, 20000), (2, 256), (3, 40)])
+    @pytest.mark.parametrize("eps", [1e-100, 1e-3, 0.3, 7.3])
+    def test_matches_one_pass(self, dim, res, eps):
+        assert (res + 1) ** dim > 2 * _SLAB_NODES
+        m = standard_bump(dim, eps)
+        assert verify_unit(m, res, 1e-6) == one_pass_unit(m, res, 1e-6)
+
+    @pytest.mark.parametrize("dim,res", [(1, 20000), (2, 256), (3, 40)])
+    @pytest.mark.parametrize("c", [-1.0, 1.0])
+    def test_fault_in_a_late_slab_is_seen(self, dim, res, c):
+        m = _LateFault(dim, c)
+        report = verify_unit(m, res)
+        assert report == one_pass_unit(m, res)
+        # in 1-d every node of [-eps, eps] is in the closed ball
+        assert report.nonneg == (c > 0) and report.support_ok == (dim == 1)
+
+    @pytest.mark.parametrize("res", [256, 512])
+    def test_holds_two_grid_arrays_and_one_slab(self, res):
+        # the value array and the quadrature's weights, plus a slab's points and
+        # temporaries that do not grow with the grid: 61.5 bytes per node, all
+        # the points' temporaries alive together, before values were sampled by slab
+        m = standard_bump(2, 0.5)
+        nodes = (res + 1) ** 2
+        tracemalloc.start()
+        try:
+            report = verify_unit(m, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 2 * 8 * nodes + 128 * _SLAB_NODES
 
 
 def test_mollifier_integrates_to_one_on_larger_box():
