@@ -12,7 +12,7 @@ import functools
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ _LENGTH_OF_BYTE = bytes(b % FUZZ_LENGTHS for b in range(256))
 _REJECTED_BYTES = bytes(range(256 - 256 % FUZZ_LENGTHS, 256))
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool

@@ -17,9 +17,8 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,8 +107,7 @@ def _parse_alpha(raw: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
     return validate_multi_index(alpha, dim, min_order)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The validated grid and tolerance, and the parsed ``--eps`` values, of the grid-based commands."""
 
     grid: Grid

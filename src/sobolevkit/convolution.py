@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -223,8 +223,7 @@ def _convolve_admitted(
     return GridFunction(f.grid, vals), region
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     eps: float
     f_eps: GridFunction
     region: Region
@@ -266,15 +265,13 @@ def orbit(f: GridFunction, eps_list: Sequence[float]) -> OrbitNet:
     return OrbitNet(f, tuple(entries))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     eps: float
     error: float
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     """Approximation errors ``||f_eps - f||_p`` on a fixed comparison region.
 
     The region is the interior at the largest eps of the ladder, so every
@@ -323,8 +320,7 @@ def convergence_study(f: GridFunction, p: float, eps_list: Sequence[float]) -> C
     return _convergence_tables(f, (p,), eps_list)[0]
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     """Numerical convolution of two kernels, with its support radius and mass."""
 
     support_radius: float

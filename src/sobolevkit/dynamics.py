@@ -11,8 +11,7 @@ pairings in the shrinking-eps limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ RK4_STEP = 1e-3
 MAX_RK4_STEPS = 10**6
 
 
-@dataclass(frozen=True)
-class NewtonTrace:
+class NewtonTrace(NamedTuple):
     """Iterates and residuals ``|f(x_k) - y|`` of one chord-method run."""
 
     anchor: float
@@ -120,8 +118,7 @@ def newton_net(
     )
 
 
-@dataclass(frozen=True)
-class InvertibilityReport:
+class InvertibilityReport(NamedTuple):
     """Sign and size of the smoothed derivative on the interior region."""
 
     min_abs_df_eps: float
@@ -146,8 +143,7 @@ def invertibility_check(f: GridFunction, eps: float) -> InvertibilityReport:
     return InvertibilityReport(min_abs, min_abs > 0.0 and not sign_change)
 
 
-@dataclass(frozen=True)
-class FlowCheck:
+class FlowCheck(NamedTuple):
     """Group-law residual of the exponential flow plus an RK4 cross-check."""
 
     k: float
@@ -225,8 +221,7 @@ def exponential_flow(k: float, x0: float, s: float, t: float) -> FlowCheck:
     return FlowCheck(k, x0, s, t, lhs, rhs, abs(lhs - rhs), rk4_error)
 
 
-@dataclass(frozen=True)
-class ShadowReport:
+class ShadowReport(NamedTuple):
     """Pairings of a smoothing net against a test function, with their limit."""
 
     epses: tuple[float, ...]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -104,8 +104,7 @@ def excerpt(text: str, offset: int = 0) -> str:
     return ("…" if start > 0 else "") + text[start:end] + ("…" if end < len(text) else "")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # number | ident | op | lparen | rparen | comma | eof
     lexeme: str
     offset: int
@@ -124,6 +123,24 @@ _TOKEN_RE = re.compile(
 )
 
 
+class _UnexpectedMessages(dict):
+    """``[c]`` is the lexical error message for character ``c``, built on first use.
+
+    Only code points below 256, every character the parser fuzz draws, are
+    kept, so the memo never holds more than 256 entries; a hit is one
+    C-level dict lookup.
+    """
+
+    def __missing__(self, c: str) -> str:
+        message = f"unexpected character {c!r}"
+        if ord(c) < 256:
+            self[c] = message
+        return message
+
+
+_UNEXPECTED = _UnexpectedMessages()
+
+
 def _tokens(source: str, end: int) -> list[Token]:
     # the tokens of a source that lexes up to ``end == len(source)``
     tokens = [Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(source)]
@@ -134,7 +151,7 @@ def _tokens(source: str, end: int) -> list[Token]:
 def tokenize(source: str) -> list[Token]:
     end = _LEXABLE_RE.match(source).end()
     if end < len(source):
-        raise ParseError(f"unexpected character {source[end]!r}", end)
+        raise ParseError(_UNEXPECTED[source[end]], end)
     return _tokens(source, end)
 
 
@@ -294,8 +311,13 @@ class _Parser:
                     )
                 return Call(name, tuple(args), tok.offset)
             raise ParseError(f"unknown identifier {excerpt(name)!r}", tok.offset)
-        shown = tok.lexeme or "end of input"
-        raise ParseError(f"expected a value, found {excerpt(shown)!r}", tok.offset)
+        raise _no_value(tok.lexeme, tok.offset)
+
+
+def _no_value(lexeme: str, offset: int) -> ParseError:
+    # the error where a value is due: ``lexeme`` is "" at the end of input
+    shown = lexeme or "end of input"
+    return ParseError(f"expected a value, found {excerpt(shown)!r}", offset)
 
 
 def _parse_or_error(source: str, dim: int) -> Ast | ParseError:
@@ -312,11 +334,17 @@ def _parse_core(source: str, dim: int) -> Ast | ParseError:
     """``_parse_or_error`` past its argument checks: ``source`` is a ``str`` and ``dim`` an int in 1..3.
 
     A lexical error, the common case for random input, is found by one
-    regex match and returned before any token exists; nothing is raised.
+    regex match and returned before any token exists; nothing is raised,
+    and its message below code point 256 is built once per character.  A
+    lexable source with no token, ``""`` or all whitespace, gets the
+    descent's error at the end of input without a token or parser being
+    built: a lexable whitespace run is all ``\\s``, and no token holds any.
     """
     end = _LEXABLE_RE.match(source).end()
     if end < len(source):
-        return ParseError(f"unexpected character {source[end]!r}", end)
+        return ParseError(_UNEXPECTED[source[end]], end)
+    if not source or source.isspace():
+        return _no_value("", end)
     parser = _Parser(_tokens(source, end), dim)
     try:
         node = parser.parse_expr()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -160,8 +161,7 @@ def standard_bump(dim: int, eps: float = 1.0) -> Mollifier:
     return Mollifier(dim, eps)
 
 
-@dataclass(frozen=True)
-class UnitReport:
+class UnitReport(NamedTuple):
     """Checked unit properties of a scaled kernel."""
 
     nonneg: bool

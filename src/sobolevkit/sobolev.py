@@ -13,9 +13,8 @@ claims have been (or can be) verified; nothing here differentiates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Container, Mapping, Sequence
+from typing import Container, Mapping, NamedTuple, Sequence
 
 from .grid import GridFunction, _finite_norm, lp_norm
 from .weakdiff import (
@@ -144,16 +143,14 @@ def _combine_norms(norms: Sequence[float], p: float) -> float:
     return _finite_norm(top * sum((x / top) ** p for x in norms) ** (1.0 / p), "W^{k,p}", p)
 
 
-@dataclass(frozen=True)
-class MembershipEntry:
+class MembershipEntry(NamedTuple):
     alpha: MultiIndex
     pairing_residual: float | None
     lp_norm: float
     verdict: bool
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Per-derivative verification plus the aggregated norm when all pass."""
 
     k: int

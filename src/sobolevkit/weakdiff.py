@@ -15,10 +15,9 @@ inside its support ball, where it can be nonzero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product as _cartesian
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -253,8 +252,7 @@ def pair(f: GridFunction, phi: TestFunction) -> float:
     return _window_sum(f, _window(f.grid, phi), phi.value)
 
 
-@dataclass(frozen=True)
-class PairingResidual:
+class PairingResidual(NamedTuple):
     """Integration-by-parts residuals, one per test function."""
 
     alpha: MultiIndex

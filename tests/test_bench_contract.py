@@ -7,6 +7,7 @@ otherwise only show up as a crash or a missing span in a traced run.
 ``layers.py`` does not import sobolevkit, so it is loaded here by path.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -63,3 +64,11 @@ def test_hooked_arguments(target):
 def test_kernel_exposes_eps():
     # the convolve hook reads the kernel radius as ``m.eps``
     assert standard_bump(1, 0.1).eps == 0.1
+
+
+@pytest.mark.parametrize("name", ["Num", "Var", "Neg", "BinOp", "Call"])
+def test_ast_nodes_stay_dataclasses(name):
+    # tracer.ast_size counts a node per dataclass and walks its children
+    # through dataclasses.fields; it walks a tuple as a list of children, so
+    # a node turned into a named tuple would drop out of expr.node_visits
+    assert dataclasses.is_dataclass(_resolve("expr", name))

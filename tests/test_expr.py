@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sobolevkit import acceptance
+from sobolevkit import acceptance, expr
 from sobolevkit.grid import Box, make_grid
 from sobolevkit.expr import (
     GRAMMAR_HELP,
@@ -22,7 +22,9 @@ from sobolevkit.expr import (
     ParseError,
     Token,
     _Parser,
+    _parse_core,
     _parse_or_error,
+    _tokens,
     evaluate,
     evaluate_many,
     excerpt,
@@ -425,6 +427,71 @@ class TestParseOracle:
         error = _parse_or_error(source, 3)
         assert isinstance(error, ParseError)
         assert (str(error), error.offset) == _parsed(_reference_parse, source)
+
+
+_WHITESPACE = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+
+
+def _descent_error(source):
+    """The error the descent raises at the end of a source with no token: message and offset."""
+    with pytest.raises(ParseError) as info:
+        _Parser(_tokens(source, len(source)), 3).parse_expr()
+    return info.value.args
+
+
+def _not_lexable(ch):
+    # no token and no whitespace run starts with ``ch``
+    return not (ch.isspace() or (ch.isascii() and (ch.isalnum() or ch == "_")) or ch in "-+*/^(),")
+
+
+class TestFastPaths:
+    """The core's blank and lexical-reject paths give the descent's and the f-string's errors."""
+
+    def test_blank_sources_match_the_descent(self):
+        rng = random.Random(5)
+        runs = ["".join(rng.choices(_WHITESPACE, k=n)) for n in range(1, 24) for _ in range(8)]
+        for source in ["", *_WHITESPACE, *runs]:
+            error = _parse_core(source, 3)
+            assert type(error) is ParseError
+            assert error.args == _descent_error(source) == ("expected a value, found 'end of input'", len(source))
+
+    def test_blank_sources_build_no_parser(self, monkeypatch):
+        built = []
+
+        class CountingParser(_Parser):
+            def __init__(self, tokens, dim):
+                built.append(tokens)
+                super().__init__(tokens, dim)
+
+        monkeypatch.setattr(expr, "_Parser", CountingParser)
+        for source in ["", " ", "\t\n", " \u3000\x1c" * 7]:
+            assert isinstance(_parse_core(source, 3), ParseError)
+        assert built == []
+        # the counter sees a source that holds a token
+        assert isinstance(_parse_core(" 1+ ", 3), ParseError)
+        assert len(built) == 1
+
+    def test_lexical_rejects_below_256(self):
+        chars = [chr(cp) for cp in range(256) if _not_lexable(chr(cp))]
+        # all but the digits, letters, '_', the 8 operators and brackets, and whitespace
+        assert len(chars) == 256 - 10 - 52 - 1 - 8 - sum(chr(cp).isspace() for cp in range(256))
+        for ch in chars:
+            for prefix in ("", "x1 + "):
+                error = _parse_core(prefix + ch, 3)
+                assert error.args == (f"unexpected character {ch!r}", len(prefix))
+
+    @pytest.mark.parametrize("ch", ["\u20ac", "\U0001F600", "\u0100", "\ufffd"])
+    def test_lexical_rejects_above_256(self, ch):
+        for _ in range(2):
+            assert _parse_core(f"2*{ch}", 3).args == (f"unexpected character {ch!r}", 2)
+        assert ch not in expr._UNEXPECTED
+
+    def test_memo_stays_bounded(self):
+        for cp in [*range(0x3000), 0x1F600, 0x10FFFF]:
+            if _not_lexable(chr(cp)):
+                _parse_core(chr(cp), 3)
+        assert len(expr._UNEXPECTED) <= 256
+        assert all(ord(ch) < 256 for ch in expr._UNEXPECTED)
 
 
 class TestErrorArgs:
