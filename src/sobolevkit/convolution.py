@@ -6,7 +6,16 @@ function values, scaled by the cell volume.  The sum is evaluated as one
 full linear convolution by FFT, each axis zero-padded to the next
 2*3*5-smooth length, which pocketfft transforms several times faster
 than a prime one; only the centred window, one value per grid node, is
-kept.  Every node whose window holds no nonzero pair of samples is set
+kept.  The FFT holds one complex spectrum of the padded shape and, beyond
+it, slabs of about ``grid._SLAB_NODES`` nodes: the function's rows take
+the last-axis and middle-axis transforms into the spectrum; each run of
+its last-axis columns takes the kernel's transforms, the axis-0 transform,
+the product and the axis-0 inverse; and only the rows of the centred
+window are transformed back, straight into the result.  Each 1-d
+transform is one that numpy's ``rfftn`` and ``irfftn`` make, on the same
+line and in the same order of axes, and each product is the function's
+spectrum times the kernel's, never the reverse, so the output has their
+bits.  Every node whose window holds no nonzero pair of samples is set
 to exactly ``0.0``, as the direct sum would give, so supports and the
 boundary collar carry no round-off.  When the kernel's centre sample and
 every sample of the function are nonzero, every node has a pair and
@@ -33,12 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import MAX_NODES, Box, Grid, GridFunction, Region, _lattice_points, interior_region, lp_norm, make_grid, quadrature
+from .grid import MAX_NODES, Box, Grid, GridFunction, Region, _lattice_points, _point_slabs, _row_slabs, interior_region, lp_norm, make_grid, quadrature
 from .mollifier import Mollifier, standard_bump
 
 __all__ = [
@@ -141,23 +150,59 @@ def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray
     """
     full = tuple(n + k - 1 for n, k in zip(a.shape, b.shape))
     fast = _fft_shape(full)
-    axes = tuple(range(a.ndim))
+    last = a.ndim - 1
     window = tuple(slice(k // 2, k // 2 + n) for n, k in zip(a.shape, b.shape))
+    # the spectrum's last axis holds the rfft's nonnegative frequencies; a slab of it is a run of columns
+    shape = fast[:-1] + (fast[-1] // 2 + 1,)
+    columns = list(_row_slabs(shape[-1:] + shape[:-1]))
+    rows = list(_row_slabs(a.shape))
 
-    def fft_convolve(x: np.ndarray, y: np.ndarray) -> NDArray[np.float64]:
-        spectrum = np.fft.rfftn(x, fast, axes)
-        spectrum *= np.fft.rfftn(y, fast, axes)
-        return np.fft.irfftn(spectrum, fast, axes)[window].copy()
+    def fft_convolve(f_rows: Callable[[slice], np.ndarray], k: np.ndarray) -> NDArray[np.float64]:
+        """``irfftn(rfftn(f, fast) * rfftn(k, fast), fast)[window]`` by slabs, ``f``'s rows given as ``f_rows(rows)``."""
+        if not last:
+            # the rows are the rfft's own axis: numpy's 1-d product as it stands
+            spectrum = np.fft.rfft(f_rows(slice(None)), fast[0])
+            spectrum *= np.fft.rfft(k, fast[0])
+            return np.fft.irfft(spectrum, fast[0])[window].copy()
+        # f's rows through the rfft and the middle axes; rows beyond f stay zero
+        spectrum = np.zeros(shape, np.complex128)
+        for r in rows:
+            slab = np.fft.rfft(f_rows(r), fast[-1])
+            for axis in range(last - 1, 0, -1):
+                slab = np.fft.fft(slab, fast[axis], axis)
+            spectrum[: a.shape[0]][r] = slab
+        # each slab of columns: k's transforms, then axis 0 forward, the product and axis 0 back
+        head = np.fft.rfft(k, fast[-1])
+        for cols in columns:
+            slab = head[..., cols]
+            for axis in range(last - 1, -1, -1):
+                slab = np.fft.fft(slab, fast[axis], axis)
+            lines = np.fft.fft(spectrum[..., cols], axis=0)
+            lines *= slab  # f's side times k's: numpy's complex multiply does not commute bit for bit
+            spectrum[..., cols] = np.fft.ifft(lines, axis=0)
+        del head
+        # the window's rows through the middle axes and the irfft, each cropped to the window once done
+        out = np.empty(a.shape)
+        inner = spectrum[window[0]]
+        for r in rows:
+            slab = inner[r]
+            for axis in range(1, last):
+                slab = np.fft.ifft(slab, axis=axis)[(slice(None),) * axis + (window[axis],)]
+            out[r] = np.fft.irfft(slab, fast[-1])[..., window[-1]]
+        return out
 
+    pairless = None
+    if b[tuple(k // 2 for k in b.shape)] == 0 or not a.all():
+        # the masks' convolution counts nonzero pairs per node: integers up to round-off;
+        # run first, so only its boolean verdict is held while the values are convolved
+        pairless = fft_convolve(lambda r: a[r] != 0, b != 0) < 0.5
+    # otherwise every node pairs its own nonzero sample with the nonzero kernel centre
     ea, eb = (math.frexp(max(-x.min(), x.max()))[1] for x in (a, b))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = fft_convolve(np.ldexp(a, -ea), np.ldexp(b, -eb))
+        out = fft_convolve(lambda r: np.ldexp(a[r], -ea), np.ldexp(b, -eb))
         np.ldexp(out, ea + eb, out=out)
-    if b[tuple(k // 2 for k in b.shape)] != 0 and a.all():
-        # every node pairs its own nonzero sample with the nonzero kernel centre
-        return out
-    # the masks' convolution counts nonzero pairs per node: integers up to round-off
-    out[fft_convolve(a != 0, b != 0) < 0.5] = 0.0
+    if pairless is not None:
+        out[pairless] = 0.0
     return out
 
 
@@ -354,12 +399,18 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     _check_full_shape(_full_shape(grid, b.eps))
     _check_lattice_mass(a, float(_lattice_kernel(grid, a, None).sum()))
     admitted = _admit(grid, b, zero_extend=True)
-    pts = grid.points()
-    kernel = _convolve_admitted(GridFunction(grid, a.value(pts).reshape(grid.node_shape)), b, *admitted)[0]
-    # b's lattice kernel and region: freed before the support radius allocates its temporaries
-    del admitted
-    # node distances in units of the box half-width, so no square under- or overflows
-    support = radius * np.sqrt(np.sum((pts / radius) ** 2, axis=-1)).reshape(grid.node_shape)
-    hit = kernel.values != 0.0
-    support_radius = float(support[hit].max()) if hit.any() else 0.0
+    # a's samples and the support radius come slab by slab: the node points never exist whole
+    vals = np.empty(grid.node_shape)
+    for rows, pts in _point_slabs(grid):
+        vals[rows] = a.value(pts).reshape(-1, *grid.node_shape[1:])
+    kernel = _convolve_admitted(GridFunction._adopt(grid, vals), b, *admitted)[0]
+    # a's samples, b's lattice kernel and region: freed before the support radius and the mass
+    del admitted, vals
+    support_radius = 0.0
+    for rows, pts in _point_slabs(grid):
+        hit = kernel.values[rows].reshape(-1) != 0.0
+        if hit.any():
+            # node distances in units of the box half-width, so no square under- or overflows
+            reach = radius * np.sqrt(np.sum((pts[hit] / radius) ** 2, axis=-1))
+            support_radius = max(support_radius, float(reach.max()))
     return KernelReport(support_radius, quadrature(kernel), kernel)

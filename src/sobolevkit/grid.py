@@ -172,6 +172,13 @@ def _row_slabs(node_shape: Sequence[int]) -> Iterable[slice]:
     return (slice(i, i + rows) for i in range(0, node_shape[0], rows))
 
 
+def _point_slabs(grid: Grid) -> Iterable[tuple[slice, NDArray[np.float64]]]:
+    """Each run of ``_row_slabs`` rows with the coordinates of its nodes, as ``Grid.points`` orders them."""
+    axes = [grid.axis_nodes(i) for i in range(grid.dim)]
+    for rows in _row_slabs(grid.node_shape):
+        yield rows, _lattice_points([axes[0][rows], *axes[1:]])
+
+
 def make_grid(box: Box, resolution: int | Sequence[int]) -> Grid:
     """Build a uniform grid over ``box`` with ``resolution`` cells per axis."""
     if isinstance(resolution, (int, np.integer)):

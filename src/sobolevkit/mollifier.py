@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Box, GridFunction, _lattice_points, _row_slabs, make_grid, quadrature
+from .grid import Box, GridFunction, _point_slabs, make_grid, quadrature
 
 __all__ = [
     "Mollifier",
@@ -185,11 +185,9 @@ def verify_unit(m: Mollifier, grid_resolution: int, tol: float = 1e-3) -> UnitRe
     n = m.dim
     box = Box((-m.eps,) * n, (m.eps,) * n)
     grid = make_grid(box, int(grid_resolution))
-    axes = [grid.axis_nodes(i) for i in range(n)]
     vals = np.empty(grid.node_shape)
     nonneg = support_ok = True
-    for rows in _row_slabs(grid.node_shape):
-        pts = _lattice_points([axes[0][rows], *axes[1:]])
+    for rows, pts in _point_slabs(grid):
         slab = m.value(pts)
         nonneg = nonneg and bool(np.min(slab) >= 0.0)
         radii = np.sqrt(np.sum(pts * pts, axis=-1))

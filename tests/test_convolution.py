@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,17 +54,33 @@ def random_grid_function(rng, dim):
     return GridFunction(grid, rng.uniform(-3.0, 3.0, grid.node_shape))
 
 
-def count_forward_ffts(monkeypatch):
-    """Record the shape of every ``np.fft.rfftn`` call from here on."""
-    shapes = []
-    real = np.fft.rfftn
+def count_forward_ffts(monkeypatch, f_shape, k_shape):
+    """Name each forward transform of the FFT engine from here on, with its padded last-axis length.
 
-    def counting(x, s=None, axes=None, *args, **kwargs):
-        shapes.append(tuple(s))
-        return real(x, s, axes, *args, **kwargs)
+    A transform begins with ``np.fft.rfft`` along the last axis: of the
+    kernel side, shape ``k_shape``, in one call, recorded as ``("k", n)``;
+    of the function side one slab of first-axis rows at a time, recorded as
+    ``("f", n)`` once the slabs have covered the rows of ``f_shape``.
+    """
+    transforms = []
+    rows = 0
+    real = np.fft.rfft
 
-    monkeypatch.setattr(np.fft, "rfftn", counting)
-    return shapes
+    def counting(x, n=None, *args, **kwargs):
+        nonlocal rows
+        shape = np.shape(x)
+        if shape == k_shape:
+            transforms.append(("k", n))
+        else:
+            assert shape[1:] == f_shape[1:]
+            rows += shape[0]
+            if rows == f_shape[0]:
+                transforms.append(("f", n))
+                rows = 0
+        return real(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return transforms
 
 
 def zero_set_case(rng, dim, res, k=3):
@@ -395,31 +412,31 @@ class TestAgainstDirectSum:
         # nodes whose whole window lies in the block
         centre = (slice(start + 3, start + block - 3),) * dim
         first = tuple(int(i == 0) for i in range(dim))
-        shapes = count_forward_ffts(monkeypatch)
+        transforms = count_forward_ffts(monkeypatch, values.shape, (7,) * dim)
         for deriv in (None, first):
-            shapes.clear()
+            transforms.clear()
             got = self._matches_direct_sum(f, m, deriv)
             assert got[centre].size > 0
             assert np.all(got[centre] == 0.0)
             # f has zeros, so with either kernel the mask FFT finds the pairless nodes
-            assert len(shapes) == 4
+            assert [side for side, _ in transforms] == ["f", "k"] * 2
 
     def test_only_zero_free_f_skips_mask_fft(self, monkeypatch):
         rng = np.random.default_rng(500)
         grid, values, m = zero_set_case(rng, 3, 16)
-        shapes = count_forward_ffts(monkeypatch)
+        transforms = count_forward_ffts(monkeypatch, values.shape, (7, 7, 7))
         for zeros, ffts in ((0, 2), (1, 4), (5, 4)):
             values.flat[rng.choice(values.size, zeros, replace=False)] = 0.0
             f = GridFunction(grid, values)
-            shapes.clear()
+            transforms.clear()
             self._matches_direct_sum(f, m, None)
             # f and the kernel, and once f has a zero their nonzero masks, at the
-            # 2*3*5-smooth lengths of the full shape 23^3
-            assert shapes == [(24, 24, 24)] * ffts
+            # 2*3*5-smooth length of the full shape's last axis, 23
+            assert transforms == [("f", 24), ("k", 24)] * (ffts // 2)
             # the derivative kernel's centre is zero: its masks are always convolved
-            shapes.clear()
+            transforms.clear()
             self._matches_direct_sum(f, m, (1, 0, 0))
-            assert len(shapes) == 4
+            assert len(transforms) == 4
 
 
     @pytest.mark.parametrize("kshape", [(5, 4), (3, 6), (1, 7)])
@@ -495,3 +512,27 @@ class TestFftShape:
         assert math.prod(_fft_shape((253, 253, 253))) == MAX_NODES
         with pytest.raises(ValueError, match=f"full convolution of 257x257x257 = {257**3} nodes is above"):
             _check_full_shape((257, 257, 257))
+
+
+class TestWorkingMemory:
+    # one complex spectrum of the padded shape, about 8 bytes per padded node,
+    # the result and slabs; holding two spectra and the whole real inverse took
+    # 26.6 bytes per padded node in 3-d and 30.5 in 2-d (value path)
+    @pytest.mark.parametrize("f_shape,k_shape,limit", [((101,) * 3, (51,) * 3, 16), ((401,) * 2, (41,) * 2, 23)])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_peak_per_padded_node(self, f_shape, k_shape, limit, zeros):
+        rng = np.random.default_rng(len(f_shape))
+        a = rng.uniform(0.5, 1.0, f_shape)
+        if zeros:
+            # an exact zero in f: the masks' convolution runs too, and its verdict is held
+            a.flat[0] = 0.0
+        b = rng.uniform(0.5, 1.0, k_shape)
+        fast = _fft_shape(tuple(n + k - 1 for n, k in zip(f_shape, k_shape)))
+        tracemalloc.start()
+        try:
+            out = _full_convolution(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == f_shape
+        assert peak <= limit * math.prod(fast)

@@ -20,12 +20,12 @@ pattern is checked on the unreached nodes.
 
 The grids have the same power-of-two spacing ``H`` on every axis, and each
 radius lies a quarter cell or more from a multiple of it, so no node sits
-on the edge of an interior region.  The last test guards the order of
-the spectrum product in ``_full_convolution``, which fixes output bits.
+on the edge of an interior region.  The last test pins the bits of
+``_full_convolution`` to numpy's own n-d transforms with f's spectrum
+times the kernel's: the order of that product fixes output bits.
 """
 
-import ast
-import inspect
+import math
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sobolevkit import convolution
-from sobolevkit.convolution import _full_convolution, _lattice_kernel, convolve
+from sobolevkit.convolution import _fft_shape, _full_convolution, _lattice_kernel, convolve
 from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
 from sobolevkit.mollifier import standard_bump
 
@@ -156,74 +156,67 @@ def test_collar_is_exactly_zero(case):
     assert np.all(collar == 0.0) and not np.signbit(collar).any()
 
 
-def spectrum_products(tree: ast.AST) -> list[tuple[str, ...]]:
-    """For each spectrum product ``_full_convolution`` computes, the parameters behind its two factors.
+def numpy_reference(a, b):
+    """``_full_convolution(a, b)`` from numpy's n-d transforms: ``S = rfftn(f side); S *= rfftn(kernel side)``.
 
-    A product is ``spectrum = <...>.rfftn(x, ...)`` directly followed by
-    ``spectrum *= <...>.rfftn(y, ...)`` in a function nested in
-    ``_full_convolution``; ``x`` and ``y`` are traced through each call of
-    that function to the parameters of ``_full_convolution`` they use.
+    The result is ``irfftn(S)[window]``, with the same power-of-two scaling,
+    the same padded shape and the same masks' convolution for the exact zeros.
     """
-    outer = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_full_convolution")
-    names = {arg.arg for arg in outer.args.args}
+    fast = _fft_shape(tuple(n + k - 1 for n, k in zip(a.shape, b.shape)))
+    axes = tuple(range(a.ndim))
+    window = tuple(slice(k // 2, k // 2 + n) for n, k in zip(a.shape, b.shape))
 
-    def rfftn_operand(node):
-        call = node.value
-        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "rfftn" and call.args:
-            return call.args[0]
-        return None
+    def product(x, y):
+        spectrum = np.fft.rfftn(x, fast, axes)
+        spectrum *= np.fft.rfftn(y, fast, axes)
+        return np.fft.irfftn(spectrum, fast, axes)[window]
 
-    def uses(expr):
-        return "+".join(sorted({n.id for n in ast.walk(expr) if isinstance(n, ast.Name)} & names))
-
-    products = []
-    for inner in ast.walk(outer):
-        if not isinstance(inner, ast.FunctionDef) or inner is outer:
-            continue
-        factors = []
-        for first, second in zip(inner.body, inner.body[1:]):
-            if (
-                isinstance(first, ast.Assign)
-                and [getattr(t, "id", None) for t in first.targets] == ["spectrum"]
-                and isinstance(second, ast.AugAssign)
-                and isinstance(second.op, ast.Mult)
-                and getattr(second.target, "id", None) == "spectrum"
-                and rfftn_operand(first) is not None
-                and rfftn_operand(second) is not None
-            ):
-                factors.append((rfftn_operand(first), rfftn_operand(second)))
-        params = [arg.arg for arg in inner.args.args]
-        calls = [c for c in ast.walk(outer) if isinstance(c, ast.Call) and getattr(c.func, "id", None) == inner.name]
-        for call in calls:
-            bound = dict(zip(params, call.args))
-            for pair in factors:
-                products.append(tuple(uses(bound.get(getattr(x, "id", None), x)) for x in pair))
-    return products
+    ea, eb = (math.frexp(max(-x.min(), x.max()))[1] for x in (a, b))
+    out = np.ldexp(product(np.ldexp(a, -ea), np.ldexp(b, -eb)), ea + eb)
+    if b[tuple(k // 2 for k in b.shape)] == 0 or not a.all():
+        out[product(a != 0, b != 0) < 0.5] = 0.0
+    return out
 
 
-SOURCE = inspect.getsource(convolution)
+# (f shape, kernel shape): full shape -> padded shape
+ENGINE_CASES = [
+    ((37,), (9,)),  # 45: an odd length
+    ((100,), (7,)),  # 106 -> 108
+    ((30, 21), (5, 5)),  # (34, 25) -> (36, 25)
+    ((150, 130), (21, 21)),  # (170, 150) -> (180, 150): several slabs of rows and of columns
+    ((12, 9), (31, 27)),  # (42, 35) -> (45, 36): a kernel wider than f, as in compose
+    ((17, 13, 11), (7, 5, 3)),  # (23, 17, 13) -> (24, 18, 15)
+    ((40, 36, 30), (9, 9, 9)),  # (48, 44, 38) -> (48, 45, 40): several slabs
+    ((9, 10, 12), (15, 13, 17)),  # (23, 22, 28) -> (24, 24, 30): a kernel wider than f
+]
 
 
 class TestSpectrumOrder:
-    def test_f_side_times_kernel_side(self):
-        # both FFT convolutions, of the scaled values and of the nonzero masks
-        assert spectrum_products(ast.parse(SOURCE)) == [("a", "b"), ("a", "b")]
+    """``_full_convolution`` has the bits of numpy's own transforms, f's spectrum times the kernel's.
 
-    @pytest.mark.parametrize(
-        "old,new",
-        [
-            # factors swapped inside the nested function
-            ("spectrum = np.fft.rfftn(x, fast, axes)\n        spectrum *= np.fft.rfftn(y, fast, axes)",
-             "spectrum = np.fft.rfftn(y, fast, axes)\n        spectrum *= np.fft.rfftn(x, fast, axes)"),
-            # one product expression in place of the in-place multiply
-            ("spectrum = np.fft.rfftn(x, fast, axes)\n        spectrum *= np.fft.rfftn(y, fast, axes)",
-             "spectrum = np.fft.rfftn(x, fast, axes) * np.fft.rfftn(y, fast, axes)"),
-            # the scaled inputs passed kernel side first
-            ("fft_convolve(np.ldexp(a, -ea), np.ldexp(b, -eb))", "fft_convolve(np.ldexp(b, -eb), np.ldexp(a, -ea))"),
-            # the masks passed kernel side first
-            ("fft_convolve(a != 0, b != 0)", "fft_convolve(b != 0, a != 0)"),
-        ],
-    )
-    def test_guard_sees_each_change(self, old, new):
-        assert SOURCE.count(old) == 1
-        assert spectrum_products(ast.parse(SOURCE.replace(old, new))) != [("a", "b"), ("a", "b")]
+    numpy's complex multiply does not commute bit for bit, so swapping the
+    factors of a spectrum product moves output bits; so does transforming
+    the axes in another order.  Each case runs at its padded shape and at
+    the exact lengths the FFTs keep when padding would pass the node limit,
+    on the value path and on the masks' path, entered once by zeros in f
+    and once by a zero kernel centre.
+    """
+
+    def test_f_side_times_kernel_side(self, monkeypatch):
+        rng = np.random.default_rng(2718)
+        padded_limit = convolution.MAX_NODES
+        for f_shape, k_shape in ENGINE_CASES:
+            full = tuple(n + k - 1 for n, k in zip(f_shape, k_shape))
+            for limit in (padded_limit, math.prod(full)):
+                monkeypatch.setattr(convolution, "MAX_NODES", limit)
+                fast = _fft_shape(full)
+                assert fast == full or limit == padded_limit
+                for path in ("values", "zeros in f", "zero kernel centre"):
+                    a = rng.uniform(-3.0, 3.0, f_shape)
+                    b = rng.uniform(-1.0, 1.0, k_shape)
+                    if path == "zeros in f":
+                        a[rng.random(f_shape) < 0.2] = 0.0
+                    elif path == "zero kernel centre":
+                        b[tuple(k // 2 for k in k_shape)] = 0.0
+                    got = _full_convolution(a, b)
+                    assert got.tobytes() == numpy_reference(a, b).tobytes(), (f_shape, k_shape, fast, path)
