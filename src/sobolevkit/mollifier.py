@@ -49,32 +49,42 @@ def _points_2d(points: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
     return pts
 
 
+def _bump_exponential(r2: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    # u = |x|^2 - 1 and exp(1/u) at points inside the unit ball, from their |x|^2
+    u = r2 - 1.0
+    return u, np.exp(1.0 / u)
+
+
+def _bump_term(
+    axes: tuple[int, ...], coords: list[NDArray[np.float64]], u: NDArray[np.float64], e: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    # the derivative of exp(1/u) along ``axes`` (at most two) inside the ball,
+    # from ``_bump_exponential``'s u and e and the points' coordinates along ``axes``
+    if not axes:
+        return e
+    if len(axes) == 1:
+        # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u)
+        [xi] = coords
+        return -2.0 * xi / (u * u) * e
+    # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
+    xi, xj = coords
+    term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
+    if axes[0] == axes[1]:
+        term = term - 2.0 / (u * u)
+    return e * term
+
+
 def _raw_closed_form(pts: NDArray[np.float64], axes_list: list[tuple[int, ...]]) -> list[NDArray[np.float64]]:
-    # derivatives of exp(1/u), u = |x|^2 - 1, along each entry of ``axes_list``
-    # (at most two axes each), with an exact-zero branch outside |x| < 1; the
-    # exponential is computed once for all of them
+    # derivatives of exp(1/u), u = |x|^2 - 1, along each entry of ``axes_list``,
+    # with an exact-zero branch outside |x| < 1; the exponential is computed
+    # once for all of them
     r2 = np.sum(pts * pts, axis=-1)
     inside = r2 < 1.0
-    u = r2[inside] - 1.0
-    e = np.exp(1.0 / u)
+    u, e = _bump_exponential(r2[inside])
     outs = []
     for axes in axes_list:
         out = np.zeros_like(r2)
-        if not axes:
-            out[inside] = e
-        elif len(axes) == 1:
-            # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u)
-            xi = pts[..., axes[0]][inside]
-            out[inside] = -2.0 * xi / (u * u) * e
-        else:
-            # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
-            i, j = axes
-            xi = pts[..., i][inside]
-            xj = pts[..., j][inside]
-            term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
-            if i == j:
-                term = term - 2.0 / (u * u)
-            out[inside] = e * term
+        out[inside] = _bump_term(axes, [pts[..., i][inside] for i in axes], u, e)
         outs.append(out)
     return outs
 

@@ -21,9 +21,8 @@ from .weakdiff import (
     MAX_DERIVATIVE_ORDER,
     MultiIndex,
     TestFunction,
-    multi_index_order,
+    _verify_family,
     validate_multi_index,
-    verify_weak_derivative,
 )
 
 __all__ = [
@@ -172,23 +171,23 @@ def membership_report(
     The order-zero entry is the function ``f = candidates.function`` and
     passes by definition; every higher entry must satisfy the
     integration-by-parts identity against ``f`` on the supplied test
-    catalog within ``tol``.
+    catalog within ``tol``.  All entries are paired in one pass over the
+    catalog, each distinct test function built once per report, across
+    multi-indices; an error is raised where checking the entries one by
+    one, each norm before its pairings, would raise it first.
     """
     f = candidates.function
     k = _check_membership_request(f.grid.dim, k, candidates)
 
-    entries: list[MembershipEntry] = []
-    all_ok = True
-    for alpha in enumerate_multi_indices(f.grid.dim, k):
-        gf = candidates[alpha]
-        norm_a = lp_norm(gf, p)
-        if multi_index_order(alpha) == 0:
-            ok, residual = True, None
-        else:
-            result = verify_weak_derivative(f, gf, alpha, tests, tol)
-            ok, residual = result.verdict, result.max_residual
-        entries.append(MembershipEntry(alpha, residual, norm_a, ok))
-        all_ok = all_ok and ok
-
+    pairs = [(alpha, candidates[alpha]) for alpha in enumerate_multi_indices(f.grid.dim, k)[1:]]
+    results, failure = _verify_family(f, pairs, tests, tol)
+    entries = [MembershipEntry((0,) * f.grid.dim, None, lp_norm(f, p), True)]
+    for (alpha, gf), result in zip(pairs, results):
+        entries.append(MembershipEntry(alpha, result.max_residual, lp_norm(gf, p), result.verdict))
+    if failure is not None:
+        # an alpha-by-alpha walk takes the failing entry's norm before its pairings
+        lp_norm(pairs[len(results)][1], p)
+        raise failure
+    all_ok = all(e.verdict for e in entries)
     norm = _combine_norms([e.lp_norm for e in entries], float(p)) if all_ok else None
     return MembershipReport(k, float(p), tuple(entries), all_ok, norm)

@@ -8,23 +8,25 @@ for every smooth compactly supported test function ``phi``.  Candidates
 are verified against a catalog of test functions, never solved for: each
 test contributes the residual of the identity above, and the candidate
 passes when the worst residual stays below tolerance.  Each distinct test
-function is evaluated once per verification, and only at the grid nodes
-inside its support ball, where it can be nonzero.
+function is evaluated once per report, across multi-indices: its support
+window and the bump's exponential are built once, and only at the grid
+nodes inside its support ball, where it can be nonzero; each derivative
+is formed from them when its multi-index is paired.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
+from functools import reduce
 from itertools import product as _cartesian
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .convolution import _admit, _convolve_admitted
-from .grid import Box, Grid, GridFunction, Region, _finite, _lattice_points, lp_norm
-from .mollifier import Mollifier, bump_raw_derivatives, standard_bump
+from .grid import Box, Grid, GridFunction, Region, _finite, lp_norm
+from .mollifier import Mollifier, _bump_exponential, _bump_term, standard_bump
 
 __all__ = [
     "MultiIndex",
@@ -129,23 +131,40 @@ class TestFunction:
             out = out * coeff * z[..., i] ** (b - g)
         return out * self.radius ** (-multi_index_order(gamma))
 
-    def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
-        z = self._scaled(points)
-        zero = (0,) * self.dim
-        [bump] = bump_raw_derivatives([zero], z)
-        return math.e * bump * self._poly_part(zero, z)
+    def _closed_form(
+        self, alpha: MultiIndex | None, z: NDArray[np.float64], u: NDArray[np.float64], e: NDArray[np.float64]
+    ) -> NDArray[np.float64]:
+        """This function (``alpha`` None) or its ``alpha`` derivative at points inside the support ball.
 
-    def derivative(self, alpha: Sequence[int], points: NDArray[np.float64]) -> NDArray[np.float64]:
-        alpha = validate_multi_index(alpha, self.dim)
-        z = self._scaled(points)
-        terms = list(_sub_indices(alpha))
-        bumps = bump_raw_derivatives([gamma for gamma, _ in terms], z)
-        total = np.zeros(z.shape[:-1])
-        for (gamma, coeff), bump in zip(terms, bumps):
+        ``z`` holds the points' scaled coordinates, shape ``(m, dim)``, and
+        ``u``, ``e`` the bump's ``|z|^2 - 1`` and ``exp(1/u)`` there
+        (``mollifier._bump_exponential``); a derivative is the product rule
+        over ``gamma <= alpha``.
+        """
+        if alpha is None:
+            return math.e * e * self._poly_part((0,) * self.dim, z)
+        total = np.zeros(len(e))
+        for gamma, coeff in _sub_indices(alpha):
             rest = tuple(a - g for a, g in zip(alpha, gamma))
+            axes = tuple(i for i, g in enumerate(gamma) for _ in range(g))
+            bump = _bump_term(axes, [z[..., i] for i in axes], u, e)
             bump_part = bump * self.radius ** (-multi_index_order(gamma))
             total = total + coeff * bump_part * self._poly_part(rest, z)
         return math.e * total
+
+    def _at(self, alpha: MultiIndex | None, points: NDArray[np.float64]) -> NDArray[np.float64]:
+        z = self._scaled(points)
+        r2 = np.sum(z * z, axis=-1)
+        inside = r2 < 1.0
+        out = np.zeros(r2.shape)
+        out[inside] = self._closed_form(alpha, z[inside], *_bump_exponential(r2[inside]))
+        return out
+
+    def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self._at(None, points)
+
+    def derivative(self, alpha: Sequence[int], points: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self._at(validate_multi_index(alpha, self.dim), points)
 
     def support_margin(self, box: Box) -> float:
         """Distance from the support ball to the boundary of ``box`` (negative if it escapes)."""
@@ -197,47 +216,63 @@ def test_function_catalog(box: Box, count: int = 8) -> list[TestFunction]:
     return out
 
 
-def _window(grid: Grid, phi: TestFunction):
-    """The node slices of ``phi``'s support box, its trapezoid weights, the mask
-    of its nodes inside the support ball, those nodes' coordinates and ``phi``'s label."""
+class _Window(NamedTuple):
+    """A test function's support box on a grid and its nodes inside the support ball.
+
+    ``slices`` select the box's nodes and ``weights`` are the grid's
+    trapezoid weights there; ``inside`` masks the ball's nodes in the box,
+    ``z`` holds their scaled coordinates, shape ``(m, dim)``, and ``u``,
+    ``e`` the bump's ``|z|^2 - 1`` and ``exp(1/u)`` at them.
+    """
+
+    slices: tuple[slice, ...]
+    weights: NDArray[np.float64]
+    inside: NDArray[np.bool_]
+    z: NDArray[np.float64]
+    u: NDArray[np.float64]
+    e: NDArray[np.float64]
+    label: str
+
+
+def _window(grid: Grid, phi: TestFunction) -> _Window:
+    """``phi``'s window on ``grid``, from per-axis scaled coordinates: no box-sized point array is built."""
     if phi.dim != grid.dim:
         raise ValueError(f"test function dimension {phi.dim} does not match grid {grid.dim}")
     if phi.support_margin(grid.box) <= 0:
         raise ValueError(f"support of {phi.label} escapes the grid box")
-    slices, axes, weights = [], [], []
+    slices, zs, weights = [], [], []
     for axis, (lo, hi) in enumerate(zip(phi.support_lo, phi.support_hi)):
         nodes = grid.axis_nodes(axis)
         s = slice(np.searchsorted(nodes, lo, "left"), np.searchsorted(nodes, hi, "right"))
         slices.append(s)
-        axes.append(nodes[s])
+        zs.append((nodes[s] - phi.center[axis]) / phi.radius)
         weights.append(grid.axis_weights(axis)[s])
-    points = _lattice_points(axes)
-    # the bump's own scaling and test, so the nodes left out are exactly
-    # those where phi and its derivatives are 0.0
-    z = phi._scaled(points)
-    inside = np.sum(z * z, axis=-1) < 1.0
     box_weights = reduce(np.multiply.outer, weights)
-    return tuple(slices), box_weights, inside.reshape(box_weights.shape), points[inside], phi.label
+    # |z|^2 summed over the axes in order, as np.sum(z * z, axis=-1) sums a
+    # point's squares, so the nodes left out are exactly those where phi and
+    # its derivatives are 0.0
+    r2 = reduce(np.add.outer, [zi * zi for zi in zs])
+    inside = r2 < 1.0
+    z = np.stack([zi[index] for zi, index in zip(zs, np.nonzero(inside))], axis=-1)
+    return _Window(tuple(slices), box_weights, inside, z, *_bump_exponential(r2[inside]), phi.label)
 
 
-def _window_sum(f: GridFunction, window, fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]) -> float:
-    """Trapezoid quadrature of ``f * fn`` over a test function's support box.
+def _window_sum(f: GridFunction, window: _Window, values: NDArray[np.float64]) -> float:
+    """Trapezoid quadrature of ``f`` times a function that is ``values`` at the window's ball nodes.
 
-    ``fn`` is the test function or one of its derivatives; both are exactly
-    ``0.0`` outside the support ball, so ``fn`` is evaluated only at the
-    nodes inside it, and the sum over the box, with the grid's trapezoid
-    weights restricted to it, is the quadrature over the whole grid box.
-    A sum beyond float64 raises ``OverflowError`` naming the test function.
+    The function is a test function or one of its derivatives, exactly
+    ``0.0`` outside the support ball, so the sum over the box, with the
+    grid's trapezoid weights restricted to it, is the quadrature over the
+    whole grid box.  A product or sum beyond float64 raises
+    ``OverflowError`` naming the test function.
     """
-    slices, weights, inside, points, label = window
-    phi_vals = np.zeros(inside.shape)
-    phi_vals[inside] = fn(points)
-    with np.errstate(over="ignore"):
-        product = f.values[slices] * phi_vals
-    if not np.all(np.isfinite(product)):
-        raise ValueError("grid function values must be finite")
+    terms = np.zeros(window.inside.shape)
+    terms[window.inside] = values
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(float(np.sum(weights * product)), f"pairing with {label}")
+        # weights * (f * phi), formed in place
+        np.multiply(terms, f.values[window.slices], out=terms)
+        np.multiply(terms, window.weights, out=terms)
+        return _finite(float(np.sum(terms)), f"pairing with {window.label}")
 
 
 def pair(f: GridFunction, phi: TestFunction) -> float:
@@ -249,7 +284,8 @@ def pair(f: GridFunction, phi: TestFunction) -> float:
     the support window, not to the grid.  A pairing beyond float64
     raises ``OverflowError`` naming ``phi``.
     """
-    return _window_sum(f, _window(f.grid, phi), phi.value)
+    window = _window(f.grid, phi)
+    return _window_sum(f, window, phi._closed_form(None, window.z, window.u, window.e))
 
 
 class PairingResidual(NamedTuple):
@@ -267,6 +303,69 @@ class PairingResidual(NamedTuple):
     @property
     def verdict(self) -> bool:
         return self.max_residual <= self.tol
+
+
+def _verify_family(
+    f: GridFunction,
+    candidates: Sequence[tuple[MultiIndex, GridFunction]],
+    tests: Sequence[TestFunction],
+    tol: float,
+) -> tuple[list[PairingResidual], Exception | None]:
+    """Check each ``(alpha, u)`` of ``candidates`` as a weak derivative of ``f``, in one pass over ``tests``.
+
+    Each distinct test function's window, exponential and value are built
+    once and paired with every candidate still checked; each ``d^alpha
+    phi`` is formed when its candidate is paired.  The first failure in
+    catalog order of a candidate, a ``ValueError`` or ``ArithmeticError``,
+    ends the checks of it and of every later candidate, since an
+    alpha-by-alpha walk would raise it before reaching them.  Returns the
+    residuals of the candidates before the first that failed, and its
+    failure (``None`` when none did).
+    """
+    if not tests:
+        return [], ValueError("no test functions supplied")
+    live = len(candidates)
+    failure = None
+    rows: dict[tuple, list[float]] = {}
+    keys = []
+    for phi in tests:
+        key = (type(phi), phi.center, phi.radius, phi.poly)
+        keys.append(key)
+        if key not in rows:
+            rows[key] = row = []
+            error = _pair_window(f, phi, candidates[:live], row)
+            if error is not None:
+                failure, live = error, len(row)
+                if not live:
+                    break
+    ids = tuple(phi.label for phi in tests)
+    results = [
+        PairingResidual(alpha, float(tol), ids, tuple(rows[key][i] for key in keys))
+        for i, (alpha, _) in enumerate(candidates[:live])
+    ]
+    return results, failure
+
+
+def _pair_window(
+    f: GridFunction, phi: TestFunction, candidates: Sequence[tuple[MultiIndex, GridFunction]], row: list[float]
+) -> Exception | None:
+    """Append to ``row`` each candidate's residual against ``phi``, up to the first failure, which is returned.
+
+    ``phi``'s window and value are built once for all the candidates, and
+    freed when this returns.
+    """
+    try:
+        window = _window(f.grid, phi)
+        value = phi._closed_form(None, window.z, window.u, window.e)
+        for alpha, u in candidates:
+            lhs = _window_sum(u, window, value)
+            rhs = _window_sum(f, window, phi._closed_form(alpha, window.z, window.u, window.e))
+            residual = abs(lhs - (-1.0) ** multi_index_order(alpha) * rhs)
+            row.append(_finite(residual, f"residual at {phi.label}"))
+    except (ValueError, ArithmeticError) as exc:
+        # without its traceback, which would keep this window's arrays alive
+        return exc.with_traceback(None)
+    return None
 
 
 def verify_weak_derivative(
@@ -287,22 +386,10 @@ def verify_weak_derivative(
     """
     f._check_same_grid(u)
     alpha = validate_multi_index(alpha, f.grid.dim, min_order=1)
-    if not tests:
-        raise ValueError("no test functions supplied")
-    sign = (-1.0) ** multi_index_order(alpha)
-    ids = []
-    residuals = []
-    seen: dict[tuple, float] = {}
-    for phi in tests:
-        key = (type(phi), phi.center, phi.radius, phi.poly)
-        if key not in seen:
-            window = _window(f.grid, phi)
-            lhs = _window_sum(u, window, phi.value)
-            rhs = sign * _window_sum(f, window, partial(phi.derivative, alpha))
-            seen[key] = _finite(abs(lhs - rhs), f"residual at {phi.label}")
-        ids.append(phi.label)
-        residuals.append(seen[key])
-    return PairingResidual(alpha, float(tol), tuple(ids), tuple(residuals))
+    results, failure = _verify_family(f, [(alpha, u)], tests, tol)
+    if failure is not None:
+        raise failure
+    return results[0]
 
 
 def commutation_residual(

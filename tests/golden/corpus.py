@@ -176,6 +176,12 @@ def cases() -> list[dict]:
         ["weak-verify", "--res", "100", "--f", "step(x1-0.5)", "--u", "0"],
         ["sobolev", "--lo", "0,0", "--hi", "1,1", "--res", "60", "--k", "2", "--f", "x1*x2",
          "--deriv", "1,0=x2", "--deriv", "0,1=x1", "--deriv", "1,1=1", "--deriv", "2,0=0", "--deriv", "0,2=0"],
+        ["sobolev", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "24", "--tol", "1e-2", "--k", "1", "--f", "x1*x2+x3^2",
+         "--deriv", "1,0,0=x2", "--deriv", "0,1,0=x1", "--deriv", "0,0,1=2*x3"],
+        # (x1-c)|x1-c| has its second-derivative jump at x1 = 0.437, off every node
+        ["sobolev", "--lo", "0,0", "--hi", "1,1", "--res", "120", "--tol", "1e-2", "--k", "2",
+         "--f", "abs(x1-0.437)*(x1-0.437)+x2^2", "--deriv", "1,0=2*abs(x1-0.437)", "--deriv", "0,1=2*x2",
+         "--deriv", "1,1=0", "--deriv", "2,0=4*step(x1-0.437)-2", "--deriv", "0,2=2"],
         ["newton", "--f", "x1^2", "--a", "1.5", "--y", "2", "--x0", "1.5"],
         ["flow", "--k", "1", "--x0", "2", "--s", "0.3", "--t", "0.4"],
     ]

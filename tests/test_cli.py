@@ -973,10 +973,23 @@ class TestOverflow:
         assert (code, out, err) == (EXIT_NUMERICAL, "", "error: L^p norm at p=1 is beyond the float64 range\n")
 
     def test_pairing_overflow_is_one_error_line(self, capsys):
+        # every value is finite, but 1e308 * d phi is not: this exited 2
+        # with "grid function values must be finite"
         code, out, err = run(capsys, ["weak-verify", "--res", "50", "--f", "1e308", "--u", "0"])
-        assert code == EXIT_VALIDATION
+        assert code == EXIT_NUMERICAL
         assert out == ""
-        assert err == "error: grid function values must be finite\n"
+        assert err == "error: pairing with t00 is beyond the float64 range\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weak-verify", "--res", "100", "--f", "1e308*x1", "--u", "1e308"],
+            ["sobolev", "--res", "100", "--f", "1e308*x1", "--deriv", "1=1e308"],
+        ],
+    )
+    def test_pairing_product_overflow_names_the_test_function(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (EXIT_NUMERICAL, "", "error: pairing with t00 is beyond the float64 range\n")
 
 
 class TestResourceLimits:

@@ -7,8 +7,8 @@ import pytest
 from sobolevkit import weakdiff as wd
 from sobolevkit.cli import _table
 from sobolevkit.convolution import convolve
-from sobolevkit.grid import Box, GridFunction, interior_region, make_grid
-from sobolevkit.mollifier import bump_raw_derivatives, standard_bump
+from sobolevkit.grid import Box, GridFunction, _lattice_points, interior_region, make_grid
+from sobolevkit.mollifier import _bump_exponential, bump_raw_derivatives, standard_bump
 from sobolevkit.sobolev import enumerate_multi_indices
 
 RAW_MASS_1D = 0.4439938161680794  # integral of exp(1/(z^2-1)) over [-1, 1]
@@ -221,20 +221,46 @@ def derivative_indices(dim):
     return [a for a in enumerate_multi_indices(dim, 2) if sum(a) > 0]
 
 
+def lattice_point_window(grid, phi):
+    """Reference: the support box's nodes as one point array, scaled, and the ball test on their summed squares."""
+    slices = []
+    for axis, (lo, hi) in enumerate(zip(phi.support_lo, phi.support_hi)):
+        nodes = grid.axis_nodes(axis)
+        slices.append(slice(np.searchsorted(nodes, lo, "left"), np.searchsorted(nodes, hi, "right")))
+    axes = [grid.axis_nodes(axis)[s] for axis, s in enumerate(slices)]
+    z = (_lattice_points(axes) - np.asarray(phi.center)) / phi.radius
+    r2 = np.sum(z * z, axis=-1)
+    return tuple(slices), r2, (r2 < 1.0).reshape([len(a) for a in axes]), z[r2 < 1.0]
+
+
+# (box width, resolution, centre, radius, on_sphere): with on_sphere, the
+# sphere passes through nodes, such as (3, 4) at radius 5 from a node
+WINDOW_CASES = [
+    (20.0, 20, (10.0,), 4.0, True),
+    (20.0, 20, (10.37,), 4.0, False),
+    (1.0, 40, (0.5,), 0.25, True),
+    (20.0, 20, (10.0, 10.0), 5.0, True),
+    (40.0, 40, (20.0, 20.0), 13.0, True),
+    (1.0, 40, (0.5, 0.5), 0.25, True),
+    (20.0, 20, (10.37, 9.81), 5.0, False),
+    (20.0, 37, (10.0, 10.0), 5.0, False),
+    (12.0, 12, (6.0, 6.0, 6.0), 3.0, True),
+    (20.0, 20, (10.0, 10.0, 10.0), 7.0, True),
+    (1.0, 20, (0.5, 0.5, 0.5), 0.15, True),
+    (12.0, 12, (6.3, 5.9, 6.05), 3.0, False),
+]
+
+
 class CountingTestFunction(wd.TestFunction):
-    """Records how many points each evaluation receives."""
+    """Records how many points each evaluation of the closed form receives."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.counts = []
 
-    def value(self, points):
-        self.counts.append(len(points))
-        return super().value(points)
-
-    def derivative(self, alpha, points):
-        self.counts.append(len(points))
-        return super().derivative(alpha, points)
+    def _closed_form(self, alpha, z, u, e):
+        self.counts.append(len(z))
+        return super()._closed_form(alpha, z, u, e)
 
 
 class TestWindowedPairing:
@@ -245,12 +271,40 @@ class TestWindowedPairing:
         for _ in range(6):
             f, phi = random_pairing_case(rng, dim, on_nodes)
             pairings = [(phi.value, wd.pair(f, phi))]
+            window = wd._window(f.grid, phi)
             for alpha in derivative_indices(dim):
-                fn = partial(phi.derivative, alpha)
-                pairings.append((fn, wd._window_sum(f, wd._window(f.grid, phi), fn)))
+                dphi = phi._closed_form(alpha, window.z, window.u, window.e)
+                pairings.append((partial(phi.derivative, alpha), wd._window_sum(f, window, dphi)))
             for fn, got in pairings:
                 expected, size = full_grid_pairing(f, fn)
                 assert abs(got - expected) <= 1e-14 * size
+
+    @pytest.mark.parametrize("width, res, center, radius, on_sphere", WINDOW_CASES)
+    def test_window_is_the_lattice_point_window_bit_for_bit(self, width, res, center, radius, on_sphere):
+        # per-axis scaled coordinates, squared and summed in np.sum's order,
+        # keep the same nodes and the same z, u and exp(1/u) to the last bit
+        dim = len(center)
+        grid = make_grid(Box((0.0,) * dim, (width,) * dim), res)
+        phi = wd.TestFunction(center, radius, (1,) * dim)
+        window = wd._window(grid, phi)
+        slices, r2, inside, z = lattice_point_window(grid, phi)
+        assert np.any(np.abs(r2 - 1.0) <= 1e-15) == on_sphere
+        assert window.slices == slices
+        np.testing.assert_array_equal(window.inside, inside)
+        assert window.z.shape == z.shape and window.z.tobytes() == z.tobytes()
+        u, e = _bump_exponential(np.sum(z * z, axis=-1))
+        assert window.u.tobytes() == u.tobytes() and window.e.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("on_nodes", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_window_matches_random_lattice_point_windows(self, dim, on_nodes):
+        rng = np.random.default_rng(400 * dim + on_nodes)
+        for _ in range(6):
+            f, phi = random_pairing_case(rng, dim, on_nodes)
+            window = wd._window(f.grid, phi)
+            _, _, inside, z = lattice_point_window(f.grid, phi)
+            np.testing.assert_array_equal(window.inside, inside)
+            assert window.z.tobytes() == z.tobytes()
 
     @pytest.mark.parametrize("on_nodes", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -276,6 +330,7 @@ class TestWindowedPairing:
         assert window_nodes < grid.node_count // 2
         wd.pair(f, phi)
         wd.verify_weak_derivative(f, u, (1,) + (0,) * (dim - 1), [phi], 1e-2)
+        # through the closed form: pair's value, then verify's value and derivative
         assert len(phi.counts) == 3
         assert max(phi.counts) <= window_nodes
 
@@ -322,9 +377,9 @@ class TestWindowedPairing:
     def test_rejects_non_finite_products(self):
         grid = unit_grid(100)
         f = GridFunction(grid, np.full(101, 1e308))
-        phi = wd.TestFunction((0.5,), 0.1)
-        # 1e308 times the kernel derivative overflows
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        phi = wd.TestFunction((0.5,), 0.1, label="narrow")
+        # every value is finite, but 1e308 times the derivative overflows
+        with pytest.raises(OverflowError, match=r"^pairing with narrow is beyond the float64 range$"):
             wd.verify_weak_derivative(f, f, (1,), [phi], 1e-4)
 
     def test_pairing_beyond_float64_names_the_test_function(self):
