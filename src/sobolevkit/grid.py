@@ -146,14 +146,6 @@ class Grid:
         w[0] = w[-1] = h / 2.0
         return w
 
-    def trapezoid_weights(self) -> NDArray[np.float64]:
-        """Tensor-product trapezoid weights, shape ``node_shape``.
-
-        The product of the per-axis rules of :meth:`axis_weights`, so the
-        rule is exact for affine integrands.
-        """
-        return reduce(np.multiply.outer, [self.axis_weights(i) for i in range(self.dim)])
-
 
 def _lattice_points(axes: Sequence[NDArray[np.float64]]) -> NDArray[np.float64]:
     """Every point of the tensor lattice of ``axes``, shape ``(N, len(axes))``, row-major over the axes."""
@@ -167,9 +159,23 @@ _SLAB_NODES = 8192
 
 
 def _row_slabs(node_shape: Sequence[int]) -> Iterable[slice]:
-    """Consecutive runs of first-axis rows, each of about ``_SLAB_NODES`` nodes and at least one row."""
-    rows = max(1, _SLAB_NODES // math.prod(node_shape[1:]))
+    """Runs of first-axis rows, each of about ``_SLAB_NODES`` nodes and at least one row, even of no nodes."""
+    rows = max(1, _SLAB_NODES // (math.prod(node_shape[1:]) or 1))
     return (slice(i, i + rows) for i in range(0, node_shape[0], rows))
+
+
+def _trapezoid_sum(
+    a: NDArray[np.float64], axis_weights: Sequence[NDArray[np.float64]], where: NDArray[np.bool_] | bool = True
+) -> float:
+    """The trapezoid sum of ``a`` over ``where``, ``a`` weighted in place, one run of ``_row_slabs`` rows at a time.
+
+    The weights are the tensor product of ``axis_weights``, one per axis of ``a``.  Each slab's weights equal the
+    whole product's entry by entry, so the sum has the bits of ``np.sum(reduce(np.multiply.outer, axis_weights) * a)``.
+    """
+    w0, *rest = axis_weights
+    for rows in _row_slabs(a.shape):
+        a[rows] *= reduce(np.multiply.outer, [w0[rows], *rest])
+    return float(np.sum(a, where=where))
 
 
 def _point_slabs(grid: Grid) -> Iterable[tuple[slice, NDArray[np.float64]]]:
@@ -250,22 +256,24 @@ class Region:
             raise ValueError(
                 f"expected {self.grid.node_count} mask entries, got {mask.size}"
             )
-        mask = mask.reshape(self.grid.node_shape).copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
+        self._keep(mask.reshape(self.grid.node_shape).copy())
 
     @classmethod
     def _adopt(cls, grid: Grid, mask: NDArray[np.bool_]) -> "Region":
         """A region that keeps ``mask``, a fresh bool array of shape ``grid.node_shape`` no one else holds.
 
-        The public constructor copies its mask; this path makes the fresh
-        array read-only and keeps it, so one full-grid mask exists.
+        The public constructor copies its mask; this path keeps the fresh
+        array itself, so one full-grid mask exists.
         """
-        mask.setflags(write=False)
         region = object.__new__(cls)
         object.__setattr__(region, "grid", grid)
-        object.__setattr__(region, "mask", mask)
+        region._keep(mask)
         return region
+
+    def _keep(self, mask: NDArray[np.bool_]) -> None:
+        # read-only: the one mask array this region holds
+        mask.setflags(write=False)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def full(cls, grid: Grid) -> "Region":
@@ -278,8 +286,8 @@ class Region:
 
 
 def quadrature(f: GridFunction) -> float:
-    """Tensor-product trapezoid approximation of the integral of ``f`` over the grid box."""
-    return float(np.sum(f.grid.trapezoid_weights() * f.values))
+    """Tensor-product trapezoid approximation of the integral of ``f`` over the grid box, on one weighted copy."""
+    return _trapezoid_sum(f.values.copy(), [f.grid.axis_weights(i) for i in range(f.grid.dim)])
 
 
 def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
@@ -312,21 +320,13 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
 
 
 def _weighted_power_sum(f: GridFunction, p: float, mask: NDArray[np.bool_] | bool, top: float = 1.0) -> float:
-    """The trapezoid sum of ``(|f| / top)^p`` over ``mask``, holding one full-grid float64 array.
-
-    Each slab's weights are formed as :meth:`Grid.trapezoid_weights` forms
-    them, and float64 multiply commutes bit for bit, so every product, and
-    the pairwise sum over them, has the bits of ``np.sum(w * (|f| / top) ** p)``.
-    """
+    """The trapezoid sum of ``(|f| / top)^p`` over ``mask``, holding one full-grid float64 array; overflow gives inf."""
     a = np.abs(f.values)
     if top != 1.0:
         a /= top
-    ws = [f.grid.axis_weights(i) for i in range(f.grid.dim)]
     with np.errstate(over="ignore"):
         a **= p  # the same fast scalar-power path as ``a ** p``
-        for rows in _row_slabs(a.shape):
-            a[rows] *= reduce(np.multiply.outer, [ws[0][rows], *ws[1:]])
-    return float(np.sum(a, where=mask))
+        return _trapezoid_sum(a, [f.grid.axis_weights(i) for i in range(f.grid.dim)], mask)
 
 
 def _finite_norm(norm: float, what: str, p: float) -> float:

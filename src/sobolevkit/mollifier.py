@@ -28,7 +28,6 @@ __all__ = [
     "UnitReport",
     "standard_bump",
     "verify_unit",
-    "bump_raw_derivatives",
 ]
 
 # C per dimension n: 1 / (|S^(n-1)| * int_0^1 r^(n-1) exp(1/(r^2-1)) dr), as the
@@ -55,6 +54,14 @@ def _bump_exponential(r2: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDA
     return u, np.exp(1.0 / u)
 
 
+def _inside_ball(z: NDArray[np.float64]) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.float64]]:
+    # which points of z, shape (m, dim), lie in the open unit ball, where the
+    # bump can be nonzero, and the bump's u and exp(1/u) at those
+    r2 = np.sum(z * z, axis=-1)
+    inside = r2 < 1.0
+    return inside, *_bump_exponential(r2[inside])
+
+
 def _bump_term(
     axes: tuple[int, ...], coords: list[NDArray[np.float64]], u: NDArray[np.float64], e: NDArray[np.float64]
 ) -> NDArray[np.float64]:
@@ -72,42 +79,6 @@ def _bump_term(
     if axes[0] == axes[1]:
         term = term - 2.0 / (u * u)
     return e * term
-
-
-def _raw_closed_form(pts: NDArray[np.float64], axes_list: list[tuple[int, ...]]) -> list[NDArray[np.float64]]:
-    # derivatives of exp(1/u), u = |x|^2 - 1, along each entry of ``axes_list``,
-    # with an exact-zero branch outside |x| < 1; the exponential is computed
-    # once for all of them
-    r2 = np.sum(pts * pts, axis=-1)
-    inside = r2 < 1.0
-    u, e = _bump_exponential(r2[inside])
-    outs = []
-    for axes in axes_list:
-        out = np.zeros_like(r2)
-        out[inside] = _bump_term(axes, [pts[..., i][inside] for i in axes], u, e)
-        outs.append(out)
-    return outs
-
-
-def bump_raw_derivatives(
-    alphas: list[tuple[int, ...]], points: NDArray[np.float64]
-) -> list[NDArray[np.float64]]:
-    """Partial derivatives ``d^alpha`` of the unnormalized bump for each of ``alphas``, in closed form.
-
-    Only orders 0 to 2 are supported; a higher order raises ``ValueError``.
-    The bump's exponential is evaluated once for the whole list.
-    """
-    axes_list = []
-    for alpha in alphas:
-        alpha = tuple(int(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-        axes = tuple(i for i, a in enumerate(alpha) for _ in range(a))
-        if len(axes) > 2:
-            raise ValueError(f"derivative order {len(axes)} of {alpha} is above 2")
-        axes_list.append(axes)
-        pts = _points_2d(points, len(alpha))  # also checks alpha's dimension
-    return _raw_closed_form(pts, axes_list)
 
 
 @dataclass(frozen=True)
@@ -148,8 +119,12 @@ class Mollifier:
                 f"kernel at eps={self.eps} has values {where} the float64 range"
                 f" (eps^-{self.dim + order} {flows}): eps is too {eps_is}"
             )
+        axes = tuple(i for i, a in enumerate(alpha) for _ in range(a))
         with np.errstate(over="ignore"):  # a point too far out to scale or square is outside the ball
-            [unit] = bump_raw_derivatives([alpha], pts / self.eps)
+            z = pts / self.eps
+            inside, u, e = _inside_ball(z)
+        unit = np.zeros(inside.shape)
+        unit[inside] = _bump_term(axes, [z[..., i][inside] for i in axes], u, e)
         return scale * (self.normalization * unit)
 
     def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -159,6 +134,11 @@ class Mollifier:
         pts = _points_2d(points, self.dim)
         if len(alpha) != self.dim:
             raise ValueError(f"multi-index {alpha} does not match dimension {self.dim}")
+        alpha = tuple(int(a) for a in alpha)
+        if any(a < 0 for a in alpha):
+            raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
+        if sum(alpha) > 2:  # only orders 0 to 2 have closed forms
+            raise ValueError(f"derivative order {sum(alpha)} of {alpha} is above 2")
         return self._scaled(alpha, pts)
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .convolution import _admit, _convolve_admitted
-from .grid import Box, Grid, GridFunction, Region, _finite, lp_norm
-from .mollifier import Mollifier, _bump_exponential, _bump_term, standard_bump
+from .grid import Box, Grid, GridFunction, Region, _finite, _trapezoid_sum, lp_norm
+from .mollifier import Mollifier, _bump_exponential, _bump_term, _inside_ball, standard_bump
 
 __all__ = [
     "MultiIndex",
@@ -138,7 +138,7 @@ class TestFunction:
 
         ``z`` holds the points' scaled coordinates, shape ``(m, dim)``, and
         ``u``, ``e`` the bump's ``|z|^2 - 1`` and ``exp(1/u)`` there
-        (``mollifier._bump_exponential``); a derivative is the product rule
+        (``mollifier._inside_ball``); a derivative is the product rule
         over ``gamma <= alpha``.
         """
         if alpha is None:
@@ -154,10 +154,9 @@ class TestFunction:
 
     def _at(self, alpha: MultiIndex | None, points: NDArray[np.float64]) -> NDArray[np.float64]:
         z = self._scaled(points)
-        r2 = np.sum(z * z, axis=-1)
-        inside = r2 < 1.0
-        out = np.zeros(r2.shape)
-        out[inside] = self._closed_form(alpha, z[inside], *_bump_exponential(r2[inside]))
+        inside, u, e = _inside_ball(z)
+        out = np.zeros(inside.shape)
+        out[inside] = self._closed_form(alpha, z[inside], u, e)
         return out
 
     def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -219,14 +218,14 @@ def test_function_catalog(box: Box, count: int = 8) -> list[TestFunction]:
 class _Window(NamedTuple):
     """A test function's support box on a grid and its nodes inside the support ball.
 
-    ``slices`` select the box's nodes and ``weights`` are the grid's
-    trapezoid weights there; ``inside`` masks the ball's nodes in the box,
+    ``slices`` select the box's nodes and ``axis_weights`` are the grid's
+    per-axis trapezoid weights there; ``inside`` masks the ball's nodes in the box,
     ``z`` holds their scaled coordinates, shape ``(m, dim)``, and ``u``,
     ``e`` the bump's ``|z|^2 - 1`` and ``exp(1/u)`` at them.
     """
 
     slices: tuple[slice, ...]
-    weights: NDArray[np.float64]
+    axis_weights: tuple[NDArray[np.float64], ...]
     inside: NDArray[np.bool_]
     z: NDArray[np.float64]
     u: NDArray[np.float64]
@@ -247,14 +246,13 @@ def _window(grid: Grid, phi: TestFunction) -> _Window:
         slices.append(s)
         zs.append((nodes[s] - phi.center[axis]) / phi.radius)
         weights.append(grid.axis_weights(axis)[s])
-    box_weights = reduce(np.multiply.outer, weights)
     # |z|^2 summed over the axes in order, as np.sum(z * z, axis=-1) sums a
     # point's squares, so the nodes left out are exactly those where phi and
     # its derivatives are 0.0
     r2 = reduce(np.add.outer, [zi * zi for zi in zs])
     inside = r2 < 1.0
     z = np.stack([zi[index] for zi, index in zip(zs, np.nonzero(inside))], axis=-1)
-    return _Window(tuple(slices), box_weights, inside, z, *_bump_exponential(r2[inside]), phi.label)
+    return _Window(tuple(slices), tuple(weights), inside, z, *_bump_exponential(r2[inside]), phi.label)
 
 
 def _window_sum(f: GridFunction, window: _Window, values: NDArray[np.float64]) -> float:
@@ -269,10 +267,8 @@ def _window_sum(f: GridFunction, window: _Window, values: NDArray[np.float64]) -
     terms = np.zeros(window.inside.shape)
     terms[window.inside] = values
     with np.errstate(over="ignore", invalid="ignore"):
-        # weights * (f * phi), formed in place
-        np.multiply(terms, f.values[window.slices], out=terms)
-        np.multiply(terms, window.weights, out=terms)
-        return _finite(float(np.sum(terms)), f"pairing with {window.label}")
+        terms *= f.values[window.slices]
+        return _finite(_trapezoid_sum(terms, window.axis_weights), f"pairing with {window.label}")
 
 
 def pair(f: GridFunction, phi: TestFunction) -> float:

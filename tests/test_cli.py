@@ -972,6 +972,13 @@ class TestOverflow:
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (EXIT_NUMERICAL, "", "error: L^p norm at p=1 is beyond the float64 range\n")
 
+    def test_norm_sum_overflow_is_one_error_line(self, capsys):
+        # each weighted |f| is finite but their sum is not: numpy's "overflow
+        # encountered in reduce" warning went to stderr before the error line
+        argv = ["sobolev", "--lo", "0", "--hi", "2", "--res", "10", "--k", "1", "--p", "1", "--f", "1e308", "--deriv", "1=0"]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (EXIT_NUMERICAL, "", "error: L^p norm at p=1 is beyond the float64 range\n")
+
     def test_pairing_overflow_is_one_error_line(self, capsys):
         # every value is finite, but 1e308 * d phi is not: this exited 2
         # with "grid function values must be finite"

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -176,6 +177,30 @@ class TestQuadrature:
         f = GridFunction(grid, np.ones(grid.node_count))
         assert quadrature(f) == pytest.approx(6.0, abs=1e-12)
 
+    # each first axis spans several slabs of _SLAB_NODES nodes
+    @pytest.mark.parametrize("res", [(20000,), (499, 40), (19, 29, 29)])
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_matches_one_pass_formula_bit_for_bit(self, res, scale):
+        grid = make_grid(Box((0.0,) * len(res), (1.3,) * len(res)), res)
+        assert grid.node_count > 2 * _SLAB_NODES and grid.node_shape[0] > 1
+        v = scale * np.random.default_rng(len(res)).standard_normal(grid.node_shape)
+        w = reduce(np.multiply.outer, [grid.axis_weights(i) for i in range(grid.dim)])
+        assert quadrature(GridFunction(grid, v)) == float(np.sum(w * v))
+
+    def test_holds_one_full_grid_array(self):
+        # the values are copied and weighted in place, slab by slab, so no
+        # whole-grid weight array is built beside them
+        grid = make_grid(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 99)
+        f = GridFunction(grid, np.ones(grid.node_shape))
+        tracemalloc.start()
+        try:
+            total = quadrature(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total == pytest.approx(1.0, rel=1e-12)
+        assert peak - 8 * grid.node_count < grid.node_count / 2
+
 
 class TestLpNorm:
     def test_constant_all_p(self):
@@ -224,6 +249,15 @@ class TestLpNorm:
             lp_norm(f, p)
         assert lp_norm(f, math.inf) == 1e300
 
+    def test_sum_overflow_gives_no_warning(self):
+        # every weighted |f| is finite but their sum is not: the first pass
+        # warned "overflow encountered in reduce" before lp_norm rescaled
+        grid = make_grid(Box((0.0,), (2.0,)), 10)
+        f = GridFunction(grid, np.full(11, 1e308))
+        with pytest.raises(OverflowError, match=r"^L\^p norm at p=1 is beyond the float64 range$"):
+            lp_norm(f, 1.0)
+        assert lp_norm(f, 2.0) == pytest.approx(1e308 * math.sqrt(2.0), rel=1e-12)
+
     def test_empty_region_is_zero(self):
         grid = unit_grid(4)
         f = GridFunction(grid, np.ones(5))
@@ -265,7 +299,7 @@ class TestLpNorm:
         rng = np.random.default_rng(len(res))
         v = scale * rng.standard_normal(grid.node_shape)
         mask = rng.random(grid.node_shape) < 0.5 if masked else True
-        w = grid.trapezoid_weights()
+        w = reduce(np.multiply.outer, [grid.axis_weights(i) for i in range(grid.dim)])
         with np.errstate(over="ignore"):
             total = float(np.sum(w * np.abs(v) ** p, where=mask))
         if math.isfinite(total):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from sobolevkit.grid import _SLAB_NODES, Box, GridFunction, make_grid, quadratur
 from sobolevkit.mollifier import (
     Mollifier,
     UnitReport,
-    bump_raw_derivatives,
     standard_bump,
     verify_unit,
 )
@@ -102,11 +102,11 @@ class TestNormalization:
 class TestSupportAndSign:
     def test_exact_zero_outside_unit_ball(self):
         x = np.array([[-2.0], [-1.0], [1.0], [1.0 + 1e-12], [7.5]])
-        np.testing.assert_array_equal(bump_raw_derivatives([(0,)], x)[0], np.zeros(5))
+        np.testing.assert_array_equal(standard_bump(1).derivative((0,), x), np.zeros(5))
 
     def test_positive_inside(self):
         x = np.linspace(-0.999, 0.999, 101).reshape(-1, 1)
-        assert np.all(bump_raw_derivatives([(0,)], x)[0] > 0.0)
+        assert np.all(standard_bump(1).derivative((0,), x) > 0.0)
 
     def test_scaled_support_is_closed_eps_ball(self):
         m = standard_bump(1, 0.25)
@@ -133,47 +133,47 @@ class TestDerivatives:
 
     def test_gradient_matches_finite_difference(self):
         pts = np.linspace(-0.85, 0.85, 41).reshape(-1, 1)
-        got = bump_raw_derivatives([(1,)], pts)[0]
-        want = self._fd(pts, 0, 1e-6, lambda q: bump_raw_derivatives([(0,)], q)[0])
+        got = standard_bump(1).derivative((1,), pts)
+        want = self._fd(pts, 0, 1e-6, lambda q: standard_bump(1).derivative((0,), q))
         np.testing.assert_allclose(got, want, atol=5e-5)
 
     def test_second_matches_finite_difference(self):
         pts = np.linspace(-0.8, 0.8, 33).reshape(-1, 1)
-        got = bump_raw_derivatives([(2,)], pts)[0]
-        want = self._fd(pts, 0, 1e-4, lambda q: bump_raw_derivatives([(1,)], q)[0])
+        got = standard_bump(1).derivative((2,), pts)
+        want = self._fd(pts, 0, 1e-4, lambda q: standard_bump(1).derivative((1,), q))
         np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_mixed_2d_matches_finite_difference(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-0.6, 0.6, size=(40, 2))
-        got = bump_raw_derivatives([(1, 1)], pts)[0]
-        want = self._fd(pts, 1, 1e-5, lambda q: bump_raw_derivatives([(1, 0)], q)[0])
+        got = standard_bump(2).derivative((1, 1), pts)
+        want = self._fd(pts, 1, 1e-5, lambda q: standard_bump(2).derivative((1, 0), q))
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_mixed_partials_commute(self):
         # differentiate x1 then x2 and x2 then x1 through their defining limits
         rng = np.random.default_rng(9)
         pts = rng.uniform(-0.9, 0.9, size=(60, 2))
-        d12 = self._fd(pts, 1, 1e-5, lambda q: bump_raw_derivatives([(1, 0)], q)[0])
-        d21 = self._fd(pts, 0, 1e-5, lambda q: bump_raw_derivatives([(0, 1)], q)[0])
+        d12 = self._fd(pts, 1, 1e-5, lambda q: standard_bump(2).derivative((1, 0), q))
+        d21 = self._fd(pts, 0, 1e-5, lambda q: standard_bump(2).derivative((0, 1), q))
         np.testing.assert_allclose(d12, d21, atol=1e-6)
-        np.testing.assert_allclose(bump_raw_derivatives([(1, 1)], pts)[0], d12, atol=1e-5)
+        np.testing.assert_allclose(standard_bump(2).derivative((1, 1), pts), d12, atol=1e-5)
 
     def test_rejects_order_above_two(self):
         # only orders 0 to 2 have closed forms; there is no numerical fallback
         for alpha in [(3,), (2, 1), (1, 1, 1), (0, 4)]:
             with pytest.raises(ValueError, match="above 2"):
-                bump_raw_derivatives([alpha], np.zeros((1, len(alpha))))
+                standard_bump(len(alpha)).derivative(alpha, np.zeros((1, len(alpha))))
 
     def test_odd_symmetry_of_gradient(self):
         pts = np.linspace(0.05, 0.9, 20).reshape(-1, 1)
         np.testing.assert_allclose(
-            bump_raw_derivatives([(1,)], pts)[0], -bump_raw_derivatives([(1,)], -pts)[0], atol=1e-15
+            standard_bump(1).derivative((1,), pts), -standard_bump(1).derivative((1,), -pts), atol=1e-15
         )
 
     def test_rejects_negative_multi_index(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            bump_raw_derivatives([(-1, 2)], np.zeros((1, 2)))
+            standard_bump(2).derivative((-1, 2), np.zeros((1, 2)))
 
     def test_profile_rejects_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -252,7 +252,8 @@ def one_pass_unit(m, res, tol=1e-3):
     pts = grid.points()
     vals = m.value(pts)
     radii = np.sqrt(np.sum(pts * pts, axis=-1))
-    mass = float(np.sum(grid.trapezoid_weights() * vals.reshape(grid.node_shape)))
+    w = reduce(np.multiply.outer, [grid.axis_weights(i) for i in range(grid.dim)])
+    mass = float(np.sum(w * vals.reshape(grid.node_shape)))
     return UnitReport(bool(np.min(vals) >= 0.0), bool(np.all(vals[radii > m.eps] == 0.0)), abs(mass - 1.0), tol)
 
 

@@ -1,5 +1,5 @@
 import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ import pytest
 from sobolevkit import weakdiff as wd
 from sobolevkit.cli import _table
 from sobolevkit.convolution import convolve
-from sobolevkit.grid import Box, GridFunction, _lattice_points, interior_region, make_grid
-from sobolevkit.mollifier import _bump_exponential, bump_raw_derivatives, standard_bump
+from sobolevkit.grid import _SLAB_NODES, Box, GridFunction, _lattice_points, interior_region, make_grid
+from sobolevkit.mollifier import _bump_exponential, _bump_term, _inside_ball, standard_bump
 from sobolevkit.sobolev import enumerate_multi_indices
 
 RAW_MASS_1D = 0.4439938161680794  # integral of exp(1/(z^2-1)) over [-1, 1]
@@ -105,10 +105,14 @@ class TestBumpTestFunctions:
             phi = wd.TestFunction(tuple(rng.uniform(-1.0, 1.0, dim)), float(rng.uniform(0.2, 2.0)), poly)
             pts = np.asarray(phi.center) + phi.radius * rng.uniform(-1.2, 1.2, (200, dim))
             z = (pts - np.asarray(phi.center)) / phi.radius
+            inside, u, e = _inside_ball(z)
             expected = np.zeros(len(pts))
             for gamma, coeff in wd._sub_indices(alpha):
                 rest = tuple(a - g for a, g in zip(alpha, gamma))
-                bump_part = bump_raw_derivatives([gamma], z)[0] * phi.radius ** (-sum(gamma))
+                axes = tuple(i for i, g in enumerate(gamma) for _ in range(g))
+                raw = np.zeros(len(pts))
+                raw[inside] = _bump_term(axes, [z[inside, i] for i in axes], u, e)
+                bump_part = raw * phi.radius ** (-sum(gamma))
                 expected = expected + coeff * bump_part * phi._poly_part(rest, z)
             np.testing.assert_array_equal(phi.derivative(alpha, pts), math.e * expected)
 
@@ -172,7 +176,8 @@ class TestPair:
 def full_grid_pairing(f, fn):
     """Reference: trapezoid sum of ``f * fn`` over every node of the grid, and its size."""
     vals = fn(f.grid.points()).reshape(f.grid.node_shape)
-    terms = f.grid.trapezoid_weights() * f.values * vals
+    w = reduce(np.multiply.outer, [f.grid.axis_weights(i) for i in range(f.grid.dim)])
+    terms = w * f.values * vals
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
@@ -264,6 +269,31 @@ class CountingTestFunction(wd.TestFunction):
 
 
 class TestWindowedPairing:
+    # each window's first axis spans several slabs of _SLAB_NODES nodes
+    @pytest.mark.parametrize("res, center, radius", [(40000, (0.5,), 0.4), (400, (0.5, 0.5), 0.4), (60, (0.5,) * 3, 0.4)])
+    def test_window_sum_is_the_box_weight_formula_bit_for_bit(self, res, center, radius):
+        dim = len(center)
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
+        f = GridFunction(grid, np.random.default_rng(dim).standard_normal(grid.node_shape))
+        phi = wd.TestFunction(center, radius, (1,) * dim)
+        window = wd._window(grid, phi)
+        assert window.inside.size > 2 * _SLAB_NODES and window.inside.shape[0] > 1
+        value = phi._closed_form(None, window.z, window.u, window.e)
+        terms = np.zeros(window.inside.shape)
+        terms[window.inside] = value
+        w = reduce(np.multiply.outer, [grid.axis_weights(i)[s] for i, s in enumerate(window.slices)])
+        assert wd._window_sum(f, window, value) == float(np.sum(terms * f.values[window.slices] * w))
+
+    @pytest.mark.parametrize("center", [(0.5, 0.55), (0.55, 0.5), (0.55, 0.55)])
+    def test_support_between_grid_lines_pairs_to_zero(self, center):
+        # the support box holds no node along some axis: an empty window
+        grid = make_grid(Box((0.0, 0.0), (1.0, 1.0)), 10)
+        f = GridFunction(grid, np.ones(grid.node_shape))
+        phi = wd.TestFunction(center, 0.01)
+        assert wd._window(grid, phi).inside.size == 0
+        assert wd.pair(f, phi) == 0.0
+        assert wd.verify_weak_derivative(f, f, (1, 0), [phi], 1e-3).residuals == (0.0,)
+
     @pytest.mark.parametrize("on_nodes", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_full_grid_oracle(self, dim, on_nodes):
