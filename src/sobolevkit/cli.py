@@ -29,7 +29,7 @@ from .dynamics import exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, evaluate_many, excerpt, parse
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump
-from .sobolev import DerivativeFamily, _check_membership_request, membership_report
+from .sobolev import DerivativeFamily, _check_family, membership_report
 from .weakdiff import _commutation_gap, test_function_catalog, validate_multi_index, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
@@ -263,7 +263,7 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
         if alpha in derivs:
             raise CliError(f"--deriv {alpha_raw!r} is given twice")
         derivs[alpha] = source
-    _check_membership_request(grid.dim, k, {(0,) * grid.dim, *derivs})
+    _check_family(grid.dim, k, {(0,) * grid.dim, *derivs})
     _check_cell_volume(grid)
     entries = {(0,) * grid.dim: _sample_expression(args.f, grid)}
     for alpha, source in derivs.items():

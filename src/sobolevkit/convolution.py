@@ -48,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import MAX_NODES, Box, Grid, GridFunction, Region, _lattice_points, _point_slabs, _row_slabs, interior_region, lp_norm, make_grid, quadrature
-from .mollifier import Mollifier, standard_bump
+from .mollifier import Mollifier, MultiIndex, standard_bump
 
 __all__ = [
     "OrbitEntry",
@@ -75,14 +75,11 @@ def _window_radii(grid: Grid, eps: float) -> tuple[int, ...]:
     return tuple(int(math.floor(eps / h * (1.0 + 1e-12))) for h in grid.spacing)
 
 
-def _lattice_kernel(grid: Grid, m: Mollifier, deriv: tuple[int, ...] | None) -> NDArray[np.float64]:
-    """Kernel samples on the offset lattice, scaled by the cell volume."""
+def _lattice_kernel(grid: Grid, m: Mollifier, deriv: MultiIndex | None) -> NDArray[np.float64]:
+    """Kernel samples on the offset lattice, scaled by the cell volume; ``deriv`` None is the zero multi-index."""
     radii = _window_radii(grid, m.eps)
     pts = _lattice_points([np.arange(-k, k + 1, dtype=np.float64) * h for k, h in zip(radii, grid.spacing)])
-    if deriv is None:
-        vals = m.value(pts)
-    else:
-        vals = m.derivative(deriv, pts)
+    vals = m.derivative((0,) * grid.dim if deriv is None else deriv, pts)
     shape = tuple(2 * k + 1 for k in radii)
     # a sample beyond float64 is refused later: by the lattice mass, or by convolve's range check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -90,7 +87,7 @@ def _lattice_kernel(grid: Grid, m: Mollifier, deriv: tuple[int, ...] | None) -> 
 
 
 def _check_lattice_mass(m: Mollifier, mass: float) -> None:
-    """Refuse a value kernel whose samples have lost their unit mass on the lattice."""
+    """Refuse a value kernel (order 0) whose samples have lost their unit mass on the lattice."""
     if not abs(mass - 1.0) <= MASS_TOL:  # also refuses nan
         raise ValueError(
             f"kernel at eps={m.eps} has lattice mass {mass:.6g}, outside 1 +- {MASS_TOL}:"
@@ -209,15 +206,16 @@ def _full_convolution(a: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray
 def _admit(
     grid: Grid,
     m: Mollifier,
-    deriv: tuple[int, ...] | None = None,
+    deriv: MultiIndex | None = None,
     zero_extend: bool = False,
 ) -> tuple[NDArray[np.float64], Region]:
     """The lattice kernel and result region of ``convolve`` on ``grid``, or its refusal.
 
     Every ``ValueError`` of ``convolve`` is raised here, in this order: the
     kernel's dimension, ``eps`` below half the smallest box width, the full
-    shape within ``MAX_NODES`` (checked before any array exists), a kernel
-    scale float64 holds, a value kernel's lattice mass, a nonempty region.
+    shape within ``MAX_NODES`` (checked before any array exists), a valid
+    multi-index ``deriv``, a kernel scale float64 holds, a value kernel's
+    lattice mass (``deriv`` None or zero), a nonempty region.
     """
     if m.dim != grid.dim:
         raise ValueError(f"kernel dimension {m.dim} does not match grid dimension {grid.dim}")
@@ -225,7 +223,7 @@ def _admit(
         raise ValueError(f"eps={m.eps} is too large for the box (needs eps < half the minimum width)")
     _check_full_shape(_full_shape(grid, m.eps))
     kernel = _lattice_kernel(grid, m, deriv)
-    if deriv is None:
+    if deriv is None or not any(deriv):
         _check_lattice_mass(m, float(kernel.sum()))
     region = Region.full(grid) if zero_extend else interior_region(grid, m.eps)
     if region.is_empty:
@@ -247,9 +245,10 @@ def convolve(
     is extended by zero outside the box and every node gets a value.
 
     A kernel the grid cannot take raises ``ValueError`` (see ``_admit``),
-    such as a value kernel (``deriv=None``) whose lattice mass is farther
-    than ``MASS_TOL`` (0.05) from 1: too few cells per kernel radius.  A
-    result that float64 cannot hold raises ``OverflowError``.
+    such as a value kernel (``deriv`` None or the zero multi-index) whose
+    lattice mass is farther than ``MASS_TOL`` (0.05) from 1: too few cells
+    per kernel radius.  A result that float64 cannot hold raises
+    ``OverflowError``.
     """
     return _convolve_admitted(f, m, *_admit(f.grid, m, deriv, zero_extend))
 

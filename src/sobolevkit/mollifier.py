@@ -10,13 +10,16 @@ kernel is fully described by its dimension ``n`` and radius ``eps``:
 supported in the closed ball of radius ``eps`` with mass one, whose
 derivative sups grow like ``eps^(-n-|alpha|)``.  ``verify_unit`` checks
 a kernel's sign, support and mass on a grid over its support box.
+
+``validate_multi_index`` is the one rule for the multi-indices of kernel,
+test function and family derivatives, capped at ``MAX_DERIVATIVE_ORDER``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,11 +27,20 @@ from numpy.typing import NDArray
 from .grid import Box, GridFunction, _point_slabs, make_grid, quadrature
 
 __all__ = [
+    "MAX_DERIVATIVE_ORDER",
+    "MultiIndex",
     "Mollifier",
     "UnitReport",
+    "multi_index_order",
     "standard_bump",
+    "validate_multi_index",
     "verify_unit",
 ]
+
+MultiIndex = tuple[int, ...]
+
+# ``_bump_term`` has closed forms for orders 0 to 2
+MAX_DERIVATIVE_ORDER = 2
 
 # C per dimension n: 1 / (|S^(n-1)| * int_0^1 r^(n-1) exp(1/(r^2-1)) dr), as the
 # bump is radial.  These are the values of a 128-node Gauss-Legendre rule, at
@@ -37,6 +49,26 @@ __all__ = [
 # numpy.polynomial, which the rule needs, out of every run: the grid commands
 # build a kernel before they sample, and importing it there raised their peak RSS.
 _NORMALIZATION = {1: 2.2522836210435835, 2: 2.14356577579225, 3: 2.267116739608341}
+
+
+def multi_index_order(alpha: MultiIndex) -> int:
+    return sum(alpha)
+
+
+def validate_multi_index(alpha: Sequence[int], dim: int, min_order: int = 0) -> MultiIndex:
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != dim:
+        raise ValueError(f"multi-index {alpha} has {len(alpha)} entries for dimension {dim}")
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
+    order = multi_index_order(alpha)
+    if order < min_order:
+        raise ValueError(f"multi-index order {order} is below the minimum {min_order}")
+    if order > MAX_DERIVATIVE_ORDER:
+        raise ValueError(
+            f"multi-index order {order} exceeds the supported maximum {MAX_DERIVATIVE_ORDER}"
+        )
+    return alpha
 
 
 def _points_2d(points: NDArray[np.float64], dim: int) -> NDArray[np.float64]:
@@ -106,7 +138,7 @@ class Mollifier:
     def normalization(self) -> float:
         return _NORMALIZATION[self.dim]
 
-    def _scaled(self, alpha: tuple[int, ...], pts: NDArray[np.float64]) -> NDArray[np.float64]:
+    def _scaled(self, alpha: MultiIndex, pts: NDArray[np.float64]) -> NDArray[np.float64]:
         # eps^(-n-|alpha|) * C * (d^alpha raw)(pts / eps): the d^alpha phi_eps samples
         order = sum(alpha)
         try:
@@ -130,23 +162,15 @@ class Mollifier:
     def value(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         return self._scaled((0,) * self.dim, _points_2d(points, self.dim))
 
-    def derivative(self, alpha: tuple[int, ...], points: NDArray[np.float64]) -> NDArray[np.float64]:
-        pts = _points_2d(points, self.dim)
-        if len(alpha) != self.dim:
-            raise ValueError(f"multi-index {alpha} does not match dimension {self.dim}")
-        alpha = tuple(int(a) for a in alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-        if sum(alpha) > 2:  # only orders 0 to 2 have closed forms
-            raise ValueError(f"derivative order {sum(alpha)} of {alpha} is above 2")
-        return self._scaled(alpha, pts)
+    def derivative(self, alpha: Sequence[int], points: NDArray[np.float64]) -> NDArray[np.float64]:
+        return self._scaled(validate_multi_index(alpha, self.dim), _points_2d(points, self.dim))
 
 
 def standard_bump(dim: int, eps: float = 1.0) -> Mollifier:
     """The unit-mass standard bump in dimension ``dim``, scaled to support radius ``eps``.
 
     The constant comes from a radial Gauss-Legendre integral; derivatives
-    are available in closed form for orders 0 to 2.
+    are available in closed form for orders 0 to ``MAX_DERIVATIVE_ORDER``.
     """
     return Mollifier(dim, eps)
 

@@ -17,13 +17,8 @@ from itertools import product as _cartesian
 from typing import Container, Mapping, NamedTuple, Sequence
 
 from .grid import GridFunction, _finite_norm, lp_norm
-from .weakdiff import (
-    MAX_DERIVATIVE_ORDER,
-    MultiIndex,
-    TestFunction,
-    _verify_family,
-    validate_multi_index,
-)
+from .mollifier import MAX_DERIVATIVE_ORDER, MultiIndex, validate_multi_index
+from .weakdiff import TestFunction, _verify_family
 
 __all__ = [
     "DerivativeFamily",
@@ -46,23 +41,19 @@ def enumerate_multi_indices(dim: int, max_order: int) -> list[MultiIndex]:
     return out
 
 
-def _check_max_order(k: int) -> None:
-    # every entry is a validated multi-index, so no family of higher order
-    # exists; refuse before enumerating its (k + 1)^dim candidates
-    if k > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"order k must be at most {MAX_DERIVATIVE_ORDER}, got {k}")
+def _check_family(dim: int, k: int, alphas: Container[MultiIndex], lowest: int = 1) -> int:
+    """Refuse an order ``k`` outside ``lowest`` to ``MAX_DERIVATIVE_ORDER``, or ``alphas`` missing an order up to ``k``.
 
-
-def _check_membership_request(dim: int, k: int, alphas: Container[MultiIndex]) -> int:
-    """Refuse an order ``k`` out of range, or candidates ``alphas`` missing an order up to ``k``.
-
+    The order is checked before the (k + 1)^dim candidates are enumerated.
     The CLI calls this with the ``--deriv`` multi-indices before it samples
-    any expression; ``membership_report`` calls it with the family.
+    any expression; ``membership_report`` and ``sobolev_norm`` (with
+    ``lowest=0``) call it with the family.
     """
     k = int(k)
-    if k < 1:
-        raise ValueError(f"order k must be at least 1, got {k}")
-    _check_max_order(k)
+    if k < lowest:
+        raise ValueError(f"order k must be at least {lowest}, got {k}")
+    if k > MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"order k must be at most {MAX_DERIVATIVE_ORDER}, got {k}")
     missing = [a for a in enumerate_multi_indices(dim, k) if a not in alphas]
     if missing:
         raise ValueError(f"candidate family is missing derivatives {missing} for k={k}")
@@ -104,9 +95,6 @@ class DerivativeFamily:
     def alphas(self) -> list[MultiIndex]:
         return sorted(self._entries, key=lambda a: (sum(a), a))
 
-    def missing_up_to(self, k: int) -> list[MultiIndex]:
-        return [a for a in enumerate_multi_indices(self.dim, k) if a not in self._entries]
-
     @property
     def function(self) -> GridFunction:
         return self._entries[(0,) * self.dim]
@@ -114,13 +102,7 @@ class DerivativeFamily:
 
 def sobolev_norm(fam: DerivativeFamily, k: int, p: float) -> float:
     """``W^{k,p}`` norm of the family, requiring every ``|alpha| <= k`` entry."""
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"order k must be nonnegative, got {k}")
-    _check_max_order(k)
-    missing = fam.missing_up_to(k)
-    if missing:
-        raise ValueError(f"family is missing derivatives {missing} for k={k}")
+    k = _check_family(fam.dim, k, fam, lowest=0)
     # lp_norm refuses p below 1
     p = float(p)
     norms = [lp_norm(fam[a], p) for a in enumerate_multi_indices(fam.dim, k)]
@@ -177,7 +159,7 @@ def membership_report(
     one, each norm before its pairings, would raise it first.
     """
     f = candidates.function
-    k = _check_membership_request(f.grid.dim, k, candidates)
+    k = _check_family(f.grid.dim, k, candidates)
 
     pairs = [(alpha, candidates[alpha]) for alpha in enumerate_multi_indices(f.grid.dim, k)[1:]]
     results, failure = _verify_family(f, pairs, tests, tol)

@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 
 from .convolution import _admit, _convolve_admitted
 from .grid import Box, Grid, GridFunction, Region, _finite, _trapezoid_sum, lp_norm
-from .mollifier import Mollifier, _bump_exponential, _bump_term, _inside_ball, standard_bump
+from .mollifier import MAX_DERIVATIVE_ORDER, Mollifier, MultiIndex, _bump_exponential, _bump_term, _inside_ball, _points_2d, multi_index_order, standard_bump, validate_multi_index
 
 __all__ = [
     "MultiIndex",
@@ -40,33 +40,9 @@ __all__ = [
     "commutation_residual",
 ]
 
-MultiIndex = tuple[int, ...]
-
-MAX_DERIVATIVE_ORDER = 2
-
 # Largest test function catalog: its entries repeat after 30 (120 in 3-d),
 # so a larger count only repeats pairings.
 MAX_TEST_FUNCTIONS = 1000
-
-
-def multi_index_order(alpha: MultiIndex) -> int:
-    return sum(alpha)
-
-
-def validate_multi_index(alpha: Sequence[int], dim: int, min_order: int = 0) -> MultiIndex:
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != dim:
-        raise ValueError(f"multi-index {alpha} has {len(alpha)} entries for dimension {dim}")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"multi-index entries must be nonnegative, got {alpha}")
-    order = multi_index_order(alpha)
-    if order < min_order:
-        raise ValueError(f"multi-index order {order} is below the minimum {min_order}")
-    if order > MAX_DERIVATIVE_ORDER:
-        raise ValueError(
-            f"multi-index order {order} exceeds the supported maximum {MAX_DERIVATIVE_ORDER}"
-        )
-    return alpha
 
 
 def _sub_indices(alpha: MultiIndex):
@@ -82,7 +58,8 @@ class TestFunction:
 
     The ``e`` factor normalizes the pure bump to peak value 1 at its
     center.  Support is the closed ball of radius ``r`` around ``c``;
-    derivatives up to order two are analytic via the product rule.
+    derivatives up to order ``MAX_DERIVATIVE_ORDER`` are analytic via the
+    product rule.
     """
 
     def __init__(
@@ -116,20 +93,20 @@ class TestFunction:
         return tuple(c + self.radius for c in self.center)
 
     def _scaled(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.dim)
-        return (pts - np.asarray(self.center)) / self.radius
+        return (_points_2d(points, self.dim) - np.asarray(self.center)) / self.radius
 
-    def _poly_part(self, gamma: MultiIndex, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        # d^gamma of prod z_i^beta_i in the scaled variable, chain rule gives r^-|gamma|
-        out = np.ones(z.shape[:-1])
+    def _poly_part(self, gamma: MultiIndex, z: NDArray[np.float64]) -> NDArray[np.float64] | float:
+        # d^gamma of prod z_i^beta_i in the scaled variable, chain rule gives r^-|gamma|;
+        # factors that are exactly 1 (perm(b, 0), z^0, r^0) are skipped, and a
+        # gamma_i above beta_i makes perm(b, g) zero
+        out = 1.0
         for i, (b, g) in enumerate(zip(self.poly, gamma)):
-            if g > b:
-                return np.zeros(z.shape[:-1])
-            coeff = math.perm(b, g)
-            out = out * coeff * z[..., i] ** (b - g)
-        return out * self.radius ** (-multi_index_order(gamma))
+            if g:
+                out = out * math.perm(b, g)
+            if b > g:
+                out = out * z[..., i] ** (b - g)
+        order = multi_index_order(gamma)
+        return out * self.radius ** (-order) if order else out
 
     def _closed_form(
         self, alpha: MultiIndex | None, z: NDArray[np.float64], u: NDArray[np.float64], e: NDArray[np.float64]
@@ -139,18 +116,23 @@ class TestFunction:
         ``z`` holds the points' scaled coordinates, shape ``(m, dim)``, and
         ``u``, ``e`` the bump's ``|z|^2 - 1`` and ``exp(1/u)`` there
         (``mollifier._inside_ball``); a derivative is the product rule
-        over ``gamma <= alpha``.
+        over ``gamma <= alpha``, of the terms whose polynomial part
+        ``d^(alpha - gamma)`` is not zero, summed in place.
         """
         if alpha is None:
             return math.e * e * self._poly_part((0,) * self.dim, z)
         total = np.zeros(len(e))
         for gamma, coeff in _sub_indices(alpha):
             rest = tuple(a - g for a, g in zip(alpha, gamma))
+            if any(r > b for r, b in zip(rest, self.poly)):
+                continue
             axes = tuple(i for i, g in enumerate(gamma) for _ in range(g))
-            bump = _bump_term(axes, [z[..., i] for i in axes], u, e)
-            bump_part = bump * self.radius ** (-multi_index_order(gamma))
-            total = total + coeff * bump_part * self._poly_part(rest, z)
-        return math.e * total
+            term = _bump_term(axes, [z[..., i] for i in axes], u, e) * self.radius ** (-multi_index_order(gamma))
+            term *= coeff
+            term *= self._poly_part(rest, z)
+            total += term
+        total *= math.e
+        return total
 
     def _at(self, alpha: MultiIndex | None, points: NDArray[np.float64]) -> NDArray[np.float64]:
         z = self._scaled(points)

@@ -197,6 +197,18 @@ class TestBasicProperties:
         # derivative kernels have no unit mass to keep and are not checked
         convolve(f, m, deriv=(1,) + (0,) * (dim - 1))
 
+    def test_zero_multi_index_is_the_value_kernel(self):
+        # a kernel narrower than a cell puts lattice mass 82.857 on one node;
+        # deriv=(0,) names the value kernel and is refused as deriv=None is,
+        # not convolved into 82.857 times f
+        f = GridFunction(make_grid(Box((0,), (1,)), 10), np.ones(11))
+        m = standard_bump(1, 0.001)
+        with pytest.raises(ValueError, match="lattice mass 82.8569") as refused:
+            convolve(f, m)
+        with pytest.raises(ValueError) as zero_refused:
+            convolve(f, m, deriv=(0,))
+        assert str(zero_refused.value) == str(refused.value)
+
 
 class TestAgainstAnalyticModels:
     def test_sine_attenuation_factor(self):

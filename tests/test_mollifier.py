@@ -160,9 +160,9 @@ class TestDerivatives:
         np.testing.assert_allclose(standard_bump(2).derivative((1, 1), pts), d12, atol=1e-5)
 
     def test_rejects_order_above_two(self):
-        # only orders 0 to 2 have closed forms; there is no numerical fallback
+        # only orders 0 to MAX_DERIVATIVE_ORDER = 2 have closed forms; there is no numerical fallback
         for alpha in [(3,), (2, 1), (1, 1, 1), (0, 4)]:
-            with pytest.raises(ValueError, match="above 2"):
+            with pytest.raises(ValueError, match="exceeds the supported maximum 2"):
                 standard_bump(len(alpha)).derivative(alpha, np.zeros((1, len(alpha))))
 
     def test_odd_symmetry_of_gradient(self):

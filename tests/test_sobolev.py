@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sobolevkit import sobolev
 from sobolevkit import weakdiff as wd
 from sobolevkit.cli import _alpha_label, _table
 from sobolevkit.grid import Box, GridFunction, lp_norm, make_grid
@@ -69,7 +70,8 @@ class TestDerivativeFamily:
         assert (1,) in fam
         assert (2,) not in fam
         assert fam.alphas() == [(0,), (1,)]
-        assert fam.missing_up_to(2) == [(2,)]
+        with pytest.raises(ValueError, match=r"missing derivatives \[\(2,\)\]"):
+            sobolev._check_family(fam.dim, 2, fam)
         assert fam.function is fam[(0,)]
 
     def test_requires_order_zero(self):
@@ -145,7 +147,7 @@ class TestSobolevNorm:
 
     def test_bad_arguments(self):
         fam = affine_family(unit_grid(100))
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="order k must be at least 0"):
             sobolev_norm(fam, -1, 2.0)
         with pytest.raises(ValueError, match=">= 1"):
             sobolev_norm(fam, 1, 0.5)

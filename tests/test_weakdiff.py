@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from functools import partial, reduce
 
 import numpy as np
@@ -9,7 +11,7 @@ from sobolevkit.cli import _table
 from sobolevkit.convolution import convolve
 from sobolevkit.grid import _SLAB_NODES, Box, GridFunction, _lattice_points, interior_region, make_grid
 from sobolevkit.mollifier import _bump_exponential, _bump_term, _inside_ball, standard_bump
-from sobolevkit.sobolev import enumerate_multi_indices
+from sobolevkit.sobolev import DerivativeFamily, enumerate_multi_indices, membership_report, sobolev_norm
 
 RAW_MASS_1D = 0.4439938161680794  # integral of exp(1/(z^2-1)) over [-1, 1]
 
@@ -40,6 +42,30 @@ class TestMultiIndex:
             wd.validate_multi_index((3,), 1)
         with pytest.raises(ValueError, match="below the minimum"):
             wd.validate_multi_index((0,), 1, min_order=1)
+
+
+ALPHA_ABOVE_CAP = "multi-index order 3 exceeds the supported maximum 2"
+K_ABOVE_CAP = "order k must be at most 2, got 3"
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda f, phi: standard_bump(1).derivative((3,), np.array([[0.5]])), ALPHA_ABOVE_CAP),
+        (lambda f, phi: phi.derivative((3,), np.array([[0.5]])), ALPHA_ABOVE_CAP),
+        (lambda f, phi: wd.verify_weak_derivative(f, f, (3,), [phi], 1e-3), ALPHA_ABOVE_CAP),
+        (lambda f, phi: DerivativeFamily({(0,): f, (3,): f}), ALPHA_ABOVE_CAP),
+        (lambda f, phi: sobolev_norm(DerivativeFamily({(0,): f}), 3, 2.0), K_ABOVE_CAP),
+        (lambda f, phi: membership_report(DerivativeFamily({(0,): f}), 3, 2.0, [phi], 1e-3), K_ABOVE_CAP),
+    ],
+    ids=["Mollifier.derivative", "TestFunction.derivative", "verify_weak_derivative", "DerivativeFamily",
+         "sobolev_norm", "membership_report"],
+)
+def test_library_entries_refuse_order_three_by_one_cap(refused, message):
+    # one multi-index rule and one cap, MAX_DERIVATIVE_ORDER, behind every entry
+    f = sample(unit_grid(100), np.sin)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused(f, wd.TestFunction((0.5,), 0.3))
 
 
 class TestBumpTestFunctions:
@@ -119,6 +145,31 @@ class TestBumpTestFunctions:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="radius"):
             wd.TestFunction((0.5,), 0.0)
+
+    def test_flat_points_follow_the_kernel_shape_rule(self):
+        # a flat array is one point in 2-d and 3-d, as for the kernels, not a run of points
+        flat = np.array([0.5, 0.5, 0.5, 0.6, 0.5, 0.5])
+        phi = wd.TestFunction((0.5,) * 3, 0.3)
+        for value in (phi.value, standard_bump(3).value):
+            with pytest.raises(ValueError, match=r"^points have last axis 6, expected 3$"):
+                value(flat)
+        np.testing.assert_array_equal(phi.value(flat[:3]), phi.value(flat[None, :3]))
+
+    @pytest.mark.parametrize("poly", [(0, 0), (1, 0), (1, 1), (2, 0)])
+    def test_product_rule_peak_is_six_ball_arrays(self, poly):
+        # only terms whose polynomial part can be nonzero are built, each summed
+        # in place: at most 6 arrays of the ball's nodes live at once
+        phi = wd.TestFunction((0.5, 0.5), 0.3377, poly)
+        window = wd._window(make_grid(Box((0.0, 0.0), (1.0, 1.0)), 200), phi)
+        array_bytes = 8 * len(window.e)
+        for alpha in enumerate_multi_indices(2, 2)[1:]:
+            tracemalloc.start()
+            try:
+                phi._closed_form(alpha, window.z, window.u, window.e)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * array_bytes + 4096, (alpha, peak / array_bytes)
 
 
 class TestCatalog:
