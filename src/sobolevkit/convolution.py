@@ -48,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import MAX_NODES, Box, Grid, GridFunction, Region, _lattice_points, _point_slabs, _row_slabs, interior_region, lp_norm, make_grid, quadrature
-from .mollifier import Mollifier, MultiIndex, standard_bump
+from .mollifier import Mollifier, MultiIndex, _squared_norms, standard_bump
 
 __all__ = [
     "OrbitEntry",
@@ -410,6 +410,6 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
         hit = kernel.values[rows].reshape(-1) != 0.0
         if hit.any():
             # node distances in units of the box half-width, so no square under- or overflows
-            reach = radius * np.sqrt(np.sum((pts[hit] / radius) ** 2, axis=-1))
+            reach = radius * np.sqrt(_squared_norms(pts[hit] / radius))
             support_radius = max(support_radius, float(reach.max()))
     return KernelReport(support_radius, quadrature(kernel), kernel)

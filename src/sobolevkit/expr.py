@@ -116,6 +116,9 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 # character no token can start.  ``\s`` and ``str.isspace`` agree on every
 # code point.
 _LEXABLE_RE = re.compile(rf"(?:\s+|{_NUMBER}|{_IDENT}|[-+*/^(),])*")
+# The characters below 256 at which no token can start, whatever follows,
+# read off ``_LEXABLE_RE`` itself: ``.`` is not one, as ``.0`` is a number.
+_UNLEXABLE_START = frozenset(c for c in map(chr, range(256)) if _LEXABLE_RE.match(c + "0").end() == 0)
 # One token per match; ``finditer`` skips the whitespace between them.
 _TOKEN_RE = re.compile(
     rf"(?P<number>{_NUMBER})|(?P<ident>{_IDENT})"
@@ -336,10 +339,15 @@ def _parse_core(source: str, dim: int) -> Ast | ParseError:
     A lexical error, the common case for random input, is found by one
     regex match and returned before any token exists; nothing is raised,
     and its message below code point 256 is built once per character.  A
-    lexable source with no token, ``""`` or all whitespace, gets the
-    descent's error at the end of input without a token or parser being
-    built: a lexable whitespace run is all ``\\s``, and no token holds any.
+    source whose first character is in ``_UNLEXABLE_START``, the table of
+    characters below 256 that start no token, is refused at offset 0 by
+    one set lookup, without the regex.  A lexable source with no token,
+    ``""`` or all whitespace, gets the descent's error at the end of input
+    without a token or parser being built: a lexable whitespace run is all
+    ``\\s``, and no token holds any.
     """
+    if source[:1] in _UNLEXABLE_START:
+        return ParseError(_UNEXPECTED[source[0]], 0)
     end = _LEXABLE_RE.match(source).end()
     if end < len(source):
         return ParseError(_UNEXPECTED[source[end]], end)

@@ -86,10 +86,20 @@ def _bump_exponential(r2: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDA
     return u, np.exp(1.0 / u)
 
 
+def _squared_norms(z: NDArray[np.float64]) -> NDArray[np.float64]:
+    # |z|^2 over the last axis, added column by column in axis order: the bits
+    # of np.sum(z * z, axis=-1), which sums an axis this short in order from
+    # its first entry (a square is never -0.0), without a reduction per point
+    r2 = z[..., 0] * z[..., 0]
+    for i in range(1, z.shape[-1]):
+        r2 += z[..., i] * z[..., i]
+    return r2
+
+
 def _inside_ball(z: NDArray[np.float64]) -> tuple[NDArray[np.bool_], NDArray[np.float64], NDArray[np.float64]]:
     # which points of z, shape (m, dim), lie in the open unit ball, where the
     # bump can be nonzero, and the bump's u and exp(1/u) at those
-    r2 = np.sum(z * z, axis=-1)
+    r2 = _squared_norms(z)
     inside = r2 < 1.0
     return inside, *_bump_exponential(r2[inside])
 
@@ -98,19 +108,34 @@ def _bump_term(
     axes: tuple[int, ...], coords: list[NDArray[np.float64]], u: NDArray[np.float64], e: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     # the derivative of exp(1/u) along ``axes`` (at most two) inside the ball,
-    # from ``_bump_exponential``'s u and e and the points' coordinates along ``axes``
+    # from ``_bump_exponential``'s u and e and the points' coordinates along ``axes``;
+    # each case is computed into one output array, in the operation order of
+    # its formula, so a term holds at most two (first order) or three (second
+    # order) arrays of the ball's nodes at once
     if not axes:
         return e
     if len(axes) == 1:
-        # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u)
+        # d/dx_i exp(1/u) = -2 x_i / u^2 * exp(1/u), as ((-2 x_i) / (u u)) e
         [xi] = coords
-        return -2.0 * xi / (u * u) * e
-    # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4)
+        term = np.multiply(-2.0, xi)
+        term /= u * u
+        term *= e
+        return term
+    # d2/dx_i dx_j exp(1/u) = exp(1/u) * (-2 delta_ij/u^2 + 8 x_i x_j/u^3 + 4 x_i x_j/u^4),
+    # as e (((8 x_i) x_j / u^3 + (4 x_i) x_j / u^4) - 2 / (u u))
     xi, xj = coords
-    term = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
+    term = np.multiply(8.0, xi)
+    term *= xj
+    term /= np.power(u, 3)
+    part = np.multiply(4.0, xi)
+    part *= xj
+    part /= np.power(u, 4)
+    term += part
     if axes[0] == axes[1]:
-        term = term - 2.0 / (u * u)
-    return e * term
+        np.multiply(u, u, out=part)
+        term -= np.divide(2.0, part, out=part)
+    term *= e
+    return term
 
 
 @dataclass(frozen=True)
@@ -204,7 +229,7 @@ def verify_unit(m: Mollifier, grid_resolution: int, tol: float = 1e-3) -> UnitRe
     for rows, pts in _point_slabs(grid):
         slab = m.value(pts)
         nonneg = nonneg and bool(np.min(slab) >= 0.0)
-        radii = np.sqrt(np.sum(pts * pts, axis=-1))
+        radii = np.sqrt(_squared_norms(pts))
         support_ok = support_ok and bool(np.all(slab[radii > m.eps] == 0.0))
         vals[rows] = slab.reshape(-1, *grid.node_shape[1:])
     mass = quadrature(GridFunction._adopt(grid, vals))

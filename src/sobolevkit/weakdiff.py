@@ -228,9 +228,9 @@ def _window(grid: Grid, phi: TestFunction) -> _Window:
         slices.append(s)
         zs.append((nodes[s] - phi.center[axis]) / phi.radius)
         weights.append(grid.axis_weights(axis)[s])
-    # |z|^2 summed over the axes in order, as np.sum(z * z, axis=-1) sums a
-    # point's squares, so the nodes left out are exactly those where phi and
-    # its derivatives are 0.0
+    # |z|^2 summed over the axes in order, as mollifier._squared_norms, the
+    # reference order of the |z|^2 sum, adds a point's squares, so the nodes
+    # left out are exactly those where phi and its derivatives are 0.0
     r2 = reduce(np.add.outer, [zi * zi for zi in zs])
     inside = r2 < 1.0
     z = np.stack([zi[index] for zi, index in zip(zs, np.nonzero(inside))], axis=-1)

@@ -494,6 +494,60 @@ class TestFastPaths:
         assert all(ord(ch) < 256 for ch in expr._UNEXPECTED)
 
 
+def _core_results(sources):
+    """``_parse_core``'s result for each source: the Ast, or the error's type and args."""
+    results = []
+    for source in sources:
+        result = _parse_core(source, 3)
+        results.append((type(result), result.args) if isinstance(result, ParseError) else result)
+    return results
+
+
+def _assert_table_keeps_regex_results(sources, monkeypatch):
+    # the regex path is the core with an empty table
+    sources = list(sources)
+    got = _core_results(sources)
+    with monkeypatch.context() as patch:
+        patch.setattr(expr, "_UNLEXABLE_START", frozenset())
+        want = _core_results(sources)
+    for source, g, w in zip(sources, got, want):
+        assert g == w, f"source {source!r}"
+
+
+_LATIN1 = [chr(cp) for cp in range(256)]
+
+
+class TestLexicalTable:
+    """``_UNLEXABLE_START`` holds exactly the characters that start no token, and changes no result."""
+
+    def test_table_is_every_character_no_continuation_lexes(self):
+        want = {
+            ch
+            for ch in _LATIN1
+            if all(expr._LEXABLE_RE.match(ch + after).end() == 0 for after in ["", *_LATIN1])
+        }
+        assert expr._UNLEXABLE_START == want
+        assert len(want) == 172 and "." not in want
+
+    def test_one_and_two_character_sources(self, monkeypatch):
+        _assert_table_keeps_regex_results(_LATIN1, monkeypatch)
+        _assert_table_keeps_regex_results((a + b for a in _LATIN1 for b in _LATIN1), monkeypatch)
+
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    def test_fuzz_strings(self, seed, monkeypatch):
+        chunks = acceptance._fuzz_chunks(random.Random(seed), acceptance.FUZZ_COUNT)
+        _assert_table_keeps_regex_results(itertools.chain.from_iterable(chunks), monkeypatch)
+
+    def test_sources_starting_above_256(self, monkeypatch):
+        # a line separator and the other whitespace above 255 lex; pi starts no token
+        wide = [ch for ch in _WHITESPACE if ord(ch) >= 256]
+        sources = ["\u2028x1", "\u03c0", "\u03c0 + 1", *(ch + "x1" for ch in wide), *wide]
+        assert all(ord(ch) < 256 for ch in expr._UNLEXABLE_START)
+        _assert_table_keeps_regex_results(sources, monkeypatch)
+        assert _parse_core("\u03c0", 3).args == ("unexpected character '\u03c0'", 0)
+        assert _parse_core("\u2028x1", 3) == expr.Var(0, 1)
+
+
 class TestErrorArgs:
     """Both error classes carry ``(message, offset)`` as their args and build the text in ``str``."""
 

@@ -14,9 +14,13 @@ from scipy.integrate import quad
 
 import sobolevkit
 from sobolevkit.grid import _SLAB_NODES, Box, GridFunction, make_grid, quadrature
+from sobolevkit.convolution import compose
 from sobolevkit.mollifier import (
     Mollifier,
     UnitReport,
+    _bump_exponential,
+    _bump_term,
+    _squared_norms,
     standard_bump,
     verify_unit,
 )
@@ -301,6 +305,91 @@ class TestSlabwiseVerifyUnit:
             tracemalloc.stop()
         assert report.passed
         assert peak <= 2 * 8 * nodes + 128 * _SLAB_NODES
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestSquaredNorms:
+    """``_squared_norms`` has the bits of ``np.sum(z * z, axis=-1)``, the reference order of |z|^2.
+
+    ``verify_unit``'s support radii are checked against ``one_pass_unit``'s
+    ``np.sum`` in ``TestSlabwiseVerifyUnit.test_matches_one_pass``.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_random_points(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for z in (
+            rng.uniform(-1.5, 1.5, (10_000, dim)),
+            rng.standard_normal((7, 9, dim)) * 10.0 ** rng.integers(-150, 150, (7, 9, dim)),
+            rng.uniform(-1.0, 1.0, (dim, 5000)).T,  # columns strided apart
+        ):
+            assert _same_bits(_squared_norms(z), np.sum(z * z, axis=-1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zeros_subnormals_and_overflow(self, dim):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = [0.0, -0.0, tiny, -tiny, 3e-310, 1e-160, 1.0, -0.7, 1e154, 1.4e154, -1e200, 1.8e308]
+        z = np.array(list(itertools.product(specials, repeat=dim)))
+        with np.errstate(over="ignore"):
+            got, want = _squared_norms(z), np.sum(z * z, axis=-1)
+        assert np.isinf(want).any() and (want == 0.0).any()
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("dim,res", [(1, 20000), (2, 256), (3, 40)])
+    def test_compose_support_radius_matches_whole_array_reference(self, dim, res):
+        a, b = standard_bump(dim, 0.1), standard_bump(dim, 0.06)
+        report = compose(a, b, res)
+        grid, radius = report.kernel.grid, a.eps + b.eps
+        pts = grid.points()
+        hit = report.kernel.values.reshape(-1) != 0.0
+        want = float((radius * np.sqrt(np.sum((pts[hit] / radius) ** 2, axis=-1))).max())
+        assert report.support_radius == want
+
+
+def _ball_node_peak(term, *args):
+    """``term(*args)``'s tracemalloc peak, and its result."""
+    tracemalloc.start()
+    try:
+        result = term(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestBumpTermTemporaries:
+    """Each ``_bump_term`` case is computed into one output array, with the bits of its formula."""
+
+    @staticmethod
+    def _ball():
+        # a 2-d ball of about 14,000 nodes
+        axis = np.linspace(-1.0, 1.0, 135)
+        z = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        z = z[np.sum(z * z, axis=-1) < 1.0]
+        return z, *_bump_exponential(np.sum(z * z, axis=-1))
+
+    def test_first_order_peaks_at_two_arrays(self):
+        z, u, e = self._ball()
+        assert 13_000 < len(u) < 15_000
+        for i in range(2):
+            xi = z[:, i].copy()
+            peak, term = _ball_node_peak(_bump_term, (i,), [xi], u, e)
+            assert peak <= 2 * u.nbytes + 4096, peak / u.nbytes
+            assert _same_bits(term, -2.0 * xi / (u * u) * e)
+
+    def test_second_order_peaks_at_three_arrays(self):
+        z, u, e = self._ball()
+        for axes in [(0, 0), (0, 1), (1, 1)]:
+            xi, xj = (z[:, i].copy() for i in axes)
+            peak, term = _ball_node_peak(_bump_term, axes, [xi, xj], u, e)
+            assert peak <= 3 * u.nbytes + 4096, (axes, peak / u.nbytes)
+            want = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
+            if axes[0] == axes[1]:
+                want = want - 2.0 / (u * u)
+            assert _same_bits(term, e * want)
 
 
 def test_mollifier_integrates_to_one_on_larger_box():
