@@ -59,9 +59,7 @@ def _unit_grid(res: int):
 
 
 def _sample(res: int, fn) -> GridFunction:
-    grid = _unit_grid(res)
-    x = grid.points()[:, 0]
-    return GridFunction(grid, fn(x))
+    return GridFunction.from_callable(_unit_grid(res), lambda pts: fn(pts[:, 0]))
 
 
 def _sin(res: int) -> GridFunction:
@@ -74,7 +72,7 @@ def _kink(res: int) -> GridFunction:
 
 def _smooth_bump(res: int) -> GridFunction:
     # wide enough that the largest ladder eps is already in the rate-4 regime
-    return _sample(res, lambda x: TestFunction((0.5,), 0.45).value(x.reshape(-1, 1)))
+    return GridFunction.from_callable(_unit_grid(res), TestFunction((0.5,), 0.45).value)
 
 
 def _sign(res: int) -> GridFunction:

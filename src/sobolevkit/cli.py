@@ -17,6 +17,7 @@ import io
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -152,11 +153,10 @@ def _expression_error(source: str, exc: ParseError | EvalError) -> CliError:
 
 def _sample_expression(source: str, grid) -> GridFunction:
     try:
-        ast = parse(source, grid.dim)
-        values = evaluate_many(ast, grid.points())
+        # evaluate_many is looked up per call, so a wrapper on this module's name sees every slab
+        return GridFunction.from_callable(grid, partial(evaluate_many, parse(source, grid.dim)))
     except (ParseError, EvalError) as exc:
         raise _expression_error(source, exc) from None
-    return GridFunction._adopt(grid, values)
 
 
 def _cell(value: object) -> str:

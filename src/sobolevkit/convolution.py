@@ -399,12 +399,9 @@ def compose(a: Mollifier, b: Mollifier, grid_resolution: int = 256) -> KernelRep
     _check_lattice_mass(a, float(_lattice_kernel(grid, a, None).sum()))
     admitted = _admit(grid, b, zero_extend=True)
     # a's samples and the support radius come slab by slab: the node points never exist whole
-    vals = np.empty(grid.node_shape)
-    for rows, pts in _point_slabs(grid):
-        vals[rows] = a.value(pts).reshape(-1, *grid.node_shape[1:])
-    kernel = _convolve_admitted(GridFunction._adopt(grid, vals), b, *admitted)[0]
-    # a's samples, b's lattice kernel and region: freed before the support radius and the mass
-    del admitted, vals
+    kernel = _convolve_admitted(GridFunction.from_callable(grid, a.value), b, *admitted)[0]
+    # b's lattice kernel and region, like a's samples: freed before the support radius and the mass
+    del admitted
     support_radius = 0.0
     for rows, pts in _point_slabs(grid):
         hit = kernel.values[rows].reshape(-1) != 0.0

@@ -39,6 +39,9 @@ RK4_STEP = 1e-3
 # Longest RK4 control run, |t| = 1000 at RK4_STEP.  The steps run in pure
 # Python, so an unbounded |t| could ask for hours of them.
 MAX_RK4_STEPS = 10**6
+# Largest chord-iteration budget.  Each iterate is a pure-Python evaluation
+# kept in the trace, so an unbounded budget could run for hours.
+MAX_NEWTON_ITER = 10**5
 
 
 class NewtonTrace(NamedTuple):
@@ -75,7 +78,8 @@ def newton_net(
     be nonzero.  Iteration stops when the residual drops to ``tol``, the
     budget runs out, or the trajectory diverges; divergence (including a
     non-finite iterate) yields ``converged = False`` with the finite
-    prefix of the trace.
+    prefix of the trace.  A ``max_iter`` above ``MAX_NEWTON_ITER`` raises
+    ``ValueError`` before any iterate.
     """
     df_a = float(df_a)
     y = float(y)
@@ -86,6 +90,8 @@ def newton_net(
         raise ValueError("df_a, y and x0 must be finite")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if max_iter > MAX_NEWTON_ITER:
+        raise ValueError(f"max_iter {max_iter} is above the limit of {MAX_NEWTON_ITER}")
 
     iterates = [x0]
     residuals = []

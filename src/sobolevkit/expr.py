@@ -457,7 +457,10 @@ def evaluate_many(node: Ast, points) -> NDArray[np.float64]:
     """Evaluate at each row of an ``(N, dim)`` point array, giving a float64 array of length ``N``.
 
     Each value is written straight into the array, so no list of Python
-    floats exists alongside it: sampling holds 8 bytes per point here.
+    floats exists alongside it: 8 bytes per point.  The grid commands call
+    it through ``GridFunction.from_callable``, once per slab of rows, so a
+    call's points are one slab's; the first point that fails raises its
+    ``EvalError``.
     """
     return np.fromiter((evaluate(node, row) for row in points), np.float64, count=len(points))
 

@@ -71,6 +71,8 @@ class Box:
         for i, (a, b) in enumerate(zip(lo, hi)):
             if not a < b:
                 raise ValueError(f"axis {i}: need lo < hi, got [{a}, {b}]")
+            if not math.isfinite(b - a):
+                raise ValueError(f"axis {i}: the width of [{a}, {b}] is beyond the float64 range")
 
     @property
     def dim(self) -> int:
@@ -211,9 +213,18 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]) -> "GridFunction":
-        """Sample ``fn`` at the grid nodes; ``fn`` maps ``(N, dim)`` points to ``(N,)`` values."""
-        vals = np.asarray(fn(grid.points()), dtype=np.float64)
-        return cls(grid, vals.reshape(grid.node_shape))
+        """Sample ``fn``, which maps ``(N, dim)`` points to ``N`` values, into one fresh array the function keeps.
+
+        ``fn`` must be pointwise: it is called once per run of ``_row_slabs`` rows, in row-major order, so the
+        node points never exist whole.  A result without one value per point (a scalar) raises ``ValueError``.
+        """
+        vals = np.empty(grid.node_shape)
+        for rows, pts in _point_slabs(grid):
+            slab = np.asarray(fn(pts), dtype=np.float64)
+            if slab.shape != pts.shape[:1]:
+                raise ValueError(f"sampling gave values of shape {slab.shape} for {len(pts)} points")
+            vals[rows] = slab.reshape(-1, *grid.node_shape[1:])
+        return cls._adopt(grid, vals)
 
     @classmethod
     def _adopt(cls, grid: Grid, vals: NDArray[np.float64]) -> "GridFunction":

@@ -218,19 +218,13 @@ def verify_unit(m: Mollifier, grid_resolution: int, tol: float = 1e-3) -> UnitRe
 
     Verifies nonnegativity and the exact-zero branch outside the support
     ball, and measures ``|quadrature - 1|`` against ``tol``.  The kernel
-    is sampled slab by slab into one value array, so the points and their
-    temporaries exist one slab at a time.
+    is sampled and its node radii taken slab by slab, so the points and
+    their temporaries exist one slab at a time.
     """
-    n = m.dim
-    box = Box((-m.eps,) * n, (m.eps,) * n)
-    grid = make_grid(box, int(grid_resolution))
-    vals = np.empty(grid.node_shape)
-    nonneg = support_ok = True
+    grid = make_grid(Box((-m.eps,) * m.dim, (m.eps,) * m.dim), int(grid_resolution))
+    f = GridFunction.from_callable(grid, m.value)
+    support_ok = True
     for rows, pts in _point_slabs(grid):
-        slab = m.value(pts)
-        nonneg = nonneg and bool(np.min(slab) >= 0.0)
         radii = np.sqrt(_squared_norms(pts))
-        support_ok = support_ok and bool(np.all(slab[radii > m.eps] == 0.0))
-        vals[rows] = slab.reshape(-1, *grid.node_shape[1:])
-    mass = quadrature(GridFunction._adopt(grid, vals))
-    return UnitReport(nonneg, support_ok, abs(mass - 1.0), float(tol))
+        support_ok = support_ok and bool(np.all(f.values[rows].reshape(-1)[radii > m.eps] == 0.0))
+    return UnitReport(bool(np.min(f.values) >= 0.0), support_ok, abs(quadrature(f) - 1.0), float(tol))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,8 @@ from sobolevkit.cli import (
     main,
     resolve_seed,
 )
-from sobolevkit.expr import EvalError
-from sobolevkit.grid import MAX_NODES
+from sobolevkit.expr import EvalError, evaluate_many, parse
+from sobolevkit.grid import MAX_NODES, Box, make_grid
 
 SQRT2 = 1.4142135623730951
 
@@ -398,6 +399,61 @@ def run_subprocess(argv, timeout=60):
     )
 
 
+class TestSampleExpression:
+    # the values' one array is the only full-grid allocation: the node points, 8 * dim
+    # bytes per node when built whole, exist one slab at a time
+    @pytest.mark.parametrize("dim,res", [(2, 300), (3, 60)])
+    def test_holds_the_values_and_one_slab(self, dim, res):
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
+        source = "exp(x1)*log(x2+1)+sin(x1*x2)"
+        tracemalloc.start()
+        try:
+            f = cli._sample_expression(source, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid.node_count + 512 * 1024
+        # the whole-grid walk's values, bit for bit
+        assert f.values.tobytes() == evaluate_many(parse(source, dim), grid.points()).tobytes()
+
+    @pytest.mark.parametrize("lo,hi,res", [("0,0", "1,1", "300"), ("0,0,0", "1,1,1", "60")])
+    def test_first_domain_error_in_a_later_slab(self, capsys, monkeypatch, lo, hi, res):
+        # log fails from x1 = 0.92 on and sqrt, which is evaluated first, from 0.97: the
+        # first failing node in row-major order, several slabs in, names the log
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return evaluate_many(*args)
+
+        monkeypatch.setattr(cli, "evaluate_many", counted)
+        source = "sqrt(0.97 - x1) + log(0.92 - x1)"
+        code, out, err = run(capsys, ["mollify", "--lo", lo, "--hi", hi, "--res", res, "--eps", "0.1", "--f", source])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == f"error: evaluating {source!r}: log of non-positive value in 'log(0.92-x1)' (at offset 18)\n"
+        assert len(calls) > 2
+
+
+class TestBoxWidth:
+    # finite corners whose width overflows: mollify, converge and commute printed numpy's
+    # "invalid value" warnings before a nan lattice mass, and weak-verify and sobolev
+    # said the test catalog would not fit
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mollify", "--eps", "0.1"],
+            ["converge", "--eps", "0.1,0.05"],
+            ["commute", "--eps", "0.1", "--u", "1"],
+            ["weak-verify", "--u", "1"],
+            ["sobolev", "--deriv", "1=1"],
+        ],
+    )
+    def test_exit_two_with_one_error_line(self, argv):
+        result = run_subprocess([*argv, "--lo=-1e308", "--hi=1e308", "--res", "40", "--f", "x1"])
+        assert (result.returncode, result.stdout) == (EXIT_VALIDATION, b"")
+        assert result.stderr.decode() == "error: axis 0: the width of [-1e+308, 1e+308] is beyond the float64 range\n"
+
+
 class TestRefusedBeforeWork:
     # each of these ran for hours (10^12 RK4 steps, 10^15 multi-indices)
     # or printed a 152 kB error line before the refusal came first
@@ -422,6 +478,9 @@ class TestRefusedBeforeWork:
              "t=1e+306 needs more than 1000000 RK4 steps of 0.001: |t| must be at most 1000"),
             (["flow", "--k", "0", "--x0", "1", "--s", "0", "--t", "1e305"],
              "t=1e+305 needs more than 1000000 RK4 steps of 0.001: |t| must be at most 1000"),
+            # still running after 10 s, keeping every iterate
+            (["newton", "--f", "sin(x1)", "--a", "0", "--y", "2", "--x0", "0", "--max-iter", "1000000000"],
+             "max_iter 1000000000 is above the limit of 100000"),
         ],
     )
     def test_exit_two_with_short_error(self, argv, message):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sobolevkit.cli import _table
 from sobolevkit.convolution import OrbitNet, orbit
 from sobolevkit.dynamics import (
+    MAX_NEWTON_ITER,
     MAX_RK4_STEPS,
     RK4_STEP,
     distributional_shadow,
@@ -97,6 +98,16 @@ class TestNewton:
             newton_net(lambda x: x, 1.0, math.inf, 0.0)
         with pytest.raises(ValueError, match="max_iter"):
             newton_net(lambda x: x, 1.0, 1.0, 0.0, max_iter=0)
+
+    def test_budget_limit(self):
+        # every iterate is kept, and a budget of 10^9 ran past 10 s; it is refused before f is called
+        def never(x):
+            raise AssertionError("f was called")
+
+        message = f"max_iter {MAX_NEWTON_ITER + 1} is above the limit of {MAX_NEWTON_ITER}"
+        with pytest.raises(ValueError, match=message):
+            newton_net(never, 1.0, 1.0, 0.0, max_iter=MAX_NEWTON_ITER + 1)
+        assert newton_net(lambda x: x, 1.0, 1.0, 0.0, max_iter=MAX_NEWTON_ITER).converged
 
     def test_anchor_recorded(self):
         trace = newton_net(lambda x: x, 2.0, 1.0, 0.0, anchor=7.0)

@@ -58,6 +58,11 @@ class TestBox:
         with pytest.raises(ValueError):
             Box((0.0,), (math.inf,))
 
+    def test_rejects_width_beyond_float64(self):
+        # finite corners whose hi - lo overflows: the axis's spacing would be inf
+        with pytest.raises(ValueError, match=r"axis 1: the width of \[-1e\+308, 1e\+308\] is beyond the float64 range"):
+            Box((0.0, -1e308), (1.0, 1e308))
+
 
 class TestGrid:
     def test_nodes_of_unit_grid(self):
@@ -155,6 +160,37 @@ class TestGridFunction:
             tracemalloc.stop()
         assert np.all(d.values == 0.5) and not d.values.flags.writeable
         assert peak - 8 * grid.node_count < 1.5 * grid.node_count
+
+
+def _smooth(pts):
+    return np.sin(3.0 * pts[:, 0]) * np.exp(pts[:, -1]) + pts[:, 0] * pts[:, -1]
+
+
+class TestFromCallable:
+    # 20001, 301^2 and 41^3 nodes: 3, 12 and 11 slabs, the last one short
+    @pytest.mark.parametrize("dim,res", [(1, 20000), (2, 300), (3, 40)])
+    def test_equals_one_call_on_all_points(self, dim, res):
+        grid = make_grid(Box((-1.0,) * dim, (2.0,) * dim), res)
+        slabs = []
+
+        def fn(pts):
+            slabs.append(pts.copy())
+            return _smooth(pts)
+
+        f = GridFunction.from_callable(grid, fn)
+        # one call per slab, in row-major order: together they are grid.points()
+        assert len(slabs) > 2 and max(map(len, slabs)) <= _SLAB_NODES
+        assert np.array_equal(np.concatenate(slabs), grid.points())
+        assert f.values.tobytes() == _smooth(grid.points()).tobytes()
+        assert f.values.shape == grid.node_shape and not f.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "fn", [lambda pts: 1.0, lambda pts: np.zeros(len(pts) - 1), lambda pts: pts, lambda pts: np.zeros((len(pts), 1))]
+    )
+    def test_refuses_a_result_without_one_value_per_point(self, fn):
+        # a scalar would broadcast over the slab: the result must be one flat value per point
+        with pytest.raises(ValueError, match="for 11 points"):
+            GridFunction.from_callable(unit_grid(10), fn)
 
 
 class TestQuadrature:
