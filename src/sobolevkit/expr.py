@@ -458,9 +458,10 @@ def evaluate_many(node: Ast, points) -> NDArray[np.float64]:
 
     Each value is written straight into the array, so no list of Python
     floats exists alongside it: 8 bytes per point.  The grid commands call
-    it through ``GridFunction.from_callable``, once per slab of rows, so a
-    call's points are one slab's; the first point that fails raises its
-    ``EvalError``.
+    it once per slab of rows, on the grid's points for an expression they
+    walk whole and on a part's own lattice for a separable one (one node
+    on each axis the part does not read), so a call's points are one
+    slab's; the first point that fails raises its ``EvalError``.
     """
     return np.fromiter((evaluate(node, row) for row in points), np.float64, count=len(points))
 

@@ -187,6 +187,31 @@ def _point_slabs(grid: Grid) -> Iterable[tuple[slice, NDArray[np.float64]]]:
         yield rows, _lattice_points([axes[0][rows], *axes[1:]])
 
 
+def _sample_lattice(
+    axes: Sequence[NDArray[np.float64]], fn: Callable[[NDArray[np.float64]], NDArray[np.float64]]
+) -> NDArray[np.float64]:
+    """``fn`` at every point of the tensor lattice of ``axes``, in one fresh array of shape ``(len(a) for a in axes)``.
+
+    ``fn`` maps ``(N, len(axes))`` points to ``N`` values.  It is called once per run of ``_row_slabs`` rows of the
+    first axis with more than one node, in row-major order, so the lattice's points never exist whole.  A result
+    without one value per point (a scalar) raises ``ValueError``.
+    """
+    shape = tuple(map(len, axes))
+    # leading one-node axes add nothing to the row-major order: slab the first longer axis
+    lead = next((i for i, n in enumerate(shape) if n > 1), 0)
+    vals = np.empty(shape)
+    rows_of = vals.reshape(shape[lead:])
+    for rows in _row_slabs(shape[lead:]):
+        pts = _lattice_points([*axes[:lead], axes[lead][rows], *axes[lead + 1 :]])
+        slab = np.asarray(fn(pts), dtype=np.float64)
+        if slab.shape != pts.shape[:1]:
+            raise ValueError(f"sampling gave values of shape {slab.shape} for {len(pts)} points")
+        rows_of[rows] = slab.reshape(-1, *shape[lead + 1 :])
+        # the next slab's points are built with this slab's gone
+        del pts, slab
+    return vals
+
+
 def make_grid(box: Box, resolution: int | Sequence[int]) -> Grid:
     """Build a uniform grid over ``box`` with ``resolution`` cells per axis."""
     if isinstance(resolution, (int, np.integer)):
@@ -218,13 +243,7 @@ class GridFunction:
         ``fn`` must be pointwise: it is called once per run of ``_row_slabs`` rows, in row-major order, so the
         node points never exist whole.  A result without one value per point (a scalar) raises ``ValueError``.
         """
-        vals = np.empty(grid.node_shape)
-        for rows, pts in _point_slabs(grid):
-            slab = np.asarray(fn(pts), dtype=np.float64)
-            if slab.shape != pts.shape[:1]:
-                raise ValueError(f"sampling gave values of shape {slab.shape} for {len(pts)} points")
-            vals[rows] = slab.reshape(-1, *grid.node_shape[1:])
-        return cls._adopt(grid, vals)
+        return cls._adopt(grid, _sample_lattice([grid.axis_nodes(i) for i in range(grid.dim)], fn))
 
     @classmethod
     def _adopt(cls, grid: Grid, vals: NDArray[np.float64]) -> "GridFunction":
@@ -239,8 +258,8 @@ class GridFunction:
         return f
 
     def _keep(self, vals: NDArray[np.float64]) -> None:
-        # checked finite, then read-only: the one array this function holds
-        if not np.all(np.isfinite(vals)):
+        # checked finite slab by slab, then read-only: the one array this function holds
+        if not all(np.isfinite(vals[rows]).all() for rows in _row_slabs(vals.shape)):
             raise ValueError("grid function values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

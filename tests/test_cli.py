@@ -433,6 +433,121 @@ class TestSampleExpression:
         assert err == f"error: evaluating {source!r}: log of non-positive value in 'log(0.92-x1)' (at offset 18)\n"
         assert len(calls) > 2
 
+    # (dim, lo, hi, source, splits): a + - * / whose operands each read fewer axes is
+    # broadcast, every other node is walked on the lattice of the axes it reads
+    SPLIT_TABLE = [
+        (1, -1.0, 1.0, "x1", False),
+        (1, -1.0, 1.0, "2.5", True),
+        (1, -1.0, 1.0, "-0", True),
+        (2, -1.0, 1.0, "pi", True),
+        (2, -1.0, 1.0, "sin(3*x1+0.5)*x2", True),
+        (2, -1.0, 1.0, "3.1*cos(3.1*x1+0.5)*x2", True),
+        (2, -1.0, 1.0, "sin(3.1*x1+0.5)", True),
+        (2, -1.0, 1.0, "x2", True),
+        # a box straddling 0: signed zeros from both sides of each product
+        (2, -1.0, 1.0, "x1*(0-x2)", True),
+        (2, -1.0, 1.0, "(0-x1)*x2 - 0*x1", False),
+        (2, -1.0, 1.0, "x1/(x2+2)", True),
+        (2, 0.0, 1.0, "(x1+1)/(x2+1)*x1", False),
+        (2, 0.0, 1.0, "(x1-0.5)*(x2-0.5)", True),
+        (2, 0.0, 1.0, "exp(x1)/(1+x2)", True),
+        (2, 0.0, 1.0, "exp(-abs(x1-0.3))*sin(2*pi*x2+1.2)+log(1+x1*x2)", False),
+        (2, 0.0, 1.0, "min(x1, x2)", False),
+        (2, 0.0, 1.0, "x1*1e-300*x2*1e-300", False),
+        (3, -1.0, 1.0, "x1", True),
+        (3, -1.0, 1.0, "x2*x3", True),
+        (3, -1.0, 1.0, "x1*x2*x3", True),
+        (3, -1.0, 1.0, "x3*(x1-x2)", True),
+        (3, 0.0, 1.0, "abs(x1-0.5)+x2*x3", True),
+        (3, 0.0, 1.0, "(x1+x2)/(x3+0.5)", True),
+        (3, 0.0, 1.0, "log(1+x2*x3)*x1", True),
+        (3, 0.0, 1.0, "exp(x1)*log(x2+1)+sin(x1*x3)", True),
+        (3, 0.0, 1.0, "exp(x1)*x2+sin(x1*x2*x3)", False),
+    ]
+
+    @pytest.mark.parametrize("dim,lo,hi,source,splits", SPLIT_TABLE)
+    def test_split_equals_the_walk(self, dim, lo, hi, source, splits):
+        grid = make_grid(Box((lo,) * dim, (hi,) * dim), {1: 50, 2: 30, 3: 12}[dim])
+        ast = parse(source, dim)
+        assert (cli._split_sample(ast, grid) is not None) == splits
+        f = cli._sample_expression(source, grid)
+        assert f.values.tobytes() == evaluate_many(ast, grid.points()).tobytes()
+
+    @pytest.mark.parametrize(
+        "lo,hi,source,message",
+        [
+            ("0,0", "1,1", "x2/(x1-0.5)", "division by zero in 'x2/(x1-0.5)' (at offset 2)"),
+            ("0,0", "1,1", "exp(700*x1)*exp(700*x2)", "non-finite result in 'exp(700*x1)*exp(700*x2)' (at offset 11)"),
+            ("0,0", "1,1", "sqrt(0.5-x2)*log(x1)", "log of non-positive value in 'log(x1)' (at offset 13)"),
+            ("0,0,0", "1,1,1", "(x1+x2)/(x3-0.5)", "division by zero in '(x1+x2)/(x3-0.5)' (at offset 7)"),
+            ("0,0", "1,1", "1/(x1-0.5)*x2", "division by zero in '1/(x1-0.5)' (at offset 1)"),
+            # the right part fails at the first node, the left only in later rows
+            ("0,0", "1,1", "log(0.9-x1)*log(x2-0.1)", "log of non-positive value in 'log(x2-0.1)' (at offset 12)"),
+            ("0,0", "1,1", "(1e300*x1+1e300)/(1e-300*x2+1e-300)",
+             "non-finite result in '(1e+300*x1+1e+300)/(1e-300*x2+1e-300)' (at offset 16)"),
+            ("0,0,0", "1,1,1", "sqrt(x2-0.5)*x3", "sqrt of negative value in 'sqrt(x2-0.5)' (at offset 0)"),
+            ("0,0,0", "1,1,1", "log(x1)", "log of non-positive value in 'log(x1)' (at offset 0)"),
+        ],
+    )
+    def test_split_errors_are_the_walks(self, capsys, lo, hi, source, message):
+        # a part that fails drops the split: the whole-grid walk raises its own error
+        code, out, err = run(capsys, ["mollify", "--lo", lo, "--hi", hi, "--res", "40", "--eps", "0.2", "--f", source])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == f"error: evaluating {source!r}: {message}\n"
+
+    def test_separable_parts_walk_their_own_lattice(self, capsys, monkeypatch):
+        # pairing-2d's argv shape: sin(...)*x2 and w*cos(...)*x2 walk two 101-node axes each,
+        # sin(...) one; the whole-grid walk took 3 * 101^2 points
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return evaluate_many(*args)
+
+        monkeypatch.setattr(cli, "evaluate_many", counted)
+        argv = ["sobolev", "--lo", "0,0", "--hi", "1,1", "--res", "100", "--k", "1", "--count", "8",
+                "--f", "sin(3.1*x1+0.5)*x2", "--deriv", "1,0=3.1*cos(3.1*x1+0.5)*x2", "--deriv", "0,1=sin(3.1*x1+0.5)"]
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK and out.splitlines()[-1].endswith(",true")
+        assert sum(calls) <= 5 * 101
+
+    @pytest.mark.parametrize(
+        "dim,res,source",
+        [
+            (2, 1000, "sin(3*x1+0.5)*x2"),
+            (2, 300, "(x1+1)/(x2+1)"),
+            (3, 100, "x1"),
+            # the walked part log(1+x2*x3) is 101^2 nodes, two slabs
+            (3, 100, "log(1+x2*x3)*x1"),
+            (3, 100, "(x1+x2)/(x3+0.5)"),
+        ],
+    )
+    def test_split_holds_the_values_and_one_slab(self, dim, res, source):
+        # every part reads fewer axes than the grid; the values are broadcast into and
+        # checked finite one slab at a time
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
+        assert cli._split_sample(parse(source, dim), grid) is not None
+        tracemalloc.start()
+        try:
+            cli._sample_expression(source, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid.node_count + 512 * 1024
+
+    @pytest.mark.parametrize("dim,res,source", [(2, 300, "exp(x1)*log(x2+1)+sin(x1*x2)"), (3, 60, "exp(x1)*x2+sin(x1*x2*x3)")])
+    def test_walk_holds_one_slab_of_points(self, dim, res, source):
+        # the previous slab's points and values die before the next slab's are built
+        grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
+        assert cli._split_sample(parse(source, dim), grid) is None
+        tracemalloc.start()
+        try:
+            cli._sample_expression(source, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * grid.node_count + 256 * 1024
+
 
 class TestBoxWidth:
     # finite corners whose width overflows: mollify, converge and commute printed numpy's
@@ -481,6 +596,11 @@ class TestRefusedBeforeWork:
             # still running after 10 s, keeping every iterate
             (["newton", "--f", "sin(x1)", "--a", "0", "--y", "2", "--x0", "0", "--max-iter", "1000000000"],
              "max_iter 1000000000 is above the limit of 100000"),
+            # a budget is refused before --f is evaluated for the frozen slope: log(0) there exited 3
+            (["newton", "--f", "log(x1)", "--a", "0", "--y", "2", "--x0", "1", "--max-iter", "1000000000"],
+             "max_iter 1000000000 is above the limit of 100000"),
+            (["newton", "--f", "log(x1)", "--a", "0", "--y", "2", "--x0", "1", "--max-iter", "0"],
+             "max_iter must be at least 1, got 0"),
         ],
     )
     def test_exit_two_with_short_error(self, argv, message):
