@@ -17,7 +17,6 @@ import io
 import math
 import os
 import sys
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -27,8 +26,8 @@ from . import acceptance
 from .acceptance import DEFAULT_SEED
 from .convolution import _admit, _check_ladder, compose, convergence_study, convolve
 from .dynamics import _check_max_iter, exponential_flow, newton_net
-from .expr import Ast, BinOp, Call, EvalError, GRAMMAR_HELP, Neg, ParseError, Var, evaluate, evaluate_many, excerpt, parse
-from .grid import Box, Grid, GridFunction, _row_slabs, _sample_lattice, format_float, make_grid, write_grid_function_csv
+from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, excerpt, parse, sample
+from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump
 from .sobolev import DerivativeFamily, _check_family, membership_report
 from .weakdiff import _commutation_gap, test_function_catalog, validate_multi_index, verify_weak_derivative
@@ -64,6 +63,13 @@ def _parse_float(raw: str, what: str) -> float:
         return float(raw)
     except ValueError:
         raise CliError(f"{what} must be a number, got {raw!r}") from None
+
+
+def _parse_finite(raw: str, what: str) -> float:
+    value = _parse_float(raw, what)
+    if not math.isfinite(value):
+        raise CliError(f"{what} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, what: str) -> int:
@@ -154,95 +160,9 @@ def _expression_error(source: str, exc: ParseError | EvalError) -> CliError:
 def _sample_expression(source: str, grid: Grid) -> GridFunction:
     try:
         ast = parse(source, grid.dim)
-        vals = _split_sample(ast, grid)
-        if vals is not None:
-            return GridFunction._adopt(grid, vals)
-        # evaluate_many is looked up per call, so a wrapper on this module's name sees every slab
-        return GridFunction.from_callable(grid, partial(evaluate_many, ast))
+        return GridFunction._adopt(grid, sample(ast, [grid.axis_nodes(i) for i in range(grid.dim)]))
     except (ParseError, EvalError) as exc:
         raise _expression_error(source, exc) from None
-
-
-# IEEE + - * / are correctly rounded: numpy's give the bits of the walk's Python float ops
-_BROADCAST_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-
-def _reads(node: Ast) -> frozenset[int]:
-    """The axes whose coordinate ``node`` reads: the indices of the ``x_i`` below it."""
-    if isinstance(node, Var):
-        return frozenset((node.index,))
-    if isinstance(node, Neg):
-        return _reads(node.operand)
-    if isinstance(node, BinOp):
-        return _reads(node.left) | _reads(node.right)
-    if isinstance(node, Call):
-        return frozenset().union(*map(_reads, node.args))
-    return frozenset()
-
-
-def _operand_reads(node: Ast, reads: frozenset[int]) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The axes each operand of ``node`` reads, where ``node`` is a ``+ - * /`` whose operands each read fewer than it."""
-    if not (isinstance(node, BinOp) and node.op in _BROADCAST_OPS):
-        return None
-    left, right = _reads(node.left), _reads(node.right)
-    return (left, right) if left < reads and right < reads else None
-
-
-def _broadcast(op: str, left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | None:
-    """``left op right`` by numpy broadcasting, into ``out`` if given, or ``None`` where the walk fails.
-
-    The walk fails at a zero divisor and at a non-finite result.  The operands are finite, so a zero divisor
-    gives an inf or a nan here: one finiteness check finds both, and no numpy warning is printed.
-    """
-    with np.errstate(all="ignore"):
-        out = _BROADCAST_OPS[op](left, right, out=out)
-    return out if np.isfinite(out).all() else None
-
-
-def _lattice_values(node: Ast, grid: Grid, reads: frozenset[int]) -> np.ndarray | None:
-    """``node`` at each node of the lattice of the axes in ``reads``, one node on every other axis; ``None`` where the walk fails.
-
-    A ``+ - * /`` whose operands each read fewer axes is the broadcast of their arrays; any other node is walked.
-    """
-    operands = _operand_reads(node, reads)
-    if operands is not None:
-        left = _lattice_values(node.left, grid, operands[0])
-        right = None if left is None else _lattice_values(node.right, grid, operands[1])
-        return None if right is None else _broadcast(node.op, left, right)
-    axes = [grid.axis_nodes(i) if i in reads else grid.axis_nodes(i)[:1] for i in range(grid.dim)]
-    try:
-        return _sample_lattice(axes, partial(evaluate_many, node))
-    except EvalError:
-        return None
-
-
-def _split_sample(ast: Ast, grid: Grid) -> np.ndarray | None:
-    """The values of ``ast`` on ``grid``, formed from parts that each read fewer axes than the grid, or ``None``.
-
-    ``None`` where the root reads every axis and is walked, and where some part fails: every node of a part's
-    lattice is the projection of a grid node where the walk meets that part on the same floats, so a part fails
-    only where the walk does, and the caller's walk raises its exact error.  The values are the one full-grid
-    array; the root's broadcast fills it one ``_row_slabs`` slab at a time.
-    """
-    reads = _reads(ast)
-    if len(reads) < grid.dim:
-        # a root that reads few axes is formed on its own lattice, then broadcast
-        op, parts = None, [_lattice_values(ast, grid, reads)]
-    else:
-        operands = _operand_reads(ast, reads)
-        if operands is None:
-            return None
-        op, parts = ast.op, [_lattice_values(sub, grid, r) for sub, r in zip((ast.left, ast.right), operands)]
-    if any(part is None for part in parts):
-        return None
-    vals = np.empty(grid.node_shape)
-    for rows in _row_slabs(grid.node_shape):
-        cut = [part[rows] if len(part) > 1 else part for part in parts]
-        if op is None:
-            vals[rows] = cut[0]
-        elif _broadcast(op, *cut, out=vals[rows]) is None:
-            return None
-    return vals
 
 
 def _cell(value: object) -> str:
@@ -377,27 +297,26 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
-    a = _parse_float(args.a, "--a")
-    y = _parse_float(args.y, "--y")
-    x0 = _parse_float(args.x0, "--x0")
+    a = _parse_finite(args.a, "--a")
+    y = _parse_finite(args.y, "--y")
+    x0 = _parse_finite(args.x0, "--x0")
     max_iter = _parse_int(args.max_iter, "--max-iter")
     # refused before --f is evaluated for the frozen slope, whatever the expression
     _check_max_iter(max_iter)
     tol = _parse_tol(args.tol)
     try:
         ast = parse(args.f, 1)
-    except ParseError as exc:
-        raise _expression_error(args.f, exc) from None
 
-    def fn(x: float) -> float:
-        return evaluate(ast, (x,))
+        def fn(x: float) -> float:
+            return evaluate(ast, (x,))
 
-    try:
         # frozen chord slope from a central difference at the anchor
         h = 1e-6
         df_a = (fn(a + h) - fn(a - h)) / (2.0 * h)
+        if not math.isfinite(df_a):
+            raise CliError(f"the frozen slope of --f at --a {format_float(a)} is beyond the float64 range", EXIT_NUMERICAL)
         trace = newton_net(fn, df_a, y, x0, max_iter=max_iter, tol=tol, anchor=a)
-    except EvalError as exc:
+    except (ParseError, EvalError) as exc:
         raise _expression_error(args.f, exc) from None
     status = "converged" if trace.converged else "did not converge"
     print(f"newton: {status} after {trace.iterations} iterations", file=sys.stderr)

@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import format_float
+from .grid import _row_slabs, _sample_lattice, format_float
 
 __all__ = [
     "Token",
@@ -43,6 +44,7 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_many",
+    "sample",
     "to_source",
     "GRAMMAR_HELP",
 ]
@@ -456,14 +458,85 @@ def evaluate(node: Ast, point: Sequence[float]) -> float:
 def evaluate_many(node: Ast, points) -> NDArray[np.float64]:
     """Evaluate at each row of an ``(N, dim)`` point array, giving a float64 array of length ``N``.
 
-    Each value is written straight into the array, so no list of Python
-    floats exists alongside it: 8 bytes per point.  The grid commands call
-    it once per slab of rows, on the grid's points for an expression they
-    walk whole and on a part's own lattice for a separable one (one node
-    on each axis the part does not read), so a call's points are one
-    slab's; the first point that fails raises its ``EvalError``.
+    Each value goes straight into the array: 8 bytes per point, no list of Python floats.  ``sample`` calls it
+    once per slab of each part it walks; the first point that fails raises its ``EvalError``.
     """
     return np.fromiter((evaluate(node, row) for row in points), np.float64, count=len(points))
+
+
+# IEEE + - * / are correctly rounded: numpy's give the bits of the walk's Python float ops
+_BROADCAST_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+class _SplitFailed(Exception):
+    """A part on a lattice smaller than the whole failed: the walk fails there too, though maybe elsewhere first."""
+
+
+def _reads(node: Ast) -> frozenset[int]:
+    """The axes whose coordinate ``node`` reads: the indices of the ``x_i`` below it."""
+    if isinstance(node, Var):
+        return frozenset((node.index,))
+    if isinstance(node, Neg):
+        return _reads(node.operand)
+    if isinstance(node, BinOp):
+        return _reads(node.left) | _reads(node.right)
+    if isinstance(node, Call):
+        return frozenset().union(*map(_reads, node.args))
+    return frozenset()
+
+
+def sample(node: Ast, axes: Sequence[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """``node`` at every point of the tensor lattice of ``axes``, in one fresh array of shape ``(len(a) for a in axes)``.
+
+    The bits and the first ``EvalError`` of ``evaluate_many`` over the lattice's points in row-major order.  Each
+    part, the root too, is formed on the lattice of the axes it reads (``_part``), then broadcast.  A part fails
+    only where the walk does, on the same floats, but the walk may fail elsewhere first: so where a part on a
+    smaller lattice fails, the whole lattice is walked for the walk's own error.
+    """
+    try:
+        vals = _part(node, axes, _reads(node))
+    except _SplitFailed:
+        return _sample_lattice(axes, partial(evaluate_many, node))
+    shape = tuple(map(len, axes))
+    # np.positive copies each value, -0.0 included
+    return vals if vals.shape == shape else _slabwise(np.positive, shape, [vals])
+
+
+def _part(node: Ast, axes: Sequence[NDArray[np.float64]], reads: frozenset[int]) -> NDArray[np.float64]:
+    """``node`` on the lattice of the axes in ``reads``, one node on every other axis of ``axes``.
+
+    A ``+ - * /`` whose operands each read fewer axes is the broadcast of their parts, ``left op right``; any other
+    node is walked, raising its ``EvalError`` on the whole lattice and ``_SplitFailed`` on a smaller one.
+    """
+    lattice = [a if i in reads else a[:1] for i, a in enumerate(axes)]
+    if isinstance(node, BinOp) and node.op in _BROADCAST_OPS:
+        operands = [(node.left, _reads(node.left)), (node.right, _reads(node.right))]
+        if all(sub_reads < reads for _, sub_reads in operands):
+            parts = [_part(sub, axes, sub_reads) for sub, sub_reads in operands]
+            return _slabwise(_BROADCAST_OPS[node.op], tuple(map(len, lattice)), parts)
+    try:
+        # evaluate_many is looked up per call, so a wrapper on this module's name sees every slab
+        return _sample_lattice(lattice, partial(evaluate_many, node))
+    except EvalError:
+        if reads.issuperset(range(len(axes))):
+            raise
+        raise _SplitFailed from None
+
+
+def _slabwise(op: np.ufunc, shape: tuple[int, ...], parts: Sequence[NDArray[np.float64]]) -> NDArray[np.float64]:
+    """``op`` of ``parts`` broadcast to ``shape``, in one fresh array written one ``_row_slabs`` slab at a time.
+
+    The walk fails at a zero divisor and at a non-finite result.  The parts are finite, so a zero divisor gives an
+    inf or a nan: one finiteness check per slab finds both and raises ``_SplitFailed``, with no numpy warning.
+    """
+    out = np.empty(shape)
+    for rows in _row_slabs(shape):
+        slab = out[rows]
+        with np.errstate(all="ignore"):
+            op(*(part[rows] if len(part) > 1 else part for part in parts), out=slab)
+        if not np.isfinite(slab).all():
+            raise _SplitFailed
+    return out
 
 
 _PREC_ATOM = 5

@@ -10,6 +10,7 @@ and the grid-function CSV writer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence, TextIO
@@ -326,10 +327,10 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     Finite ``p >= 1`` integrates ``|f|^p`` with the trapezoid rule and
     takes the p-th root; ``p = inf`` takes the max of ``|f|`` over the
     region's nodes (the grid stand-in for the essential supremum).  When
-    ``|f|^p`` overflows, the sum is redone on ``|f| / max|f|`` and the
-    root scaled back, so a finite norm is never reported as ``inf``; a
-    norm beyond float64 raises ``OverflowError``.  ``region=None`` is the
-    whole grid.
+    the sum of ``|f|^p`` overflows or underflows (p = 200, |f| near 1e-3),
+    it is redone on ``|f| / max|f|`` and the root scaled back, so no
+    finite norm reads ``inf`` and no nonzero one 0; a norm beyond float64
+    raises ``OverflowError``.  ``region=None`` is the whole grid.
     """
     if region is not None and region.grid != f.grid:
         raise ValueError("region and grid function live on different grids")
@@ -342,11 +343,17 @@ def lp_norm(f: GridFunction, p: float, region: Region | None = None) -> float:
     if not p >= 1.0:  # also refuses nan
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     total = _weighted_power_sum(f, p, mask)
-    if math.isfinite(total):
+    if not _needs_rescale(total):
         return total ** (1.0 / p)
-    top = float(np.max(np.abs(f.values), where=mask, initial=0.0))
+    # all zero: the sum is 0 on any scale
+    top = float(np.max(np.abs(f.values), where=mask, initial=0.0)) or 1.0
     total = _weighted_power_sum(f, p, mask, top)
     return _finite_norm(top * total ** (1.0 / p), "L^p", p)
+
+
+def _needs_rescale(total: float) -> bool:
+    """Whether a sum of p-th powers overflowed or fell below float64's normal range, so its root is inf, 0 or inexact."""
+    return not sys.float_info.min <= total < math.inf
 
 
 def _weighted_power_sum(f: GridFunction, p: float, mask: NDArray[np.bool_] | bool, top: float = 1.0) -> float:

@@ -16,7 +16,7 @@ import math
 from itertools import product as _cartesian
 from typing import Container, Mapping, NamedTuple, Sequence
 
-from .grid import GridFunction, _finite_norm, lp_norm
+from .grid import GridFunction, _finite_norm, _needs_rescale, lp_norm
 from .mollifier import MAX_DERIVATIVE_ORDER, MultiIndex, validate_multi_index
 from .weakdiff import TestFunction, _verify_family
 
@@ -117,10 +117,10 @@ def _combine_norms(norms: Sequence[float], p: float) -> float:
         total = sum(x**p for x in norms)
     except OverflowError:
         total = math.inf
-    if math.isfinite(total):
+    if not _needs_rescale(total):
         return total ** (1.0 / p)
     # combine the per-alpha norms relative to the largest, as lp_norm does
-    top = max(norms)
+    top = max(norms) or 1.0  # all zero: 0 on any scale
     return _finite_norm(top * sum((x / top) ** p for x in norms) ** (1.0 / p), "W^{k,p}", p)
 
 

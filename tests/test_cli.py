@@ -9,7 +9,7 @@ import pytest
 
 import sobolevkit
 
-from sobolevkit import cli, convolution
+from sobolevkit import cli, convolution, expr
 from sobolevkit.cli import (
     DEFAULT_SEED,
     EXIT_NUMERICAL,
@@ -331,6 +331,37 @@ class TestNewton:
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == f"error: evaluating {f!r}: {message} (at offset {f.index('^')})\n"
 
+    def test_frozen_slope_beyond_float64_is_numerical(self, capsys):
+        # (1e303 - 0) / 2e-6 overflows: exit 3 naming --a, where newton_net's "df_a" message exited 2
+        code, out, err = run(capsys, ["newton", "--f", "step(x1)*1e303", "--a", "0", "--y", "0", "--x0", "1"])
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == "error: the frozen slope of --f at --a 0 is beyond the float64 range\n"
+
+    @pytest.mark.parametrize("flag,raw", [("--a", "inf"), ("--y", "nan"), ("--x0", "-inf")])
+    def test_non_finite_flag_is_invalid(self, capsys, flag, raw):
+        argv = {"--a": "1", "--y": "2", "--x0": "1"} | {flag: raw}
+        code, out, err = run(capsys, ["newton", "--f", "x1^2", *(f"{k}={v}" for k, v in argv.items())])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: {flag} must be finite, got {raw!r}\n"
+
+
+class TestLargeFiniteP:
+    # the sums of p-th powers underflowed to 0: errors 0,0 with ratio inf, and lp_norm 0 for
+    # the constant 1e-3, all with exit 0
+    def test_converge_errors_are_nonzero(self, capsys):
+        code, out, _ = run(capsys, ["converge", "--res", "40", "--eps", "0.2,0.1", "--p", "200", "--f", "x1"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert all(float(error) > 0.0 for _, error, _ in rows)
+        assert rows[1][2] != "inf"
+
+    def test_sobolev_norms_are_nonzero(self, capsys):
+        code, out, _ = run(capsys, ["sobolev", "--res", "200", "--p", "200", "--f", "1e-3*x1", "--deriv", "1=1e-3"])
+        assert code == EXIT_OK
+        rows = {line.split(",")[0]: line.split(",") for line in out.splitlines()[1:]}
+        assert float(rows["1"][2]) == pytest.approx(1e-3, rel=1e-12)
+        assert float(rows["0"][2]) > 0.0 and float(rows["overall"][2]) >= 1e-3
+
 
 class TestFlow:
     def test_group_law_row(self, capsys):
@@ -426,52 +457,93 @@ class TestSampleExpression:
             calls.append(len(args[1]))
             return evaluate_many(*args)
 
-        monkeypatch.setattr(cli, "evaluate_many", counted)
+        monkeypatch.setattr(expr, "evaluate_many", counted)
         source = "sqrt(0.97 - x1) + log(0.92 - x1)"
         code, out, err = run(capsys, ["mollify", "--lo", lo, "--hi", hi, "--res", res, "--eps", "0.1", "--f", source])
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == f"error: evaluating {source!r}: log of non-positive value in 'log(0.92-x1)' (at offset 18)\n"
         assert len(calls) > 2
 
-    # (dim, lo, hi, source, splits): a + - * / whose operands each read fewer axes is
-    # broadcast, every other node is walked on the lattice of the axes it reads
+    # (dim, lo, hi, source, points): a + - * / whose operands each read fewer axes is
+    # broadcast, every other node is walked on the lattice of the axes it reads; points
+    # is how many the walks take in all, the grid's node count where the root is walked
     SPLIT_TABLE = [
-        (1, -1.0, 1.0, "x1", False),
-        (1, -1.0, 1.0, "2.5", True),
-        (1, -1.0, 1.0, "-0", True),
-        (2, -1.0, 1.0, "pi", True),
-        (2, -1.0, 1.0, "sin(3*x1+0.5)*x2", True),
-        (2, -1.0, 1.0, "3.1*cos(3.1*x1+0.5)*x2", True),
-        (2, -1.0, 1.0, "sin(3.1*x1+0.5)", True),
-        (2, -1.0, 1.0, "x2", True),
+        (1, -1.0, 1.0, "x1", 51),
+        (1, -1.0, 1.0, "2.5", 1),
+        (1, -1.0, 1.0, "-0", 1),
+        (2, -1.0, 1.0, "pi", 1),
+        (2, -1.0, 1.0, "sin(3*x1+0.5)*x2", 62),
+        (2, -1.0, 1.0, "3.1*cos(3.1*x1+0.5)*x2", 62),
+        (2, -1.0, 1.0, "sin(3.1*x1+0.5)", 31),
+        (2, -1.0, 1.0, "x2", 31),
         # a box straddling 0: signed zeros from both sides of each product
-        (2, -1.0, 1.0, "x1*(0-x2)", True),
-        (2, -1.0, 1.0, "(0-x1)*x2 - 0*x1", False),
-        (2, -1.0, 1.0, "x1/(x2+2)", True),
-        (2, 0.0, 1.0, "(x1+1)/(x2+1)*x1", False),
-        (2, 0.0, 1.0, "(x1-0.5)*(x2-0.5)", True),
-        (2, 0.0, 1.0, "exp(x1)/(1+x2)", True),
-        (2, 0.0, 1.0, "exp(-abs(x1-0.3))*sin(2*pi*x2+1.2)+log(1+x1*x2)", False),
-        (2, 0.0, 1.0, "min(x1, x2)", False),
-        (2, 0.0, 1.0, "x1*1e-300*x2*1e-300", False),
-        (3, -1.0, 1.0, "x1", True),
-        (3, -1.0, 1.0, "x2*x3", True),
-        (3, -1.0, 1.0, "x1*x2*x3", True),
-        (3, -1.0, 1.0, "x3*(x1-x2)", True),
-        (3, 0.0, 1.0, "abs(x1-0.5)+x2*x3", True),
-        (3, 0.0, 1.0, "(x1+x2)/(x3+0.5)", True),
-        (3, 0.0, 1.0, "log(1+x2*x3)*x1", True),
-        (3, 0.0, 1.0, "exp(x1)*log(x2+1)+sin(x1*x3)", True),
-        (3, 0.0, 1.0, "exp(x1)*x2+sin(x1*x2*x3)", False),
+        (2, -1.0, 1.0, "x1*(0-x2)", 62),
+        (2, -1.0, 1.0, "(0-x1)*x2 - 0*x1", 961),
+        (2, -1.0, 1.0, "x1/(x2+2)", 62),
+        (2, 0.0, 1.0, "(x1+1)/(x2+1)*x1", 961),
+        (2, 0.0, 1.0, "(x1-0.5)*(x2-0.5)", 62),
+        (2, 0.0, 1.0, "exp(x1)/(1+x2)", 62),
+        (2, 0.0, 1.0, "exp(-abs(x1-0.3))*sin(2*pi*x2+1.2)+log(1+x1*x2)", 961),
+        (2, 0.0, 1.0, "min(x1, x2)", 961),
+        (2, 0.0, 1.0, "x1*1e-300*x2*1e-300", 961),
+        (3, -1.0, 1.0, "x1", 13),
+        (3, -1.0, 1.0, "x2*x3", 26),
+        (3, -1.0, 1.0, "x1*x2*x3", 39),
+        (3, -1.0, 1.0, "x3*(x1-x2)", 39),
+        (3, 0.0, 1.0, "abs(x1-0.5)+x2*x3", 39),
+        (3, 0.0, 1.0, "(x1+x2)/(x3+0.5)", 39),
+        (3, 0.0, 1.0, "log(1+x2*x3)*x1", 182),
+        (3, 0.0, 1.0, "exp(x1)*log(x2+1)+sin(x1*x3)", 195),
+        (3, 0.0, 1.0, "exp(x1)*x2+sin(x1*x2*x3)", 2197),
     ]
+    CUBE_RES = {1: 50, 2: 30, 3: 12}
 
-    @pytest.mark.parametrize("dim,lo,hi,source,splits", SPLIT_TABLE)
-    def test_split_equals_the_walk(self, dim, lo, hi, source, splits):
-        grid = make_grid(Box((lo,) * dim, (hi,) * dim), {1: 50, 2: 30, 3: 12}[dim])
-        ast = parse(source, dim)
-        assert (cli._split_sample(ast, grid) is not None) == splits
+    @staticmethod
+    def walked_points(monkeypatch, source, grid):
+        """The points ``evaluate_many`` walks while ``source`` is sampled on ``grid``."""
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return evaluate_many(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(expr, "evaluate_many", counted)
+            cli._sample_expression(source, grid)
+        return sum(calls)
+
+    def check_split(self, monkeypatch, grid, source, points):
+        assert self.walked_points(monkeypatch, source, grid) == points
         f = cli._sample_expression(source, grid)
-        assert f.values.tobytes() == evaluate_many(ast, grid.points()).tobytes()
+        assert f.values.tobytes() == evaluate_many(parse(source, grid.dim), grid.points()).tobytes()
+
+    # each id ends in whether the expression is sampled from parts, fewer points than the grid's nodes
+    @pytest.mark.parametrize(
+        "dim,lo,hi,source,points",
+        SPLIT_TABLE,
+        ids=[f"{d}-{lo}-{hi}-{s}-{n < (51, 961, 2197)[d - 1]}" for d, lo, hi, s, n in SPLIT_TABLE],
+    )
+    def test_split_equals_the_walk(self, monkeypatch, dim, lo, hi, source, points):
+        grid = make_grid(Box((lo,) * dim, (hi,) * dim), self.CUBE_RES[dim])
+        self.check_split(monkeypatch, grid, source, points)
+
+    @pytest.mark.parametrize(
+        "lo,hi,res,sources",
+        [
+            ("0,-1", "1,2", "30,7", {"sin(3*x1)*x2": 39, "x1*(0-x2)": 39, "x1/(x2+2)": 39, "(x1-0.5)*(x2-0.5)": 39,
+                                     "exp(x1)/(1+x2*x2)": 39, "x2": 8, "pi": 1, "min(x1, x2)": 248}),
+            ("0,-1,0.5", "1,2,3", "12,5,9", {"x3*(x1-x2)": 29, "(x1+x2)/(x3+0.5)": 29, "abs(x1-0.5)+x2*x3": 29,
+                                             "log(x3)*x1*x2": 29, "x2": 6, "exp(x1)*x2+sin(x1*x2*x3)": 780}),
+            ("0,0", "1,1", "1,40", {"x1*x2": 43, "sin(3*x1+0.5)*x2": 43, "x1": 2, "x2*x2+x1": 43, "2.5": 1}),
+        ],
+    )
+    def test_split_equals_the_walk_on_anisotropic_grids(self, monkeypatch, lo, hi, res, sources):
+        # axes of different lengths and a box off the unit cube: each part's lattice takes
+        # its own axes' nodes, and a one-row first axis still slabs
+        box = Box(*(tuple(map(float, corner.split(","))) for corner in (lo, hi)))
+        grid = make_grid(box, tuple(map(int, res.split(","))))
+        for source, points in sources.items():
+            self.check_split(monkeypatch, grid, source, points)
 
     @pytest.mark.parametrize(
         "lo,hi,source,message",
@@ -504,7 +576,7 @@ class TestSampleExpression:
             calls.append(len(args[1]))
             return evaluate_many(*args)
 
-        monkeypatch.setattr(cli, "evaluate_many", counted)
+        monkeypatch.setattr(expr, "evaluate_many", counted)
         argv = ["sobolev", "--lo", "0,0", "--hi", "1,1", "--res", "100", "--k", "1", "--count", "8",
                 "--f", "sin(3.1*x1+0.5)*x2", "--deriv", "1,0=3.1*cos(3.1*x1+0.5)*x2", "--deriv", "0,1=sin(3.1*x1+0.5)"]
         code, out, _ = run(capsys, argv)
@@ -512,21 +584,22 @@ class TestSampleExpression:
         assert sum(calls) <= 5 * 101
 
     @pytest.mark.parametrize(
-        "dim,res,source",
+        "dim,res,source,points",
         [
-            (2, 1000, "sin(3*x1+0.5)*x2"),
-            (2, 300, "(x1+1)/(x2+1)"),
-            (3, 100, "x1"),
+            (2, 1000, "sin(3*x1+0.5)*x2", 2002),
+            (2, 300, "(x1+1)/(x2+1)", 602),
+            (3, 100, "x1", 101),
             # the walked part log(1+x2*x3) is 101^2 nodes, two slabs
-            (3, 100, "log(1+x2*x3)*x1"),
-            (3, 100, "(x1+x2)/(x3+0.5)"),
+            (3, 100, "log(1+x2*x3)*x1", 10302),
+            (3, 100, "(x1+x2)/(x3+0.5)", 303),
         ],
+        ids=["2-1000-sin(3*x1+0.5)*x2", "2-300-(x1+1)/(x2+1)", "3-100-x1", "3-100-log(1+x2*x3)*x1", "3-100-(x1+x2)/(x3+0.5)"],
     )
-    def test_split_holds_the_values_and_one_slab(self, dim, res, source):
+    def test_split_holds_the_values_and_one_slab(self, monkeypatch, dim, res, source, points):
         # every part reads fewer axes than the grid; the values are broadcast into and
         # checked finite one slab at a time
         grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
-        assert cli._split_sample(parse(source, dim), grid) is not None
+        assert self.walked_points(monkeypatch, source, grid) == points
         tracemalloc.start()
         try:
             cli._sample_expression(source, grid)
@@ -536,10 +609,10 @@ class TestSampleExpression:
         assert peak <= 8 * grid.node_count + 512 * 1024
 
     @pytest.mark.parametrize("dim,res,source", [(2, 300, "exp(x1)*log(x2+1)+sin(x1*x2)"), (3, 60, "exp(x1)*x2+sin(x1*x2*x3)")])
-    def test_walk_holds_one_slab_of_points(self, dim, res, source):
+    def test_walk_holds_one_slab_of_points(self, monkeypatch, dim, res, source):
         # the previous slab's points and values die before the next slab's are built
         grid = make_grid(Box((0.0,) * dim, (1.0,) * dim), res)
-        assert cli._split_sample(parse(source, dim), grid) is None
+        assert self.walked_points(monkeypatch, source, grid) == grid.node_count
         tracemalloc.start()
         try:
             cli._sample_expression(source, grid)
@@ -638,7 +711,7 @@ class TestRefusedBeforeWork:
         def tripwire(*args, **kwargs):
             raise AssertionError("the expression was sampled")
 
-        monkeypatch.setattr(cli, "evaluate_many", tripwire)
+        monkeypatch.setattr(expr, "evaluate_many", tripwire)
         code, out, err = run(capsys, argv + ["--lo", "0,0,0", "--hi", "1,1,1", "--res", "250"])
         assert code == EXIT_VALIDATION
         assert out == ""
@@ -1007,7 +1080,7 @@ class TestValidationExits:
         def no_sampling(*_):
             raise AssertionError("an expression was sampled")
 
-        monkeypatch.setattr(cli, "evaluate_many", no_sampling)
+        monkeypatch.setattr(expr, "evaluate_many", no_sampling)
         # argv's own flags come last, so they override the defaults here
         command, *flags = argv
         code, out, err = run(capsys, [command, "--lo", "0", "--hi", "1", "--res", "10", *flags, "--f", "log(x1)"])

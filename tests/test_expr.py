@@ -111,6 +111,33 @@ class TestValues:
         assert values.tolist() == [evaluate(node, row) for row in points]
 
 
+class TestSample:
+    AXES = [np.linspace(-1.0, 1.0, 7), np.linspace(0.5, 2.0, 4), np.linspace(0.0, 3.0, 5)]
+
+    @pytest.mark.parametrize("source", ["x1*x3 - x2/(x3+1)", "-0", "sin(x2)", "exp(x1)*x2+sin(x1*x2*x3)", "x1*(0-x3)"])
+    def test_equals_the_walk_on_the_lattice(self, source):
+        # a lattice of unequal axes straddling 0: the bits of the per-point walk, in row-major order
+        node = parse(source, dim=3)
+        values = expr.sample(node, self.AXES)
+        assert values.shape == (7, 4, 5)
+        points = np.stack(np.meshgrid(*self.AXES, indexing="ij"), axis=-1).reshape(-1, 3)
+        assert values.tobytes() == evaluate_many(node, points).tobytes()
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            # a split part fails at x1 = 0: the walk meets the log first, at (-1, 0.5, 0)
+            ("log(x3)*(1/x1)", "log of non-positive value in 'log(x3)' (at offset 0)"),
+            ("x2/x1", "division by zero in 'x2/x1' (at offset 2)"),
+            ("log(x1*x3)", "log of non-positive value in 'log(x1*x3)' (at offset 0)"),
+        ],
+    )
+    def test_raises_the_walks_first_error(self, source, message):
+        with pytest.raises(EvalError) as info:
+            expr.sample(parse(source, dim=3), self.AXES)
+        assert str(info.value) == message
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "source,offset",

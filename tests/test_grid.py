@@ -294,6 +294,26 @@ class TestLpNorm:
             lp_norm(f, 1.0)
         assert lp_norm(f, 2.0) == pytest.approx(1e308 * math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [200.0, 1000.0])
+    def test_tiny_values_at_large_p_are_not_zero(self, p):
+        # (1e-3)^200 underflows to 0: the sum is redone on |f| / max|f|, as on overflow
+        grid = unit_grid(400)
+        x = grid.points()[:, 0]
+        assert lp_norm(GridFunction(grid, np.full(401, 1e-3)), p) == pytest.approx(1e-3, rel=1e-12)
+        expected = 1e-3 * lp_norm(GridFunction(grid, x), p)
+        assert expected > 0.0
+        assert lp_norm(GridFunction(grid, 1e-3 * x), p) == pytest.approx(expected, rel=1e-12)
+
+    def test_subnormal_sum_is_rescaled(self):
+        # a sum of 1e-310 keeps about 5 digits; the rescaled sum keeps all of them
+        grid = unit_grid(4)
+        f = GridFunction(grid, np.full(5, 1e-155))
+        assert lp_norm(f, 2.0) == pytest.approx(1e-155, rel=1e-15)
+
+    def test_zero_function_is_zero_at_every_p(self):
+        f = GridFunction(unit_grid(4), np.zeros(5))
+        assert [lp_norm(f, p) for p in (1.0, 200.0, math.inf)] == [0.0, 0.0, 0.0]
+
     def test_empty_region_is_zero(self):
         grid = unit_grid(4)
         f = GridFunction(grid, np.ones(5))

@@ -132,6 +132,14 @@ class TestSobolevNorm:
         for p in (2.0, 3.0):
             assert sobolev_norm(big, 1, p) == pytest.approx(1e200 * sobolev_norm(fam, 1, p), rel=1e-12)
 
+    def test_tiny_family_at_large_p_is_not_zero(self):
+        # each per-alpha norm is near 1e-3, and its 200th power underflows to 0
+        fam = affine_family(unit_grid())
+        tiny = DerivativeFamily({a: GridFunction(fam[a].grid, 1e-3 * fam[a].values) for a in fam.alphas()})
+        assert sobolev_norm(tiny, 1, 200.0) == pytest.approx(1e-3 * sobolev_norm(fam, 1, 200.0), rel=1e-12)
+        zero = GridFunction(unit_grid(), np.zeros(unit_grid().node_count))
+        assert sobolev_norm(DerivativeFamily({(0,): zero, (1,): zero}), 1, 200.0) == 0.0
+
     @pytest.mark.parametrize("p,name", [(1.0, "1"), (2.0, "2"), (math.inf, "inf")])
     def test_norm_beyond_float64_names_p(self, p, name):
         # each per-alpha norm is 1.5e308; their combination is not a float64
