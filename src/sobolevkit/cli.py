@@ -310,11 +310,14 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
         def fn(x: float) -> float:
             return evaluate(ast, (x,))
 
-        # frozen chord slope from a central difference at the anchor
-        h = 1e-6
+        # frozen chord slope from a central difference at the anchor, with a step
+        # relative to |a|, so a + h stays distinct from a
+        h = 1e-6 * max(1.0, abs(a))
         df_a = (fn(a + h) - fn(a - h)) / (2.0 * h)
         if not math.isfinite(df_a):
             raise CliError(f"the frozen slope of --f at --a {format_float(a)} is beyond the float64 range", EXIT_NUMERICAL)
+        if df_a == 0.0:
+            raise CliError(f"the frozen slope of --f at --a {format_float(a)} is zero; the chord step is undefined")
         trace = newton_net(fn, df_a, y, x0, max_iter=max_iter, tol=tol, anchor=a)
     except (ParseError, EvalError) as exc:
         raise _expression_error(args.f, exc) from None

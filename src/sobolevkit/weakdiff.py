@@ -11,14 +11,14 @@ passes when the worst residual stays below tolerance.  Each distinct test
 function is evaluated once per report, across multi-indices: its support
 window and the bump's exponential are built once, and only at the grid
 nodes inside its support ball, where it can be nonzero; each derivative
-is formed from them when its multi-index is paired.
+is formed from them, by the kernels' bump-derivative recurrence, when its
+multi-index is paired.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import product as _cartesian
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 
 from .convolution import _admit, _convolve_admitted
 from .grid import Box, Grid, GridFunction, Region, _finite, _trapezoid_sum, lp_norm
-from .mollifier import MAX_DERIVATIVE_ORDER, Mollifier, MultiIndex, _bump_exponential, _bump_term, _inside_ball, _points_2d, multi_index_order, standard_bump, validate_multi_index
+from .mollifier import Mollifier, MultiIndex, _bump_derivative, _bump_exponential, _inside_ball, _points_2d, multi_index_order, standard_bump, validate_multi_index
 
 __all__ = [
     "MultiIndex",
@@ -45,21 +45,13 @@ __all__ = [
 MAX_TEST_FUNCTIONS = 1000
 
 
-def _sub_indices(alpha: MultiIndex):
-    """All gamma <= alpha componentwise, with the product of binomials."""
-    ranges = [range(a + 1) for a in alpha]
-    for gamma in _cartesian(*ranges):
-        coeff = math.prod(math.comb(a, g) for a, g in zip(alpha, gamma))
-        yield gamma, coeff
-
-
 class TestFunction:
     """Smooth test function ``e * bump((x - c)/r) * prod ((x_i - c_i)/r)^beta_i``.
 
     The ``e`` factor normalizes the pure bump to peak value 1 at its
     center.  Support is the closed ball of radius ``r`` around ``c``;
-    derivatives up to order ``MAX_DERIVATIVE_ORDER`` are analytic via the
-    product rule.
+    derivatives up to order ``MAX_DERIVATIVE_ORDER`` are exact, from the
+    kernels' one recurrence, ``mollifier._bump_derivative``.
     """
 
     def __init__(
@@ -95,19 +87,6 @@ class TestFunction:
     def _scaled(self, points: NDArray[np.float64]) -> NDArray[np.float64]:
         return (_points_2d(points, self.dim) - np.asarray(self.center)) / self.radius
 
-    def _poly_part(self, gamma: MultiIndex, z: NDArray[np.float64]) -> NDArray[np.float64] | float:
-        # d^gamma of prod z_i^beta_i in the scaled variable, chain rule gives r^-|gamma|;
-        # factors that are exactly 1 (perm(b, 0), z^0, r^0) are skipped, and a
-        # gamma_i above beta_i makes perm(b, g) zero
-        out = 1.0
-        for i, (b, g) in enumerate(zip(self.poly, gamma)):
-            if g:
-                out = out * math.perm(b, g)
-            if b > g:
-                out = out * z[..., i] ** (b - g)
-        order = multi_index_order(gamma)
-        return out * self.radius ** (-order) if order else out
-
     def _closed_form(
         self, alpha: MultiIndex | None, z: NDArray[np.float64], u: NDArray[np.float64], e: NDArray[np.float64]
     ) -> NDArray[np.float64]:
@@ -115,24 +94,14 @@ class TestFunction:
 
         ``z`` holds the points' scaled coordinates, shape ``(m, dim)``, and
         ``u``, ``e`` the bump's ``|z|^2 - 1`` and ``exp(1/u)`` there
-        (``mollifier._inside_ball``); a derivative is the product rule
-        over ``gamma <= alpha``, of the terms whose polynomial part
-        ``d^(alpha - gamma)`` is not zero, summed in place.
+        (``mollifier._inside_ball``); ``mollifier._bump_derivative`` forms
+        the derivative in ``z``, and the chain rule's ``r^-|alpha|`` and the
+        normalizing ``e`` are one scalar factor.
         """
-        if alpha is None:
-            return math.e * e * self._poly_part((0,) * self.dim, z)
-        total = np.zeros(len(e))
-        for gamma, coeff in _sub_indices(alpha):
-            rest = tuple(a - g for a, g in zip(alpha, gamma))
-            if any(r > b for r, b in zip(rest, self.poly)):
-                continue
-            axes = tuple(i for i, g in enumerate(gamma) for _ in range(g))
-            term = _bump_term(axes, [z[..., i] for i in axes], u, e) * self.radius ** (-multi_index_order(gamma))
-            term *= coeff
-            term *= self._poly_part(rest, z)
-            total += term
-        total *= math.e
-        return total
+        order = multi_index_order(alpha) if alpha else 0
+        out = _bump_derivative(self.poly, alpha or (0,) * self.dim, z, u, e)
+        out *= math.e * self.radius ** (-order)
+        return out
 
     def _at(self, alpha: MultiIndex | None, points: NDArray[np.float64]) -> NDArray[np.float64]:
         z = self._scaled(points)

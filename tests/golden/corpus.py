@@ -172,8 +172,11 @@ def cases() -> list[dict]:
         ["commute", "--res", "400", "--eps", "0.05", "--f", "abs(x1-0.5)", "--u", "2*step(x1-0.5)-1"],
         ["commute", "--lo", "0,0", "--hi", "1,1", "--res", "40", "--eps", "0.2", "--alpha", "1,1",
          "--f", "x1*x2", "--u", "1"],
+        # the 1-d pure second derivative of the bump, with its -2/(u u) term
+        ["commute", "--res", "400", "--eps", "0.1", "--alpha", "2", "--f", "x1^3", "--u", "6*x1"],
         ["weak-verify", "--res", "100", "--f", "x1^2", "--u", "2*x1"],
         ["weak-verify", "--res", "100", "--f", "step(x1-0.5)", "--u", "0"],
+        ["weak-verify", "--res", "800", "--alpha", "2", "--f", "sin(3*x1)", "--u=-9*sin(3*x1)"],
         ["sobolev", "--lo", "0,0", "--hi", "1,1", "--res", "60", "--k", "2", "--f", "x1*x2",
          "--deriv", "1,0=x2", "--deriv", "0,1=x1", "--deriv", "1,1=1", "--deriv", "2,0=0", "--deriv", "0,2=0"],
         ["sobolev", "--lo", "0,0,0", "--hi", "1,1,1", "--res", "24", "--tol", "1e-2", "--k", "1", "--f", "x1*x2+x3^2",

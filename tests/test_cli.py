@@ -337,6 +337,20 @@ class TestNewton:
         assert (code, out) == (EXIT_NUMERICAL, "")
         assert err == "error: the frozen slope of --f at --a 0 is beyond the float64 range\n"
 
+    @pytest.mark.parametrize("a", ["1e9", "1e11"])
+    def test_slope_step_scales_with_the_anchor(self, a):
+        # a fixed step of 1e-6 is lost in a + h from |a| near 1e10: the slope of x1 read 0
+        # at 1e11 (exit 2) and was inexact at 1e9 (10 iterations for a linear f)
+        result = run_subprocess(["newton", "--f", "x1", "--a", a, "--y", "0", "--x0", "1"])
+        assert result.returncode == EXIT_OK
+        assert result.stderr == b"newton: converged after 1 iterations\n"
+        assert result.stdout.decode().splitlines() == ["iter,x,residual", "0,1,1", "1,0,0"]
+
+    def test_zero_slope_names_the_flags(self):
+        result = run_subprocess(["newton", "--f", "x1^2", "--a", "0", "--y", "2", "--x0", "1"])
+        assert (result.returncode, result.stdout) == (EXIT_VALIDATION, b"")
+        assert result.stderr == b"error: the frozen slope of --f at --a 0 is zero; the chord step is undefined\n"
+
     @pytest.mark.parametrize("flag,raw", [("--a", "inf"), ("--y", "nan"), ("--x0", "-inf")])
     def test_non_finite_flag_is_invalid(self, capsys, flag, raw):
         argv = {"--a": "1", "--y": "2", "--x0": "1"} | {flag: raw}

@@ -18,8 +18,9 @@ from sobolevkit.convolution import compose
 from sobolevkit.mollifier import (
     Mollifier,
     UnitReport,
+    _bump_derivative,
     _bump_exponential,
-    _bump_term,
+    _inside_ball,
     _squared_norms,
     standard_bump,
     verify_unit,
@@ -164,7 +165,8 @@ class TestDerivatives:
         np.testing.assert_allclose(standard_bump(2).derivative((1, 1), pts), d12, atol=1e-5)
 
     def test_rejects_order_above_two(self):
-        # only orders 0 to MAX_DERIVATIVE_ORDER = 2 have closed forms; there is no numerical fallback
+        # the recurrence forms every order, but MAX_DERIVATIVE_ORDER = 2 caps what the
+        # public entries accept: above it the pairings are not resolved at usable grids
         for alpha in [(3,), (2, 1), (1, 1, 1), (0, 4)]:
             with pytest.raises(ValueError, match="exceeds the supported maximum 2"):
                 standard_bump(len(alpha)).derivative(alpha, np.zeros((1, len(alpha))))
@@ -361,7 +363,7 @@ def _ball_node_peak(term, *args):
 
 
 class TestBumpTermTemporaries:
-    """Each ``_bump_term`` case is computed into one output array, with the bits of its formula."""
+    """A pure bump's ``_bump_derivative`` of order 1 or 2 is summed into one output array, with the bits of its formula."""
 
     @staticmethod
     def _ball():
@@ -375,21 +377,51 @@ class TestBumpTermTemporaries:
         z, u, e = self._ball()
         assert 13_000 < len(u) < 15_000
         for i in range(2):
-            xi = z[:, i].copy()
-            peak, term = _ball_node_peak(_bump_term, (i,), [xi], u, e)
+            alpha = tuple(int(j == i) for j in range(2))
+            peak, term = _ball_node_peak(_bump_derivative, (0, 0), alpha, z, u, e)
             assert peak <= 2 * u.nbytes + 4096, peak / u.nbytes
-            assert _same_bits(term, -2.0 * xi / (u * u) * e)
+            assert _same_bits(term, -2.0 * z[:, i] / (u * u) * e)
 
     def test_second_order_peaks_at_three_arrays(self):
         z, u, e = self._ball()
         for axes in [(0, 0), (0, 1), (1, 1)]:
-            xi, xj = (z[:, i].copy() for i in axes)
-            peak, term = _ball_node_peak(_bump_term, axes, [xi, xj], u, e)
+            alpha = tuple(axes.count(j) for j in range(2))
+            xi, xj = (z[:, i] for i in axes)
+            peak, term = _ball_node_peak(_bump_derivative, (0, 0), alpha, z, u, e)
             assert peak <= 3 * u.nbytes + 4096, (axes, peak / u.nbytes)
             want = 8.0 * xi * xj / u**3 + 4.0 * xi * xj / u**4
             if axes[0] == axes[1]:
                 want = want - 2.0 / (u * u)
             assert _same_bits(term, e * want)
+
+
+class TestRecurrenceAboveTheCap:
+    """Orders 3 and 4 of ``_bump_derivative``, which the cap keeps from the public entries, are the
+    central differences of the order below, along every axis they differentiate."""
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_finite_difference(self, dim, order):
+        rng = np.random.default_rng(10 * dim + order)
+        z = rng.uniform(-0.75, 0.75, (2000, dim))
+        z = z[_squared_norms(z) < 0.75**2][:200]
+
+        def derivative(beta, alpha, points):
+            inside, u, e = _inside_ball(points)
+            assert inside.all()
+            return _bump_derivative(beta, alpha, points, u, e)
+
+        h = 1e-5
+        for alpha in itertools.product(range(order + 1), repeat=dim):
+            if sum(alpha) != order:
+                continue
+            for beta in [(0,) * dim, tuple(int(b) for b in rng.integers(0, 3, dim))]:
+                got = derivative(beta, alpha, z)
+                for j in (j for j, a in enumerate(alpha) if a):
+                    below = tuple(a - (i == j) for i, a in enumerate(alpha))
+                    shift = h * np.eye(dim)[j]
+                    want = (derivative(beta, below, z + shift) - derivative(beta, below, z - shift)) / (2.0 * h)
+                    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got)), (alpha, beta, j)
 
 
 def test_mollifier_integrates_to_one_on_larger_box():

@@ -10,7 +10,7 @@ from sobolevkit import weakdiff as wd
 from sobolevkit.cli import _table
 from sobolevkit.convolution import convolve
 from sobolevkit.grid import _SLAB_NODES, Box, GridFunction, _lattice_points, interior_region, make_grid
-from sobolevkit.mollifier import _bump_exponential, _bump_term, _inside_ball, standard_bump
+from sobolevkit.mollifier import _bump_exponential, _inside_ball, standard_bump
 from sobolevkit.sobolev import DerivativeFamily, enumerate_multi_indices, membership_report, sobolev_norm
 
 RAW_MASS_1D = 0.4439938161680794  # integral of exp(1/(z^2-1)) over [-1, 1]
@@ -123,8 +123,9 @@ class TestBumpTestFunctions:
         np.testing.assert_allclose(phi.derivative((1, 1), pts), fd, atol=1e-3)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_derivative_is_the_product_rule_bit_for_bit(self, dim):
-        # sharing the bump's exponential across gamma <= alpha changes no bit
+    def test_derivative_is_the_product_rule(self, dim):
+        # d^alpha (bump * z^beta) = sum over gamma <= alpha of binomials times d^gamma bump
+        # times d^(alpha - gamma) z^beta, with the bump's derivatives written out by hand
         rng = np.random.default_rng(40 + dim)
         for alpha in enumerate_multi_indices(dim, 2):
             poly = tuple(int(b) for b in rng.integers(0, 3, dim))
@@ -132,15 +133,25 @@ class TestBumpTestFunctions:
             pts = np.asarray(phi.center) + phi.radius * rng.uniform(-1.2, 1.2, (200, dim))
             z = (pts - np.asarray(phi.center)) / phi.radius
             inside, u, e = _inside_ball(z)
+            z = z[inside]
             expected = np.zeros(len(pts))
-            for gamma, coeff in wd._sub_indices(alpha):
-                rest = tuple(a - g for a, g in zip(alpha, gamma))
-                axes = tuple(i for i, g in enumerate(gamma) for _ in range(g))
-                raw = np.zeros(len(pts))
-                raw[inside] = _bump_term(axes, [z[inside, i] for i in axes], u, e)
-                bump_part = raw * phi.radius ** (-sum(gamma))
-                expected = expected + coeff * bump_part * phi._poly_part(rest, z)
-            np.testing.assert_array_equal(phi.derivative(alpha, pts), math.e * expected)
+            for gamma in np.ndindex(*(a + 1 for a in alpha)):
+                axes = [i for i, g in enumerate(gamma) for _ in range(g)]
+                if not axes:
+                    bump = e
+                elif len(axes) == 1:
+                    bump = -2.0 * z[:, axes[0]] / u**2 * e
+                else:
+                    zz = z[:, axes[0]] * z[:, axes[1]]
+                    bump = (8.0 * zz / u**3 + 4.0 * zz / u**4 - 2.0 * (axes[0] == axes[1]) / u**2) * e
+                monomial = math.prod(
+                    math.comb(a, g) * math.perm(b, a - g) * z[:, i] ** max(b - a + g, 0)
+                    for i, (a, g, b) in enumerate(zip(alpha, gamma, poly))
+                )
+                expected[inside] += bump * monomial
+            expected *= math.e * phi.radius ** (-sum(alpha))
+            got = phi.derivative(alpha, pts)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected)), (alpha, poly)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError, match="radius"):
@@ -157,8 +168,8 @@ class TestBumpTestFunctions:
 
     @pytest.mark.parametrize("poly", [(0, 0), (1, 0), (1, 1), (2, 0)])
     def test_product_rule_peak_is_six_ball_arrays(self, poly):
-        # only terms whose polynomial part can be nonzero are built, each summed
-        # in place: at most 6 arrays of the ball's nodes live at once
+        # the recurrence's terms are summed in place into the first, so at most 3
+        # arrays of the ball's nodes live at once, within this bound of 6
         phi = wd.TestFunction((0.5, 0.5), 0.3377, poly)
         window = wd._window(make_grid(Box((0.0, 0.0), (1.0, 1.0)), 200), phi)
         array_bytes = 8 * len(window.e)
