@@ -13,6 +13,7 @@ an expression, an overflow, or any other ``ArithmeticError``).
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import math
 import os
@@ -537,5 +538,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
-if __name__ == "__main__":
+def entry() -> None:
+    """Process entry of ``python -m sobolevkit.cli`` and the ``sobolevkit`` script.
+
+    Every import is done by now, so ``gc.freeze()`` first moves the objects
+    they made (numpy's, mostly) out of the collector's reach: neither the
+    full collections of the run nor those of interpreter shutdown walk them
+    again.  Shutdown still flushes, closes files and runs atexit.  ``main``
+    itself does not freeze, so a caller in process keeps a heap the
+    collector can fully reclaim.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,5 +1,8 @@
+import gc
+import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -936,6 +939,71 @@ class TestOutputHandling:
         target = tmp_path / "m.csv"
         run(capsys, argv + ["-o", str(target)])
         assert target.read_text() == direct
+
+
+MOLLIFY_2D = ["mollify", "--lo", "0,0", "--hi", "1,1", "--res", "40", "--eps", "0.1"]
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+class TestProcessEntry:
+    """``python -m sobolevkit.cli`` and the console script run ``cli.entry``; ``main`` in process does not freeze."""
+
+    ARGV = [
+        (MOLLIFY_2D + ["--f", "sin(3*x1)*x2"], EXIT_OK),
+        (MOLLIFY_2D + ["--f", "x1", "--bogus", "1"], EXIT_VALIDATION),
+        (MOLLIFY_2D + ["--f", "x2/(x1-0.5)"], EXIT_NUMERICAL),
+    ]
+
+    def test_entry_freezes_once_before_main(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or EXIT_NUMERICAL)
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert (calls, exited.value.code) == (["freeze", "main"], EXIT_NUMERICAL)
+
+    def test_module_run_freezes_once_before_main(self):
+        # the child traces gc.freeze, then runs the module as -m does
+        probe = (
+            "import gc, runpy, sys\n"
+            "freeze = gc.freeze\n"
+            "def traced():\n"
+            "    print('freeze', file=sys.stderr)\n"
+            "    freeze()\n"
+            "gc.freeze = traced\n"
+            "runpy.run_module('sobolevkit.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        argv = ["mollify", "--res", "0", "--eps", "0.1", "--f", "x1"]
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=_child_env(), capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (EXIT_VALIDATION, "")
+        assert result.stderr == "freeze\nerror: --res entries must be positive, got '0'\n"
+
+    def test_console_script_is_the_entry(self):
+        scripts = PYPROJECT.read_text().split("[project.scripts]", 1)[1]
+        target = re.match(r'\s*sobolevkit = "([\w.]+):(\w+)"', scripts)
+        assert target, scripts
+        assert getattr(importlib.import_module(target[1]), target[2]) is cli.entry
+
+    @pytest.mark.parametrize("argv, expected", ARGV)
+    def test_module_run_matches_main_which_does_not_freeze(self, capsys, monkeypatch, argv, expected):
+        # argparse wraps its usage block to the terminal width; fix it for both runs
+        monkeypatch.setenv("COLUMNS", "80")
+        child = run_subprocess(argv)
+        frozen = gc.get_freeze_count()
+        code, out, err = run(capsys, argv)
+        assert (code, gc.get_freeze_count()) == (expected, frozen)
+        assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (code, out, err)
+
+    def test_module_run_output_file_matches_its_stdout(self, tmp_path):
+        argv = self.ARGV[0][0]
+        target = tmp_path / "out.csv"
+        to_file = run_subprocess(argv + ["-o", str(target)])
+        assert (to_file.returncode, to_file.stdout, to_file.stderr) == (EXIT_OK, b"", b"")
+        to_stdout = run_subprocess(argv)
+        assert to_stdout.returncode == EXIT_OK
+        assert target.read_bytes() == to_stdout.stdout
 
 
 class TestConfigFile:
