@@ -8,48 +8,13 @@ import os
 # below loads numpy; a value the user has set is left alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .grid import (
-    Box,
-    Grid,
-    GridFunction,
-    Region,
-    interior_region,
-    lp_norm,
-    make_grid,
-    quadrature,
-)
-from .mollifier import Mollifier, UnitReport, standard_bump, verify_unit
-from .convolution import (
-    ConvergenceTable,
-    KernelReport,
-    OrbitNet,
-    compose,
-    convergence_study,
-    orbit,
-)
-from .weakdiff import (
-    PairingResidual,
-    TestFunction,
-    commutation_residual,
-    pair,
-    test_function_catalog,
-    verify_weak_derivative,
-)
-from .sobolev import (
-    DerivativeFamily,
-    MembershipReport,
-    membership_report,
-    sobolev_norm,
-)
-from .dynamics import (
-    FlowCheck,
-    NewtonTrace,
-    distributional_shadow,
-    exponential_flow,
-    invertibility_check,
-    newton_net,
-)
-from .expr import EvalError, ParseError, evaluate, parse, to_source
+from .grid import Box, Grid, GridFunction, lp_norm, make_grid, quadrature
+from .mollifier import standard_bump, verify_unit
+from .convolution import OrbitNet, compose, convergence_study, orbit
+from .weakdiff import commutation_residual, pair, test_function_catalog, verify_weak_derivative
+from .sobolev import DerivativeFamily, membership_report, sobolev_norm
+from .dynamics import distributional_shadow, exponential_flow, invertibility_check, newton_net
+from .expr import EvalError, ParseError, evaluate, parse
 
 __version__ = "0.1.0"
 
@@ -57,40 +22,28 @@ __all__ = [
     "Box",
     "Grid",
     "GridFunction",
-    "Region",
     "make_grid",
     "quadrature",
     "lp_norm",
-    "interior_region",
-    "Mollifier",
-    "UnitReport",
     "standard_bump",
     "verify_unit",
     "OrbitNet",
-    "ConvergenceTable",
-    "KernelReport",
     "orbit",
     "convergence_study",
     "compose",
-    "TestFunction",
-    "PairingResidual",
     "pair",
     "test_function_catalog",
     "verify_weak_derivative",
     "commutation_residual",
     "DerivativeFamily",
-    "MembershipReport",
     "sobolev_norm",
     "membership_report",
-    "NewtonTrace",
-    "FlowCheck",
     "newton_net",
     "invertibility_check",
     "exponential_flow",
     "distributional_shadow",
     "parse",
     "evaluate",
-    "to_source",
     "ParseError",
     "EvalError",
     "__version__",

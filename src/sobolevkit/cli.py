@@ -26,12 +26,12 @@ import numpy as np
 from . import acceptance
 from .acceptance import DEFAULT_SEED
 from .convolution import _admit, _check_ladder, compose, convergence_study, convolve
-from .dynamics import _check_max_iter, exponential_flow, newton_net
+from .dynamics import MAX_NEWTON_ITER, exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, excerpt, parse, sample
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
-from .mollifier import standard_bump
+from .mollifier import standard_bump, validate_multi_index
 from .sobolev import DerivativeFamily, _check_family, membership_report
-from .weakdiff import _commutation_gap, test_function_catalog, validate_multi_index, verify_weak_derivative
+from .weakdiff import MAX_TEST_FUNCTIONS, _commutation_gap, test_function_catalog, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
 
@@ -96,11 +96,14 @@ def _parse_tol(raw: str) -> float:
     return tol
 
 
-def _parse_count(raw: str) -> int:
-    count = _parse_int(raw, "--count")
-    if count < 1:
-        raise CliError(f"--count must be at least 1, got {raw!r}")
-    return count
+def _parse_bounded(raw: str, what: str, limit: int) -> int:
+    """An integer flag from 1 to a library's ``limit``, refused here so the message names the flag."""
+    value = _parse_int(raw, what)
+    if value < 1:
+        raise CliError(f"{what} must be at least 1, got {raw!r}")
+    if value > limit:
+        raise CliError(f"{what} must be at most {limit}, got {raw!r}")
+    return value
 
 
 def _parse_alpha(raw: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
@@ -116,11 +119,10 @@ def _parse_alpha(raw: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
 
 
 class RunConfig(NamedTuple):
-    """The validated grid and tolerance, and the parsed ``--eps`` values, of the grid-based commands."""
+    """The validated grid, and the parsed ``--eps`` values, of the grid-based commands."""
 
     grid: Grid
     eps_ladder: tuple[float, ...]
-    tol: float
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -139,7 +141,7 @@ class RunConfig(NamedTuple):
         # refuses a grid above MAX_NODES nodes; nothing is allocated yet
         grid = make_grid(box, resolution)
         eps_ladder = _parse_floats(args.eps, "--eps") if getattr(args, "eps", None) else ()
-        return cls(grid, eps_ladder, _parse_tol(args.tol))
+        return cls(grid, eps_ladder)
 
 
 def _check_cell_volume(grid: Grid) -> None:
@@ -237,16 +239,17 @@ def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
+    tol = _parse_tol(args.tol)
     grid = config.grid
     alpha = _parse_alpha(args.alpha, grid.dim)
-    tests = test_function_catalog(grid.box, _parse_count(args.count))
+    tests = test_function_catalog(grid.box, _parse_bounded(args.count, "--count", MAX_TEST_FUNCTIONS))
     _check_cell_volume(grid)
     f = _sample_expression(args.f, grid)
     u = _sample_expression(args.u, grid)
-    result = verify_weak_derivative(f, u, alpha, tests, config.tol)
+    result = verify_weak_derivative(f, u, alpha, tests, tol)
     verdict = "verified" if result.verdict else "not verified"
     print(
-        f"weak-verify: {verdict} (max residual {format_float(result.max_residual)}, tol {format_float(config.tol)})",
+        f"weak-verify: {verdict} (max residual {format_float(result.max_residual)}, tol {format_float(tol)})",
         file=sys.stderr,
     )
     return _table(("test_id", "residual"), zip(result.test_ids, result.residuals)), EXIT_OK
@@ -254,10 +257,11 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
+    tol = _parse_tol(args.tol)
     grid = config.grid
     k = _parse_int(args.k, "--k")
     p = _parse_p(args.p)
-    tests = test_function_catalog(grid.box, _parse_count(args.count))
+    tests = test_function_catalog(grid.box, _parse_bounded(args.count, "--count", MAX_TEST_FUNCTIONS))
     # --f is the family's order-zero entry; each --deriv gives one other multi-index, once
     derivs: dict[tuple[int, ...], str] = {}
     for deriv_item in args.deriv or []:
@@ -276,7 +280,7 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
     for alpha, source in derivs.items():
         entries[alpha] = _sample_expression(source, grid)
     family = DerivativeFamily(entries)
-    report = membership_report(family, k, p, tests, config.tol)
+    report = membership_report(family, k, p, tests, tol)
     rows = [(_alpha_label(e.alpha), e.pairing_residual, e.lp_norm, e.verdict) for e in report.entries]
     rows.append(("overall", None, report.norm, report.member))
     return _table(("alpha", "pairing_residual", "lp_norm", "verdict"), rows), EXIT_OK
@@ -287,6 +291,14 @@ def _cmd_compose(args: argparse.Namespace) -> tuple[str, int]:
     eps_b = _parse_float(args.eps_b, "--eps-b")
     res = _parse_int(args.res, "--res")
     dim = _parse_int(args.dim, "--dim")
+    # the library's checks, in the order it makes them, each naming its flag
+    if not 1 <= dim <= 3:
+        raise CliError(f"--dim must be between 1 and 3, got {args.dim!r}")
+    for flag, raw, eps in (("--eps-a", args.eps_a, eps_a), ("--eps-b", args.eps_b, eps_b)):
+        if not (eps > 0 and math.isfinite(eps)):
+            raise CliError(f"{flag} must be positive and finite, got {raw!r}")
+    if res < 1 or res % 2:
+        raise CliError(f"--res must be a positive even integer, got {args.res!r}")
     report = compose(standard_bump(dim, eps_a), standard_bump(dim, eps_b), res)
     if args.kernel_out:
         try:
@@ -301,9 +313,8 @@ def _cmd_newton(args: argparse.Namespace) -> tuple[str, int]:
     a = _parse_finite(args.a, "--a")
     y = _parse_finite(args.y, "--y")
     x0 = _parse_finite(args.x0, "--x0")
-    max_iter = _parse_int(args.max_iter, "--max-iter")
     # refused before --f is evaluated for the frozen slope, whatever the expression
-    _check_max_iter(max_iter)
+    max_iter = _parse_bounded(args.max_iter, "--max-iter", MAX_NEWTON_ITER)
     tol = _parse_tol(args.tol)
     try:
         ast = parse(args.f, 1)
@@ -384,7 +395,6 @@ def _grid_parent() -> argparse.ArgumentParser:
     parent.add_argument("--lo", default="0", help="box lower corner, comma-separated (default 0)")
     parent.add_argument("--hi", default="1", help="box upper corner, comma-separated (default 1)")
     parent.add_argument("--res", default="400", help="cells per axis (default 400)")
-    parent.add_argument("--tol", default="1e-4", help="verification tolerance (default 1e-4)")
     return parent
 
 
@@ -420,6 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="candidate weak derivative")
     p.add_argument("--alpha", default="1")
     p.add_argument("--count", default="8", help="test functions in the catalog (default 8)")
+    p.add_argument("--tol", default="1e-4", help="verification tolerance (default 1e-4)")
 
     p = sub.add_parser("sobolev", parents=[common, gridp], help="membership report and W^{k,p} norm")
     p.add_argument("--f", required=True)
@@ -428,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deriv", action="append", metavar="ALPHA=EXPR",
                    help="candidate derivative, repeatable (e.g. --deriv 1=cos(x1))")
     p.add_argument("--count", default="8")
+    p.add_argument("--tol", default="1e-4")
 
     p = sub.add_parser("compose", parents=[common], help="convolve two kernels, report support and mass")
     p.add_argument("--eps-a", required=True)

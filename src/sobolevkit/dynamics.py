@@ -63,14 +63,6 @@ class NewtonTrace(NamedTuple):
         return len(self.iterates) - 1
 
 
-def _check_max_iter(max_iter: int) -> None:
-    """Refuse a chord-iteration budget below 1 or above ``MAX_NEWTON_ITER``."""
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if max_iter > MAX_NEWTON_ITER:
-        raise ValueError(f"max_iter {max_iter} is above the limit of {MAX_NEWTON_ITER}")
-
-
 def newton_net(
     f: Callable[[float], float],
     df_a: float,
@@ -96,7 +88,10 @@ def newton_net(
         raise ValueError("frozen derivative df_a is zero; the chord step is undefined")
     if not all(math.isfinite(v) for v in (df_a, y, x0)):
         raise ValueError("df_a, y and x0 must be finite")
-    _check_max_iter(max_iter)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if max_iter > MAX_NEWTON_ITER:
+        raise ValueError(f"max_iter {max_iter} is above the limit of {MAX_NEWTON_ITER}")
 
     iterates = [x0]
     residuals = []

@@ -31,7 +31,6 @@ from numpy.typing import NDArray
 from .grid import _row_slabs, _sample_lattice, format_float
 
 __all__ = [
-    "Token",
     "ParseError",
     "EvalError",
     "Num",
@@ -40,7 +39,6 @@ __all__ = [
     "BinOp",
     "Call",
     "Ast",
-    "tokenize",
     "parse",
     "evaluate",
     "evaluate_many",
@@ -151,13 +149,6 @@ def _tokens(source: str, end: int) -> list[Token]:
     tokens = [Token(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(source)]
     tokens.append(Token("eof", "", end))
     return tokens
-
-
-def tokenize(source: str) -> list[Token]:
-    end = _LEXABLE_RE.match(source).end()
-    if end < len(source):
-        raise ParseError(_UNEXPECTED[source[end]], end)
-    return _tokens(source, end)
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,8 @@ from .grid import Box, Grid, GridFunction, Region, _finite, _trapezoid_sum, lp_n
 from .mollifier import Mollifier, MultiIndex, _bump_derivative, _bump_exponential, _inside_ball, _points_2d, multi_index_order, standard_bump, validate_multi_index
 
 __all__ = [
-    "MultiIndex",
     "TestFunction",
     "PairingResidual",
-    "multi_index_order",
-    "validate_multi_index",
     "test_function_catalog",
     "pair",
     "verify_weak_derivative",

@@ -673,7 +673,7 @@ class TestRefusedBeforeWork:
              "order k must be at most 2, got 40"),
             (["sobolev", "--res", "4", "--k", "2000", "--f", "x1"], "order k must be at most 2, got 2000"),
             (["weak-verify", "--res", "20", "--f", "x1", "--u", "1", "--count", "1000000000"],
-             "test function count 1000000000 is above the limit of 1000"),
+             "--count must be at most 1000, got '1000000000'"),
             # a grid of 255^3 nodes is under MAX_NODES, its full convolution shape is not
             (["compose", "--dim", "3", "--res", "254", "--eps-a", "0.1", "--eps-b", "0.1"],
              f"full convolution of 381x381x381 = {381**3} nodes is above the limit of {MAX_NODES} nodes"),
@@ -685,12 +685,12 @@ class TestRefusedBeforeWork:
              "t=1e+305 needs more than 1000000 RK4 steps of 0.001: |t| must be at most 1000"),
             # still running after 10 s, keeping every iterate
             (["newton", "--f", "sin(x1)", "--a", "0", "--y", "2", "--x0", "0", "--max-iter", "1000000000"],
-             "max_iter 1000000000 is above the limit of 100000"),
+             "--max-iter must be at most 100000, got '1000000000'"),
             # a budget is refused before --f is evaluated for the frozen slope: log(0) there exited 3
             (["newton", "--f", "log(x1)", "--a", "0", "--y", "2", "--x0", "1", "--max-iter", "1000000000"],
-             "max_iter 1000000000 is above the limit of 100000"),
+             "--max-iter must be at most 100000, got '1000000000'"),
             (["newton", "--f", "log(x1)", "--a", "0", "--y", "2", "--x0", "1", "--max-iter", "0"],
-             "max_iter must be at least 1, got 0"),
+             "--max-iter must be at least 1, got '0'"),
         ],
     )
     def test_exit_two_with_short_error(self, argv, message):
@@ -746,6 +746,106 @@ class TestRefusedBeforeWork:
         code, out, _ = run(capsys, ["flow", "--k", "0", "--x0", "1", "--s", "0", "--t", "-1000"])
         assert code == EXIT_OK
         assert out.splitlines()[1] == "0,1,0,-1000,1,1,0,0"
+
+
+class TestRefusalsNameTheirFlag:
+    # each of these printed the library's message, which names its parameter
+    # (max_iter, resolution, dimension, eps) or none; the CLI checks the flag
+    # first, with the library's rule, and names it
+    COMPOSE = ["compose", "--eps-a", "0.1", "--eps-b", "0.1"]
+    NEWTON = ["newton", "--f", "x1", "--a", "1", "--y", "0", "--x0", "1"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (COMPOSE + ["--dim", "4"], "--dim must be between 1 and 3, got '4'"),
+            (COMPOSE + ["--dim", "0"], "--dim must be between 1 and 3, got '0'"),
+            (["compose", "--eps-a", "0", "--eps-b", "0.1"], "--eps-a must be positive and finite, got '0'"),
+            (["compose", "--eps-a=-1", "--eps-b", "0.1"], "--eps-a must be positive and finite, got '-1'"),
+            (["compose", "--eps-a", "0.1", "--eps-b", "nan"], "--eps-b must be positive and finite, got 'nan'"),
+            (["compose", "--eps-a", "0.1", "--eps-b", "inf"], "--eps-b must be positive and finite, got 'inf'"),
+            (COMPOSE + ["--res", "255"], "--res must be a positive even integer, got '255'"),
+            (COMPOSE + ["--res", "0"], "--res must be a positive even integer, got '0'"),
+            (COMPOSE + ["--res=-2"], "--res must be a positive even integer, got '-2'"),
+            (NEWTON + ["--max-iter=-1"], "--max-iter must be at least 1, got '-1'"),
+            (NEWTON + ["--max-iter", "100001"], "--max-iter must be at most 100000, got '100001'"),
+            (["weak-verify", "--res", "20", "--f", "x1", "--u", "1", "--count", "1001"],
+             "--count must be at most 1000, got '1001'"),
+            (["sobolev", "--res", "20", "--f", "x1", "--deriv", "1=1", "--count", "1001"],
+             "--count must be at most 1000, got '1001'"),
+        ],
+    )
+    def test_exit_two_naming_the_flag(self, capsys, argv, message):
+        assert run(capsys, argv) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # flags are parsed as numbers before any range is checked
+            (["compose", "--eps-a", "0", "--eps-b", "0.1", "--dim", "abc"], "--dim must be an integer, got 'abc'"),
+            (["compose", "--eps-a", "abc", "--eps-b", "0.1", "--res", "255"], "--eps-a must be a number, got 'abc'"),
+            # then the dimension, each radius and the resolution, the order compose's kernels and grid check them
+            (["compose", "--eps-a", "0", "--eps-b", "0.1", "--dim", "4"], "--dim must be between 1 and 3, got '4'"),
+            (["compose", "--eps-a", "0", "--eps-b", "0", "--res", "255"], "--eps-a must be positive and finite, got '0'"),
+            (["compose", "--eps-a", "0.1", "--eps-b", "0", "--res", "255"], "--eps-b must be positive and finite, got '0'"),
+            # newton's finite flags, then the budget, then --tol
+            (["newton", "--f", "x1", "--a", "nan", "--y", "0", "--x0", "1", "--max-iter", "0"],
+             "--a must be finite, got 'nan'"),
+            (NEWTON + ["--max-iter", "0", "--tol=-1"], "--max-iter must be at least 1, got '0'"),
+            # the grid, --tol and --alpha come before the catalog's count
+            (["weak-verify", "--res", "0", "--f", "x1", "--u", "1", "--count", "1001"],
+             "--res entries must be positive, got '0'"),
+            (["weak-verify", "--f", "x1", "--u", "1", "--count", "1001", "--tol=-1"], "--tol must be >= 0, got '-1'"),
+            (["weak-verify", "--f", "x1", "--u", "1", "--alpha", "a", "--tol=-1"], "--tol must be >= 0, got '-1'"),
+            (["sobolev", "--f", "x1", "--k", "abc", "--tol", "nan"], "--tol must be >= 0, got 'nan'"),
+            (["weak-verify", "--f", "x1", "--u", "1", "--count", "1001", "--alpha", "a"],
+             "--alpha must be comma-separated integers, got 'a'"),
+            (["sobolev", "--f", "x1", "--count", "1001", "--tol", "nan"], "--tol must be >= 0, got 'nan'"),
+            (["sobolev", "--f", "x1", "--count", "1001", "--p", "0.5"], "--p must be >= 1 or inf, got '0.5'"),
+            # and the count before any --deriv
+            (["sobolev", "--f", "x1", "--count", "1001", "--deriv", "1"], "--count must be at most 1000, got '1001'"),
+        ],
+    )
+    def test_two_bad_flags_report_the_first_checked(self, capsys, argv, message):
+        assert run(capsys, argv) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
+class TestTolOnlyWherePaired:
+    # only weak-verify and sobolev read --tol (and newton its own); the other
+    # grid commands accepted and validated one they never used
+    UNPAIRED = [
+        ["mollify", "--res", "40", "--eps", "0.1", "--f", "x1"],
+        ["converge", "--res", "40", "--f", "x1"],
+        ["commute", "--res", "40", "--eps", "0.1", "--f", "x1", "--u", "1"],
+    ]
+
+    @pytest.mark.parametrize("command", UNPAIRED)
+    def test_flag_is_unrecognized(self, capsys, command):
+        code, out, err = run(capsys, command + ["--tol", "1e-3"])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err.startswith("usage: sobolevkit ")
+        assert err.splitlines()[-1] == "sobolevkit: error: unrecognized arguments: --tol 1e-3"
+
+    @pytest.mark.parametrize("command", UNPAIRED)
+    def test_config_key_is_not_a_flag(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol=1e-3\n")
+        code, out, err = run(capsys, command + ["--config", str(cfg)])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"error: config key 'tol' is not a flag of the {command[0]!r} command\n"
+
+    @pytest.mark.parametrize("command", [
+        ["weak-verify", "--res", "100", "--f", "x1^2", "--u", "2*x1"],
+        ["sobolev", "--res", "50", "--f", "x1^2", "--deriv", "1=2*x1"],
+    ])
+    def test_config_tol_applies(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        # residuals of about 1e-3 fail the default tolerance 1e-4 and pass 1
+        cfg.write_text("tol=1\n")
+        from_file = run(capsys, command + ["--config", str(cfg)])
+        assert from_file[0] == EXIT_OK
+        assert from_file == run(capsys, command + ["--tol", "1"])
+        assert from_file != run(capsys, command)
 
 
 class TestTinyKernels:

@@ -69,9 +69,12 @@ def _invalid_grid(dim: int) -> tuple[tuple[str, str], ...]:
     """(flag, value) pairs refused whatever the box, the other flags and the expressions are."""
     return (
         ("res", "0"), ("res", "-3"), ("res", "abc"), ("res", "1.5"), ("res", ",".join(["10"] * (dim + 1))),
-        ("res", "100000000"), ("tol", "-1"), ("tol", "nan"), ("tol", ""), ("lo", "abc"),
-        ("config", "/nonexistent/run.cfg"),
+        ("res", "100000000"), ("lo", "abc"), ("config", "/nonexistent/run.cfg"),
     )
+
+
+# --tol values weak-verify and sobolev refuse; the other grid commands have no --tol
+INVALID_TOL = (("tol", "-1"), ("tol", "nan"), ("tol", ""))
 
 
 def _alpha(dim: int, order: int) -> str:
@@ -117,10 +120,7 @@ def _expression(rng: random.Random, dim: int) -> str:
 
 def _grid_flags(rng: random.Random, dim: int) -> list[tuple[str, str]]:
     lo, hi = rng.choice(BOXES)
-    flags = [("lo", ",".join([lo] * dim)), ("hi", ",".join([hi] * dim)), ("res", rng.choice(RES[dim]))]
-    if rng.random() < 0.3:
-        flags.append(("tol", rng.choice(TOL)))
-    return flags
+    return [("lo", ",".join([lo] * dim)), ("hi", ",".join([hi] * dim)), ("res", rng.choice(RES[dim]))]
 
 
 def _draw(rng: random.Random) -> Case:
@@ -163,15 +163,19 @@ def _draw(rng: random.Random) -> Case:
             invalid += [("p", v) for v in ("0.5", "nan")] + [("eps", v) for v in ("0", "-0.1", "0.2,0.1")]
         elif command == "weak-verify":
             flags.append(("u", _expression(rng, dim)))
+            if rng.random() < 0.3:
+                flags.append(("tol", rng.choice(TOL)))
             if dim > 1 or rng.random() < 0.5:
                 flags.append(("alpha", _alpha(dim, rng.choice((1, 1, 2)))))
             if rng.random() < 0.5:
                 flags.append(("count", rng.choice(COUNTS)))
             invalid += [("alpha", v) for v in _invalid_alpha(dim)]
-            invalid += [("count", v) for v in ("0", "1001", "abc")]
+            invalid += [("count", v) for v in ("0", "1001", "abc")] + list(INVALID_TOL)
         else:
             k = rng.choice((1, 1, 2))
             flags.append(("k", str(k)))
+            if rng.random() < 0.3:
+                flags.append(("tol", rng.choice(TOL)))
             if rng.random() < 0.5:
                 flags.append(("p", rng.choice(P)))
             if rng.random() < 0.5:
@@ -187,7 +191,7 @@ def _draw(rng: random.Random) -> Case:
                 if rng.random() < 0.9:
                     flags.append(("deriv", ",".join(map(str, alpha)) + "=" + _expression(rng, dim)))
             invalid += [("k", v) for v in ("0", "3", "abc")] + [("count", v) for v in ("0", "1001")]
-            invalid += [("deriv", "1"), ("deriv", _alpha(dim, 0) + "=x1"), ("p", "0.5")]
+            invalid += [("deriv", "1"), ("deriv", _alpha(dim, 0) + "=x1"), ("p", "0.5")] + list(INVALID_TOL)
     elif command == "compose":
         res = rng.choice(("16", "32", "32", "7") + (("64", "64") if dim < 3 else ()))
         flags = [("eps-a", _eps(rng)), ("eps-b", _eps(rng)), ("dim", str(dim)), ("res", res)]

@@ -30,7 +30,6 @@ from sobolevkit.expr import (
     excerpt,
     parse,
     to_source,
-    tokenize,
 )
 
 
@@ -281,9 +280,22 @@ class TestExcerpt:
         assert shown.endswith("…") == (start + 80 < 1000)
 
 
+def _lex(source):
+    """What the parser's lexing makes of ``source``: the tokens, or the lexical error message and offset.
+
+    ``_parse_core`` refuses a source that does not lex with an ``unexpected
+    character`` error, a message no later stage gives; a source that lexes
+    is read into tokens by ``_tokens``.
+    """
+    result = _parse_core(source, 3)
+    if isinstance(result, ParseError) and result.args[0].startswith("unexpected character "):
+        return str(result), result.offset
+    return _tokens(source, len(source))
+
+
 class TestTokenize:
     def test_kinds(self):
-        kinds = [t.kind for t in tokenize("2+x1*(sin(3), )")]
+        kinds = [t.kind for t in _lex("2+x1*(sin(3), )")]
         assert kinds == [
             "number",
             "op",
@@ -300,7 +312,7 @@ class TestTokenize:
         ]
 
     def test_offsets_skip_whitespace(self):
-        tokens = tokenize("  12 + x1")
+        tokens = _lex("  12 + x1")
         assert (tokens[0].lexeme, tokens[0].offset) == ("12", 2)
         assert (tokens[1].lexeme, tokens[1].offset) == ("+", 5)
         assert (tokens[2].lexeme, tokens[2].offset) == ("x1", 7)
@@ -311,7 +323,7 @@ _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _reference_tokenize(source):
-    """The per-character tokenizer, kept as the oracle for ``tokenize``."""
+    """The per-character tokenizer, kept as the oracle for the parser's lexing."""
     tokens = []
     i, n = 0, len(source)
     while i < n:
@@ -348,18 +360,17 @@ def _fuzz_strings():
     return itertools.chain.from_iterable(acceptance._fuzz_chunks(rng, acceptance.FUZZ_COUNT))
 
 
-def _lexed(tokenizer, source):
-    """The tokens, or the error message and offset."""
+def _reference_lex(source):
+    """The reference tokens, or the error message and offset."""
     try:
-        return tokenizer(source)
+        return _reference_tokenize(source)
     except ParseError as err:
         return str(err), err.offset
 
 
 def _assert_lexes_like_reference(sources):
     for source in sources:
-        want = _lexed(_reference_tokenize, source)
-        assert _lexed(tokenize, source) == want, f"source {source!r}"
+        assert _lex(source) == _reference_lex(source), f"source {source!r}"
 
 
 _EDGE_CASES = [
@@ -369,7 +380,7 @@ _EDGE_CASES = [
 
 
 class TestTokenizeOracle:
-    """``tokenize`` gives the reference loop's tokens, or its exact error."""
+    """``_parse_core`` gives the reference loop's lexical error, and ``_tokens`` its tokens."""
 
     def test_default_seed_fuzz_strings(self):
         _assert_lexes_like_reference(_fuzz_strings())
@@ -396,10 +407,7 @@ class TestTokenizeOracle:
     def test_megabyte_rejected_input(self):
         # "1.1", then ".1" pairs; the final "." starts no token
         source = "1." * 500_000 + "."
-        with pytest.raises(ParseError) as info:
-            tokenize(source)
-        assert info.value.offset == 999_999
-        assert str(info.value) == "unexpected character '.' (at offset 999999)"
+        assert _lex(source) == ("unexpected character '.' (at offset 999999)", 999_999)
 
 
 def _reference_parse(source, dim=3):

@@ -20,7 +20,7 @@ from sobolevkit.weakdiff import PairingResidual
 # each record with its fields, in order, and a value for each
 RECORDS = {
     CriterionResult: {"index": 12, "name": "parser", "passed": True, "detail": "fuzz crashes 0/100000"},
-    RunConfig: {"grid": "<grid>", "eps_ladder": (0.2, 0.1), "tol": 1e-3},
+    RunConfig: {"grid": "<grid>", "eps_ladder": (0.2, 0.1)},
     OrbitEntry: {"eps": 0.1, "f_eps": "<f_eps>", "region": "<region>"},
     ConvergenceRow: {"eps": 0.05, "error": 0.25, "ratio": None},
     ConvergenceTable: {"p": 2.0, "rows": ((0.1, 0.5, None),)},
