@@ -299,7 +299,7 @@ def criterion_parser(seed: int) -> CriterionResult:
     parser's non-raising core, which returns the ``ParseError`` that
     ``parse`` would raise; any exception that escapes it is a crash.
     The strings are ``str`` and the dimension is 3 for every one, so the
-    core runs without ``_parse_or_error``'s argument checks.
+    core runs without ``parse``'s argument checks.
     """
     cases = {
         "2+3*4": 14.0,

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -30,10 +30,12 @@ from .dynamics import MAX_NEWTON_ITER, exponential_flow, newton_net
 from .expr import EvalError, GRAMMAR_HELP, ParseError, evaluate, excerpt, parse, sample
 from .grid import Box, Grid, GridFunction, format_float, make_grid, write_grid_function_csv
 from .mollifier import standard_bump, validate_multi_index
-from .sobolev import DerivativeFamily, _check_family, membership_report
+from .sobolev import DerivativeFamily, _check_family, _check_order, membership_report
 from .weakdiff import MAX_TEST_FUNCTIONS, _commutation_gap, test_function_catalog, verify_weak_derivative
 
 __all__ = ["main", "RunConfig"]
+
+_T = TypeVar("_T")
 
 EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
@@ -47,6 +49,14 @@ class CliError(Exception):
     def __init__(self, message: str, exit_code: int = EXIT_VALIDATION) -> None:
         super().__init__(message)
         self.exit_code = exit_code
+
+
+def _flagged(what: str, check: Callable[..., _T], *args: object) -> _T:
+    """``check(*args)``, its ``ValueError`` refused with the library's message after the flag ``what``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise CliError(f"{what}: {exc}") from None
 
 
 def _parse_floats(raw: str, what: str) -> tuple[float, ...]:
@@ -106,16 +116,16 @@ def _parse_bounded(raw: str, what: str, limit: int) -> int:
     return value
 
 
-def _parse_alpha(raw: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
+def _parse_alpha(raw: str, what: str, dim: int, min_order: int = 1) -> tuple[int, ...]:
     try:
         alpha = tuple(int(part) for part in raw.split(","))
     except ValueError:
-        raise CliError(f"--alpha must be comma-separated integers, got {raw!r}") from None
+        raise CliError(f"{what} must be comma-separated integers, got {raw!r}") from None
     if len(alpha) == 1 and dim > 1:
-        raise CliError(f"--alpha has 1 entry for a {dim}-d grid; give one entry per axis")
+        raise CliError(f"{what} has 1 entry for a {dim}-d grid; give one entry per axis")
     if len(alpha) != dim:
-        raise CliError(f"--alpha {raw!r} has {len(alpha)} entries for a {dim}-d grid")
-    return validate_multi_index(alpha, dim, min_order)
+        raise CliError(f"{what} {raw!r} has {len(alpha)} entries for a {dim}-d grid")
+    return _flagged(what, validate_multi_index, alpha, dim, min_order)
 
 
 class RunConfig(NamedTuple):
@@ -128,7 +138,7 @@ class RunConfig(NamedTuple):
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         lo = _parse_floats(args.lo, "--lo")
         hi = _parse_floats(args.hi, "--hi")
-        box = Box(lo, hi)
+        box = _flagged("--lo/--hi", Box, lo, hi)
         res_values = args.res.split(",")
         if len(res_values) == 1:
             resolution = (_parse_int(res_values[0], "--res"),) * box.dim
@@ -198,7 +208,7 @@ def _single_eps(config: RunConfig) -> float:
 def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
-    m = standard_bump(grid.dim, _single_eps(config))
+    m = _flagged("--eps", standard_bump, grid.dim, _single_eps(config))
     # each command admits its convolutions before it samples, so a refused
     # kernel exits 2 with convolve's own message whatever the expression
     _admit(grid, m)
@@ -212,7 +222,7 @@ def _cmd_mollify(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     for eps in config.eps_ladder:
-        _admit(config.grid, standard_bump(config.grid.dim, eps))
+        _admit(config.grid, _flagged("--eps", standard_bump, config.grid.dim, eps))
     p = _parse_p(args.p)
     _check_ladder(config.eps_ladder)
     f = _sample_expression(args.f, config.grid)
@@ -224,10 +234,10 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_commute(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     grid = config.grid
-    alpha = _parse_alpha(args.alpha, grid.dim)
+    alpha = _parse_alpha(args.alpha, "--alpha", grid.dim)
     eps = _single_eps(config)
     # commutation_residual's admissions, in its order: the alpha-derivative kernel, then the value kernel
-    m = standard_bump(grid.dim, eps)
+    m = _flagged("--eps", standard_bump, grid.dim, eps)
     derivative = _admit(grid, m, alpha)
     value = _admit(grid, m)
     p = _parse_p(args.p)
@@ -241,7 +251,7 @@ def _cmd_weak_verify(args: argparse.Namespace) -> tuple[str, int]:
     config = RunConfig.from_args(args)
     tol = _parse_tol(args.tol)
     grid = config.grid
-    alpha = _parse_alpha(args.alpha, grid.dim)
+    alpha = _parse_alpha(args.alpha, "--alpha", grid.dim)
     tests = test_function_catalog(grid.box, _parse_bounded(args.count, "--count", MAX_TEST_FUNCTIONS))
     _check_cell_volume(grid)
     f = _sample_expression(args.f, grid)
@@ -268,12 +278,13 @@ def _cmd_sobolev(args: argparse.Namespace) -> tuple[str, int]:
         alpha_raw, sep, source = (part.strip() for part in deriv_item.partition("="))
         if not sep:
             raise CliError(f"--deriv needs ALPHA=EXPR, got {deriv_item!r}")
-        alpha = _parse_alpha(alpha_raw, grid.dim, min_order=0)
+        alpha = _parse_alpha(alpha_raw, "--deriv", grid.dim, min_order=0)
         if not any(alpha):
             raise CliError(f"--deriv {alpha_raw!r} has order 0; give the function itself with --f")
         if alpha in derivs:
             raise CliError(f"--deriv {alpha_raw!r} is given twice")
         derivs[alpha] = source
+    _flagged("--k", _check_order, k)
     _check_family(grid.dim, k, {(0,) * grid.dim, *derivs})
     _check_cell_volume(grid)
     entries = {(0,) * grid.dim: _sample_expression(args.f, grid)}

@@ -116,32 +116,16 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 # character no token can start.  ``\s`` and ``str.isspace`` agree on every
 # code point.
 _LEXABLE_RE = re.compile(rf"(?:\s+|{_NUMBER}|{_IDENT}|[-+*/^(),])*")
-# The characters below 256 at which no token can start, whatever follows,
-# read off ``_LEXABLE_RE`` itself: ``.`` is not one, as ``.0`` is a number.
-_UNLEXABLE_START = frozenset(c for c in map(chr, range(256)) if _LEXABLE_RE.match(c + "0").end() == 0)
+# The lexical error message of each character below 256, every one the parser fuzz draws.
+_UNEXPECTED = {c: f"unexpected character {c!r}" for c in map(chr, range(256))}
+# Those of the characters at which no token can start, whatever follows, read
+# off ``_LEXABLE_RE`` itself: ``.`` is not one, as ``.0`` is a number.
+_UNLEXABLE_START = {c: m for c, m in _UNEXPECTED.items() if _LEXABLE_RE.match(c + "0").end() == 0}
 # One token per match; ``finditer`` skips the whitespace between them.
 _TOKEN_RE = re.compile(
     rf"(?P<number>{_NUMBER})|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
 )
-
-
-class _UnexpectedMessages(dict):
-    """``[c]`` is the lexical error message for character ``c``, built on first use.
-
-    Only code points below 256, every character the parser fuzz draws, are
-    kept, so the memo never holds more than 256 entries; a hit is one
-    C-level dict lookup.
-    """
-
-    def __missing__(self, c: str) -> str:
-        message = f"unexpected character {c!r}"
-        if ord(c) < 256:
-            self[c] = message
-        return message
-
-
-_UNEXPECTED = _UnexpectedMessages()
 
 
 def _tokens(source: str, end: int) -> list[Token]:
@@ -316,34 +300,25 @@ def _no_value(lexeme: str, offset: int) -> ParseError:
     return ParseError(f"expected a value, found {excerpt(shown)!r}", offset)
 
 
-def _parse_or_error(source: str, dim: int) -> Ast | ParseError:
-    """The Ast of ``source``, or the ``ParseError`` that ``parse`` raises for it."""
-    if not isinstance(source, str):
-        return ParseError("source must be a string", 0)
-    dim = int(dim)
-    if not 1 <= dim <= 3:
-        return ParseError(f"dimension must be between 1 and 3, got {dim}", 0)
-    return _parse_core(source, dim)
-
-
 def _parse_core(source: str, dim: int) -> Ast | ParseError:
-    """``_parse_or_error`` past its argument checks: ``source`` is a ``str`` and ``dim`` an int in 1..3.
+    """The Ast of ``source``, or the ``ParseError`` that ``parse`` raises for it; ``dim`` is an int in 1..3.
 
     A lexical error, the common case for random input, is found by one
     regex match and returned before any token exists; nothing is raised,
-    and its message below code point 256 is built once per character.  A
-    source whose first character is in ``_UNLEXABLE_START``, the table of
-    characters below 256 that start no token, is refused at offset 0 by
-    one set lookup, without the regex.  A lexable source with no token,
+    and its message below code point 256 is read from ``_UNEXPECTED``.  A
+    source whose first character is a key of ``_UNLEXABLE_START``, the
+    messages of the characters below 256 that start no token, is refused
+    at offset 0 by one dict lookup, without the regex.  A lexable source with no token,
     ``""`` or all whitespace, gets the descent's error at the end of input
     without a token or parser being built: a lexable whitespace run is all
     ``\\s``, and no token holds any.
     """
-    if source[:1] in _UNLEXABLE_START:
-        return ParseError(_UNEXPECTED[source[0]], 0)
+    if message := _UNLEXABLE_START.get(source[:1]):
+        return ParseError(message, 0)
     end = _LEXABLE_RE.match(source).end()
     if end < len(source):
-        return ParseError(_UNEXPECTED[source[end]], end)
+        c = source[end]
+        return ParseError(_UNEXPECTED.get(c) or f"unexpected character {c!r}", end)
     if not source or source.isspace():
         return _no_value("", end)
     parser = _Parser(_tokens(source, end), dim)
@@ -361,7 +336,12 @@ def _parse_core(source: str, dim: int) -> Ast | ParseError:
 
 def parse(source: str, dim: int = 3) -> Ast:
     """Parse ``source`` into an Ast; variables above ``x{dim}`` are rejected."""
-    result = _parse_or_error(source, dim)
+    if not isinstance(source, str):
+        raise ParseError("source must be a string", 0)
+    dim = int(dim)
+    if not 1 <= dim <= 3:
+        raise ParseError(f"dimension must be between 1 and 3, got {dim}", 0)
+    result = _parse_core(source, dim)
     if isinstance(result, ParseError):
         raise result
     return result

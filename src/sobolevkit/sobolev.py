@@ -41,19 +41,26 @@ def enumerate_multi_indices(dim: int, max_order: int) -> list[MultiIndex]:
     return out
 
 
-def _check_family(dim: int, k: int, alphas: Container[MultiIndex], lowest: int = 1) -> int:
-    """Refuse an order ``k`` outside ``lowest`` to ``MAX_DERIVATIVE_ORDER``, or ``alphas`` missing an order up to ``k``.
-
-    The order is checked before the (k + 1)^dim candidates are enumerated.
-    The CLI calls this with the ``--deriv`` multi-indices before it samples
-    any expression; ``membership_report`` and ``sobolev_norm`` (with
-    ``lowest=0``) call it with the family.
-    """
+def _check_order(k: int, lowest: int = 1) -> int:
+    """Refuse an order ``k`` outside ``lowest`` to ``MAX_DERIVATIVE_ORDER``."""
     k = int(k)
     if k < lowest:
         raise ValueError(f"order k must be at least {lowest}, got {k}")
     if k > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"order k must be at most {MAX_DERIVATIVE_ORDER}, got {k}")
+    return k
+
+
+def _check_family(dim: int, k: int, alphas: Container[MultiIndex], lowest: int = 1) -> int:
+    """Refuse an order ``k`` that ``_check_order`` refuses, or ``alphas`` missing an order up to ``k``.
+
+    The order is checked before the (k + 1)^dim candidates are enumerated.
+    The CLI calls this with the ``--deriv`` multi-indices before it samples
+    any expression, once its own ``_check_order`` call has named a refused
+    ``--k``; ``membership_report`` and ``sobolev_norm`` (with ``lowest=0``)
+    call it with the family.
+    """
+    k = _check_order(k, lowest)
     missing = [a for a in enumerate_multi_indices(dim, k) if a not in alphas]
     if missing:
         raise ValueError(f"candidate family is missing derivatives {missing} for k={k}")

@@ -656,7 +656,9 @@ class TestBoxWidth:
     def test_exit_two_with_one_error_line(self, argv):
         result = run_subprocess([*argv, "--lo=-1e308", "--hi=1e308", "--res", "40", "--f", "x1"])
         assert (result.returncode, result.stdout) == (EXIT_VALIDATION, b"")
-        assert result.stderr.decode() == "error: axis 0: the width of [-1e+308, 1e+308] is beyond the float64 range\n"
+        assert result.stderr.decode() == (
+            "error: --lo/--hi: axis 0: the width of [-1e+308, 1e+308] is beyond the float64 range\n"
+        )
 
 
 class TestRefusedBeforeWork:
@@ -751,9 +753,12 @@ class TestRefusedBeforeWork:
 class TestRefusalsNameTheirFlag:
     # each of these printed the library's message, which names its parameter
     # (max_iter, resolution, dimension, eps) or none; the CLI checks the flag
-    # first, with the library's rule, and names it
+    # first, with the library's rule, and names it, or puts the flag before
+    # the message of the library call its value goes to
     COMPOSE = ["compose", "--eps-a", "0.1", "--eps-b", "0.1"]
     NEWTON = ["newton", "--f", "x1", "--a", "1", "--y", "0", "--x0", "1"]
+    MOLLIFY = ["mollify", "--f", "x1", "--eps", "0.1"]
+    SOBOLEV = ["sobolev", "--f", "x1"]
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -773,6 +778,28 @@ class TestRefusalsNameTheirFlag:
              "--count must be at most 1000, got '1001'"),
             (["sobolev", "--res", "20", "--f", "x1", "--deriv", "1=1", "--count", "1001"],
              "--count must be at most 1000, got '1001'"),
+            # the corpus's refusals that printed only the library's message (Box, Mollifier,
+            # the family order, the multi-index rule): each is caught where its flag's value
+            # is consumed, and the flag comes before the library's message
+            (MOLLIFY + ["--lo", "0", "--hi", "1,1"], "--lo/--hi: lo has 1 entries but hi has 2"),
+            (MOLLIFY + ["--lo", "0,0,0,0", "--hi", "1,1,1,1"], "--lo/--hi: dimension must be between 1 and 3, got 4"),
+            (MOLLIFY + ["--lo", "1", "--hi", "0"], "--lo/--hi: axis 0: need lo < hi, got [1.0, 0.0]"),
+            (MOLLIFY + ["--lo", "0", "--hi", "inf"], "--lo/--hi: box corners must be finite"),
+            (["converge", "--res", "100", "--f", "x1", "--eps", "0.2,-0.1"],
+             "--eps: eps must be positive and finite, got -0.1"),
+            (SOBOLEV + ["--k", "0"], "--k: order k must be at least 1, got 0"),
+            (["sobolev", "--res", "4", "--k", "2000", "--f", "x1"], "--k: order k must be at most 2, got 2000"),
+            (["commute", "--f", "x1", "--u", "1", "--eps", "0.1", "--alpha", "0"],
+             "--alpha: multi-index order 0 is below the minimum 1"),
+            (["weak-verify", "--f", "x1", "--u", "1", "--alpha=-1"],
+             "--alpha: multi-index entries must be nonnegative, got (-1,)"),
+            (["weak-verify", "--f", "x1", "--u", "1", "--alpha", "3"],
+             "--alpha: multi-index order 3 exceeds the supported maximum 2"),
+            # a --deriv multi-index is parsed by the --alpha rules, and named as --deriv
+            (SOBOLEV + ["--deriv", "1,0=1"], "--deriv '1,0' has 2 entries for a 1-d grid"),
+            (SOBOLEV + ["--deriv", "x=1"], "--deriv must be comma-separated integers, got 'x'"),
+            (SOBOLEV + ["--deriv", "3=1"], "--deriv: multi-index order 3 exceeds the supported maximum 2"),
+            (SOBOLEV + ["--deriv=-1=1"], "--deriv: multi-index entries must be nonnegative, got (-1,)"),
         ],
     )
     def test_exit_two_naming_the_flag(self, capsys, argv, message):
@@ -804,6 +831,14 @@ class TestRefusalsNameTheirFlag:
             (["sobolev", "--f", "x1", "--count", "1001", "--p", "0.5"], "--p must be >= 1 or inf, got '0.5'"),
             # and the count before any --deriv
             (["sobolev", "--f", "x1", "--count", "1001", "--deriv", "1"], "--count must be at most 1000, got '1001'"),
+            # the box before --res, each eps before --p, --alpha before --eps, every --deriv before --k's range
+            (["mollify", "--f", "x1", "--eps", "0", "--lo", "1", "--hi", "0", "--res", "0"],
+             "--lo/--hi: axis 0: need lo < hi, got [1.0, 0.0]"),
+            (["converge", "--f", "x1", "--eps", "0.2,-0.1", "--p", "0.5"], "--eps: eps must be positive and finite, got -0.1"),
+            (["commute", "--f", "x1", "--u", "1", "--alpha", "0", "--eps", "0"],
+             "--alpha: multi-index order 0 is below the minimum 1"),
+            (["sobolev", "--f", "x1", "--k", "0", "--deriv", "3=1"],
+             "--deriv: multi-index order 3 exceeds the supported maximum 2"),
         ],
     )
     def test_two_bad_flags_report_the_first_checked(self, capsys, argv, message):
@@ -1273,7 +1308,7 @@ class TestValidationExits:
         "argv,message",
         [
             (["converge", "--eps", "0.1,0.2"], "eps ladder must be strictly decreasing, got [0.1, 0.2]"),
-            (["sobolev", "--k", "0"], "order k must be at least 1, got 0"),
+            (["sobolev", "--k", "0"], "--k: order k must be at least 1, got 0"),
             (["sobolev", "--k", "1"], "candidate family is missing derivatives [(1,)] for k=1"),
             # a value kernel that has lost its unit mass on the lattice (the default ladder ends at 0.025)
             (["mollify", "--res", "10", "--eps", "0.001"],

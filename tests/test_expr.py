@@ -23,7 +23,6 @@ from sobolevkit.expr import (
     Token,
     _Parser,
     _parse_core,
-    _parse_or_error,
     _tokens,
     evaluate,
     evaluate_many,
@@ -459,12 +458,13 @@ class TestParseOracle:
     @pytest.mark.parametrize("source", ["", "2+", "(1", "1)", "foo", "sin(1,2)", "x4", "1e999"])
     def test_core_returns_the_error(self, source):
         # the core returns, not raises, what parse raises
-        error = _parse_or_error(source, 3)
+        error = _parse_core(source, 3)
         assert isinstance(error, ParseError)
         assert (str(error), error.offset) == _parsed(_reference_parse, source)
 
 
 _WHITESPACE = [chr(cp) for cp in range(0x110000) if chr(cp).isspace()]
+_LATIN1 = [chr(cp) for cp in range(256)]
 
 
 def _descent_error(source):
@@ -522,11 +522,11 @@ class TestFastPaths:
         assert ch not in expr._UNEXPECTED
 
     def test_memo_stays_bounded(self):
+        # one message per character below 256, built at import; a wider character adds none
         for cp in [*range(0x3000), 0x1F600, 0x10FFFF]:
             if _not_lexable(chr(cp)):
                 _parse_core(chr(cp), 3)
-        assert len(expr._UNEXPECTED) <= 256
-        assert all(ord(ch) < 256 for ch in expr._UNEXPECTED)
+        assert expr._UNEXPECTED == {ch: f"unexpected character {ch!r}" for ch in _LATIN1}
 
 
 def _core_results(sources):
@@ -543,17 +543,14 @@ def _assert_table_keeps_regex_results(sources, monkeypatch):
     sources = list(sources)
     got = _core_results(sources)
     with monkeypatch.context() as patch:
-        patch.setattr(expr, "_UNLEXABLE_START", frozenset())
+        patch.setattr(expr, "_UNLEXABLE_START", {})
         want = _core_results(sources)
     for source, g, w in zip(sources, got, want):
         assert g == w, f"source {source!r}"
 
 
-_LATIN1 = [chr(cp) for cp in range(256)]
-
-
 class TestLexicalTable:
-    """``_UNLEXABLE_START`` holds exactly the characters that start no token, and changes no result."""
+    """``_UNLEXABLE_START`` maps exactly the characters that start no token to their message, and changes no result."""
 
     def test_table_is_every_character_no_continuation_lexes(self):
         want = {
@@ -561,8 +558,9 @@ class TestLexicalTable:
             for ch in _LATIN1
             if all(expr._LEXABLE_RE.match(ch + after).end() == 0 for after in ["", *_LATIN1])
         }
-        assert expr._UNLEXABLE_START == want
+        assert expr._UNLEXABLE_START.keys() == want
         assert len(want) == 172 and "." not in want
+        assert all(message == f"unexpected character {ch!r}" for ch, message in expr._UNLEXABLE_START.items())
 
     def test_one_and_two_character_sources(self, monkeypatch):
         _assert_table_keeps_regex_results(_LATIN1, monkeypatch)
